@@ -1,93 +1,22 @@
 """High-utility pattern mining over interval-based event sequences."""
 
-from .model import (
-    CEventset,
-    Coincidence,
-    CSequence,
-    CSequenceDataset,
-    DataError,
-    EMPTY_COINCIDENCE,
-    ESequence,
-    ESequenceDataset,
-    EventInterval,
-    LSequence,
-    UtilityTable,
-    eventset_contains,
-    is_csubsequence,
-    is_lsubsequence,
-    lsequence_sort_key,
-    matches,
-)
-from .transform import phi, to_csequence, transform_dataset, unique_time_points
-from .utility import (
-    UpperBound,
-    contains_match,
-    csequence_utility,
-    dataset_utility,
-    event_utility,
-    eventset_utility,
-    is_promising,
-    lwu,
-    max_k_utility,
-    max_match_utility,
-    max_utility,
-    projected_utilization,
-    utility_set,
-)
-from .miner import (
-    MiningConfig,
-    MiningStats,
-    Pattern,
-    mine,
-    promising_coincidences,
-    resolve_threshold,
-)
-from .io import parse_dataset, parse_utilities, write_dataset, write_utilities
+from .model import CSequenceDataset, DataError, ESequenceDataset, UtilityTable
+from .transform import transform_dataset
+from .miner import MiningConfig, MiningStats, Pattern, mine
+from .io import parse_dataset, parse_utilities
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CEventset",
-    "Coincidence",
-    "CSequence",
     "CSequenceDataset",
     "DataError",
-    "EMPTY_COINCIDENCE",
-    "ESequence",
     "ESequenceDataset",
-    "EventInterval",
-    "LSequence",
     "MiningConfig",
     "MiningStats",
     "Pattern",
-    "UpperBound",
     "UtilityTable",
-    "contains_match",
-    "csequence_utility",
-    "dataset_utility",
-    "event_utility",
-    "eventset_contains",
-    "eventset_utility",
-    "is_csubsequence",
-    "is_lsubsequence",
-    "is_promising",
-    "lsequence_sort_key",
-    "lwu",
-    "matches",
-    "max_k_utility",
-    "max_match_utility",
-    "max_utility",
     "mine",
     "parse_dataset",
     "parse_utilities",
-    "phi",
-    "projected_utilization",
-    "promising_coincidences",
-    "resolve_threshold",
-    "to_csequence",
     "transform_dataset",
-    "unique_time_points",
-    "utility_set",
-    "write_dataset",
-    "write_utilities",
 ]

@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from io import StringIO
 
 from . import oracle
 from .io import (
@@ -161,6 +162,9 @@ def _load_inputs(args) -> tuple[ESequenceDataset, UtilityTable]:
 
 
 def _cmd_mine(args) -> int:
+    if args.threads < 1:
+        print(f"intervalmine: error: --threads must be >= 1: {args.threads}", file=sys.stderr)
+        return USAGE_ERROR
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
     if not strategies:
         print("intervalmine: error: no strategy given", file=sys.stderr)
@@ -275,19 +279,7 @@ def _cmd_gen(args) -> int:
 
 
 def _running_example() -> tuple[ESequenceDataset, UtilityTable]:
-    rows = [
-        (1, "A", 6, 12), (1, "B", 10, 17), (1, "C", 19, 25), (1, "E", 21, 23),
-        (2, "A", 2, 7), (2, "B", 5, 10), (2, "D", 5, 12), (2, "C", 16, 22),
-        (2, "E", 18, 20),
-        (3, "B", 6, 12), (3, "A", 8, 14), (3, "C", 14, 20), (3, "E", 16, 18),
-        (4, "B", 1, 5), (4, "C", 8, 14), (4, "E", 9, 12), (4, "F", 9, 12),
-    ]
-    text = "\n".join("\t".join(map(str, row)) for row in rows)
-    import io as _io
-
-    dataset = parse_dataset(_io.StringIO(text))
-    table = UtilityTable({"A": 2, "B": 1, "C": 1, "D": 3, "E": 2, "F": 5})
-    return dataset, table
+    return parse_dataset(StringIO(oracle.EXAMPLE_DATA)), UtilityTable(oracle.EXAMPLE_UTILITIES)
 
 
 def _check_instance(dataset, table, cfg: MiningConfig, label: str) -> bool:

@@ -7,6 +7,7 @@ skipped. Utility lines are `label  value`.
 from __future__ import annotations
 
 import io as _io
+import math
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -81,6 +82,8 @@ def parse_utilities(source) -> UtilityTable:
                 value = float(value_s)
             except ValueError:
                 raise DataError(f"line {lineno}: utility must be a number") from None
+            if not math.isfinite(value):
+                raise DataError(f"line {lineno}: utility for {label!r} is not finite")
             if value < 0:
                 raise DataError(f"line {lineno}: utility for {label!r} is negative")
             if label in entries:
@@ -96,6 +99,8 @@ def fill_utilities(
     d: ESequenceDataset, table: UtilityTable | None, default: float | None
 ) -> UtilityTable:
     """Complete the table over the dataset's alphabet, or fail loudly."""
+    if default is not None and not math.isfinite(default):
+        raise DataError(f"default utility must be finite: {default}")
     entries = dict(table.entries) if table is not None else {}
     missing = [lab for lab in d.labels() if lab not in entries]
     if missing:

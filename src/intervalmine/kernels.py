@@ -1,43 +1,22 @@
-"""Match-scoring kernels: numba JIT by default, pure numpy as a fallback.
+"""The match-scoring kernel: extend a pattern prefix by one coincidence.
 
-The single hot operation is extending a pattern prefix by one coincidence.
-A prefix's state is, per sequence, the running maximum utility of any match
-ending at or before each window (-inf where no match exists). Extension
-tests the candidate bitmask against each window and adds the candidate's
-utility mass times the window duration on top of the best strictly-earlier
-prefix score. Both backends implement the identical recurrence and produce
-bit-identical float64 arrays.
-
-Set INTERVALMINE_BACKEND=numpy to force the fallback (or =numba to require
-the JIT); by default numba is used when importable.
+A prefix's state is one float64 row per sequence: entry j is the best
+utility of any match of the prefix that ends at or before window j, and
+-inf where no such match exists. Extending by a candidate coincidence
+keeps the windows whose label bitmask covers the candidate's, adds the
+candidate's utility mass times the window duration to the best prefix
+score strictly before that window, and takes the running maximum along
+the row. Windows past a sequence's length never fit, so padding carries
+the last real value forward.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-BACKEND_ENV = "INTERVALMINE_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
 
 
 def active_backend() -> str:
-    forced = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if forced == "numpy":
-        return "numpy"
-    if forced == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(f"{BACKEND_ENV}=numba but numba is not installed")
-        return "numba"
-    if forced:
-        raise RuntimeError(f"{BACKEND_ENV} must be 'numba' or 'numpy', got {forced!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Name of the kernel implementation, recorded by the benchmark."""
+    return "numpy"
 
 
 def extend_scores(
@@ -54,14 +33,6 @@ def extend_scores(
     prev_base is the prefix score before the first window: 0.0 for the
     empty prefix, -inf for any non-empty prefix.
     """
-    if active_backend() == "numba":
-        out = np.empty_like(prev)
-        _extend_numba(masks, durations, lengths, prev, prev_base, cand_mask, cand_putil, out)
-        return out
-    return _extend_numpy(masks, durations, lengths, prev, prev_base, cand_mask, cand_putil)
-
-
-def _extend_numpy(masks, durations, lengths, prev, prev_base, cand_mask, cand_putil):
     n, cap, _ = masks.shape
     if cap == 0:
         return np.empty((n, 0), dtype=np.float64)
@@ -72,28 +43,3 @@ def _extend_numpy(masks, durations, lengths, prev, prev_base, cand_mask, cand_pu
     shifted[:, 1:] = prev[:, :-1]
     ended = np.where(fits, shifted + cand_putil * durations, -np.inf)
     return np.maximum.accumulate(ended, axis=1)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _extend_numba(masks, durations, lengths, prev, prev_base, cand_mask, cand_putil, out):
-        n, cap, words = masks.shape
-        for s in range(n):
-            run = -np.inf
-            before = prev_base
-            m = lengths[s]
-            for j in range(m):
-                fits = True
-                for w in range(words):
-                    if (cand_mask[w] & ~masks[s, j, w]) != np.uint64(0):
-                        fits = False
-                        break
-                if fits:
-                    cand = before + cand_putil * durations[s, j]
-                    if cand > run:
-                        run = cand
-                before = prev[s, j]
-                out[s, j] = run
-            for j in range(m, cap):
-                out[s, j] = run

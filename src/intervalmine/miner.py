@@ -15,6 +15,7 @@ emitted.
 """
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -46,6 +47,8 @@ class MiningConfig:
     def __post_init__(self) -> None:
         if self.xi_mode not in ("absolute", "relative"):
             raise ValueError(f"xi_mode must be 'absolute' or 'relative': {self.xi_mode!r}")
+        if not math.isfinite(self.xi):
+            raise ValueError(f"xi must be a finite number: {self.xi}")
         if self.xi < 0:
             raise ValueError(f"xi must be nonnegative: {self.xi}")
         if self.xi_mode == "relative" and self.xi > 1:

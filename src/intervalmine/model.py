@@ -7,6 +7,7 @@ immutable after construction and safe to share between threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -179,13 +180,15 @@ def lsequence_sort_key(l: LSequence) -> tuple:
 
 @dataclass(frozen=True)
 class UtilityTable:
-    """External utility per event label; all values nonnegative."""
+    """External utility per event label; all values finite and nonnegative."""
 
     entries: Mapping[str, float]
 
     def __post_init__(self) -> None:
         copied = dict(self.entries)
         for label, value in copied.items():
+            if not math.isfinite(value):
+                raise DataError(f"external utility for {label!r} is not finite: {value}")
             if value < 0:
                 raise DataError(f"external utility for {label!r} is negative: {value}")
         object.__setattr__(self, "entries", copied)
@@ -228,48 +231,3 @@ class CSequenceDataset:
     def labels(self) -> tuple[str, ...]:
         seen = {l for c in self.csequences for es in c.eventsets for l in es.coincidence}
         return tuple(sorted(seen))
-
-
-def eventset_contains(a: CEventset, b: CEventset) -> bool:
-    """Whether b contains a: same duration and a's labels are a subset of b's."""
-    return a.duration == b.duration and a.coincidence.issubset(b.coincidence)
-
-
-def is_csubsequence(c: CSequence, c_prime: CSequence) -> bool:
-    """Whether c embeds into c_prime at strictly increasing positions.
-
-    Each eventset of c must be contained (subset labels, equal duration) in
-    the eventset of c_prime it maps to. Greedy earliest assignment decides
-    existence because position feasibility is per-eventset.
-    """
-    j = 0
-    n = len(c_prime.eventsets)
-    for es in c.eventsets:
-        while j < n and not eventset_contains(es, c_prime.eventsets[j]):
-            j += 1
-        if j >= n:
-            return False
-        j += 1
-    return True
-
-
-def matches(c: CSequence, l: LSequence) -> bool:
-    """Whether c matches pattern l: equal length and equal coincidences."""
-    if len(c.eventsets) != len(l.coincidences):
-        return False
-    return all(
-        es.coincidence == coin for es, coin in zip(c.eventsets, l.coincidences)
-    )
-
-
-def is_lsubsequence(l: LSequence, l_prime: LSequence) -> bool:
-    """Pattern containment: l's coincidences embed subset-wise, in order."""
-    j = 0
-    n = len(l_prime.coincidences)
-    for coin in l.coincidences:
-        while j < n and not coin.issubset(l_prime.coincidences[j]):
-            j += 1
-        if j >= n:
-            return False
-        j += 1
-    return True

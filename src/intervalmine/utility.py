@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import Coincidence, CSequence, CSequenceDataset, LSequence, UtilityTable
+from .model import CSequence, CSequenceDataset, LSequence, UtilityTable
 
 
 class UpperBound(Enum):
@@ -29,11 +29,6 @@ class UpperBound(Enum):
         except ValueError:
             valid = ", ".join(m.value for m in cls)
             raise ValueError(f"unknown strategy {name!r} (expected one of: {valid})") from None
-
-
-def event_utility(label: str, duration: int, table: UtilityTable) -> float:
-    """p(label) * duration."""
-    return table.utility(label) * duration
 
 
 def eventset_utility(sigma, table: UtilityTable) -> float:
@@ -62,39 +57,6 @@ def max_k_utility(c: CSequence, k: int, table: UtilityTable) -> float:
     return sum(utils[:k])
 
 
-def _occupied_positions(l: LSequence, c: CSequence) -> list[list[int]]:
-    """positions[k] = indices j of c where pattern coincidence k fits c_j."""
-    return [
-        [j for j, es in enumerate(c.eventsets) if coin.issubset(es.coincidence)]
-        for coin in l.coincidences
-    ]
-
-
-def utility_set(l: LSequence, c: CSequence, table: UtilityTable) -> list[float]:
-    """Utilities of every match of l in c (exhaustive; small inputs only).
-
-    A match picks strictly increasing positions whose coincidences cover the
-    pattern's; its utility sums pattern-label mass times window durations.
-    Returns one value per distinct position choice, in index order.
-    """
-    putils = [sum(table.utility(lab) for lab in coin) for coin in l.coincidences]
-    positions = _occupied_positions(l, c)
-    out: list[float] = []
-
-    def rec(k: int, start: int, acc: float) -> None:
-        if k == len(positions):
-            out.append(acc)
-            return
-        for j in positions[k]:
-            if j >= start:
-                rec(k + 1, j + 1, acc + putils[k] * c.eventsets[j].duration)
-
-    if not l.coincidences:
-        return [0.0]
-    rec(0, 0, 0.0)
-    return out
-
-
 def contains_match(l: LSequence, c: CSequence) -> bool:
     """Whether l matches c at all (greedy subsequence test)."""
     j = 0
@@ -112,7 +74,8 @@ def max_match_utility(l: LSequence, c: CSequence, table: UtilityTable) -> float:
     """Best utility over all matches of l in c; 0 when there is no match.
 
     Dynamic program over (pattern position, sequence position), linear in
-    len(l) * len(c). Must agree with max(utility_set(...)) everywhere.
+    len(l) * len(c). Must agree everywhere with the maximum the oracle
+    finds by enumerating every match.
     """
     neg = float("-inf")
     putils = [sum(table.utility(lab) for lab in coin) for coin in l.coincidences]
@@ -168,17 +131,3 @@ def projected_utilization(l: LSequence, k: int, d: CSequenceDataset) -> float:
     raw = max_utility(l, d) + lwu(l, k - len(l), d)
     return min(raw, lwu(l, k, d))
 
-
-def is_promising(
-    l: LSequence,
-    kind: UpperBound,
-    k: int,
-    xi_abs: float,
-    d: CSequenceDataset,
-) -> bool:
-    """Whether the bound keeps l alive at threshold xi_abs (inclusive)."""
-    if kind is UpperBound.NONE:
-        return True
-    if kind is UpperBound.LWU:
-        return lwu(l, k, d) >= xi_abs
-    return projected_utilization(l, k, d) >= xi_abs

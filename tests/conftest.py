@@ -5,31 +5,8 @@ import pytest
 
 from intervalmine.io import parse_dataset
 from intervalmine.model import UtilityTable
+from intervalmine.oracle import EXAMPLE_DATA, EXAMPLE_UTILITIES
 from intervalmine.transform import transform_dataset
-
-# The 4-sequence example used throughout the tests, in the dataset file
-# format (id, label, begin, finish).
-EXAMPLE_DATA = """\
-1\tA\t6\t12
-1\tB\t10\t17
-1\tC\t19\t25
-1\tE\t21\t23
-2\tA\t2\t7
-2\tB\t5\t10
-2\tD\t5\t12
-2\tC\t16\t22
-2\tE\t18\t20
-3\tB\t6\t12
-3\tA\t8\t14
-3\tC\t14\t20
-3\tE\t16\t18
-4\tB\t1\t5
-4\tC\t8\t14
-4\tE\t9\t12
-4\tF\t9\t12
-"""
-
-EXAMPLE_UTILITIES = {"A": 2.0, "B": 1.0, "C": 1.0, "D": 3.0, "E": 2.0, "F": 5.0}
 
 
 @pytest.fixture(scope="session")

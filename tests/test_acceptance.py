@@ -18,10 +18,22 @@ import pytest
 import _acceptance_log
 from conftest import EXAMPLE_DATA, EXAMPLE_UTILITIES
 
+from intervalmine import miner
+from intervalmine.encoding import (
+    empty_prefix_scores,
+    encode_coincidence,
+    encode_dataset,
+    weighted_utilization,
+)
 from intervalmine.io import fill_utilities, parse_dataset
 from intervalmine.miner import MiningConfig, mine
 from intervalmine.model import Coincidence, LSequence, UtilityTable
-from intervalmine.oracle import GeneratorParams, brute_force_mine, random_dataset
+from intervalmine.oracle import (
+    GeneratorParams,
+    brute_force_mine,
+    match_utilities,
+    random_dataset,
+)
 from intervalmine.transform import transform_dataset
 from intervalmine.utility import (
     UpperBound,
@@ -31,7 +43,6 @@ from intervalmine.utility import (
     max_k_utility,
     max_utility,
     projected_utilization,
-    utility_set,
 )
 
 
@@ -96,10 +107,31 @@ def test_criterion_3_golden_bounds():
     cdata = example_cdata()
     c1 = cdata.csequences[0]
     assert max_k_utility(c1, 2, cdata.utilities) == 14.0
-    assert sorted(utility_set(AB, c1, cdata.utilities)) == [9.0, 10.0, 13.0]
+    assert sorted(match_utilities(AB, c1, cdata.utilities)) == [9.0, 10.0, 13.0]
     assert max_utility(AB, cdata) == 22.0
     assert lwu(AB, 3, cdata) == 50.0
     assert projected_utilization(AB, 3, cdata) == 42.0
+
+
+def test_golden_bounds_of_the_pruning_code():
+    """Criterion 3's bounds for <{A}{B}>, from the arrays the miner prunes with."""
+    enc = encode_dataset(example_cdata())
+    assert enc.topk[0, 2] == 14.0
+
+    def context(strategy):
+        cfg = MiningConfig(xi=0.0, max_length=3, max_size=2, strategy=strategy)
+        return miner._Context(enc=enc, cfg=cfg, xi_abs=0.0)
+
+    ctx = context(UpperBound.PROJECTED)
+    scores, prev_base = empty_prefix_scores(enc), 0.0
+    for labels in (["A"], ["B"]):
+        mask, putil = encode_coincidence(Coincidence.of(labels), enc)
+        scores, matched, umax = miner._evaluate(ctx, scores, prev_base, mask, putil)
+        prev_base = float("-inf")
+    assert umax == 22.0
+    assert weighted_utilization(enc, matched, 3) == 50.0
+    assert miner._bound(ctx, matched, umax, length=2) == 42.0
+    assert miner._bound(context(UpperBound.LWU), matched, umax, length=2) == 50.0
 
 
 # --- shared instance pool for criteria 4-6 ----------------------------------
@@ -295,7 +327,7 @@ def test_criterion_8_speed_trend():
 
     def best_time(strategy):
         c = cfg.with_strategy(strategy)
-        mine(d, c)  # warm-up (JIT, caches)
+        mine(d, c)  # warm-up (caches)
         return min(mine(d, c)[1].elapsed_ms for _ in range(5))
 
     _, ldc_stats = mine(d, cfg.with_strategy(UpperBound.LWU))

@@ -70,6 +70,37 @@ def test_invalid_threshold_is_usage_error(capsys, data_file, utility_file):
     assert code == USAGE_ERROR
 
 
+def test_non_finite_threshold_is_usage_error(capsys, data_file, utility_file):
+    for xi in ("nan", "inf"):
+        code, _, err = run(
+            capsys, "mine", "--data", data_file, "--utilities", utility_file,
+            "--xi", xi, "-K", "3", "-Z", "2",
+        )
+        assert code == USAGE_ERROR, xi
+        assert "finite" in err
+
+
+def test_threads_below_one_is_usage_error(capsys, data_file, utility_file):
+    for threads in ("0", "-3"):
+        code, _, err = run(
+            capsys, *mine_args(data_file, utility_file, "--threads", threads)
+        )
+        assert code == USAGE_ERROR, threads
+        assert "--threads" in err
+
+
+def test_non_finite_default_utility_is_data_error(capsys, data_file, utility_file):
+    # whether the default fills gaps or goes unused, it must not reach the report
+    for table in ((), ("--utilities", utility_file)):
+        code, out, err = run(
+            capsys, "mine", "--data", data_file, *table, "--default-utility", "nan",
+            "--xi", "22", "-K", "3", "-Z", "2",
+        )
+        assert code == DATA_ERROR, table
+        assert out == ""
+        assert "finite" in err
+
+
 def test_missing_data_file_is_data_error(capsys, tmp_path, utility_file):
     code, _, err = run(
         capsys, "mine", "--data", str(tmp_path / "nope.tsv"),
@@ -135,6 +166,7 @@ def test_threads_do_not_change_the_patterns(capsys, data_file, utility_file):
     _, seq, _ = run(capsys, *mine_args(data_file, utility_file))
     _, par, _ = run(capsys, *mine_args(data_file, utility_file, "--threads", "4"))
     assert json.loads(seq)["patterns"] == json.loads(par)["patterns"]
+    assert json.loads(seq)["stats"] == json.loads(par)["stats"]
 
 
 def test_timings_flag_adds_elapsed(capsys, data_file, utility_file):

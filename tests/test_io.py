@@ -73,6 +73,12 @@ def test_parse_utilities_rejects_negative():
         parse_utilities(io.StringIO("A -1\n"))
 
 
+def test_parse_utilities_rejects_non_finite():
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(DataError, match="line 2: utility for 'B' is not finite"):
+            parse_utilities(io.StringIO(f"A 2\nB {value}\n"))
+
+
 def test_parse_utilities_rejects_duplicates_and_bad_numbers():
     with pytest.raises(DataError, match="duplicate"):
         parse_utilities(io.StringIO("A 1\nA 2\n"))

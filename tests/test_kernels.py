@@ -1,9 +1,7 @@
-"""Backend parity: the JIT and numpy kernels must agree bit for bit."""
-import os
+"""The encoding and the scoring kernel, checked against the brute-force oracle."""
 import random
 
 import numpy as np
-import pytest
 
 from intervalmine.encoding import (
     empty_prefix_scores,
@@ -12,13 +10,7 @@ from intervalmine.encoding import (
     summarize_scores,
     weighted_utilization,
 )
-from intervalmine.kernels import (
-    BACKEND_ENV,
-    HAVE_NUMBA,
-    _extend_numpy,
-    active_backend,
-    extend_scores,
-)
+from intervalmine.kernels import active_backend, extend_scores
 from intervalmine.model import (
     Coincidence,
     ESequence,
@@ -27,30 +19,13 @@ from intervalmine.model import (
     LSequence,
     UtilityTable,
 )
-from intervalmine.oracle import GeneratorParams, random_dataset
+from intervalmine.oracle import GeneratorParams, best_match_utility, random_dataset
 from intervalmine.transform import transform_dataset
 from intervalmine.utility import lwu, max_match_utility
 
 
-@pytest.fixture
-def backend_env(monkeypatch):
-    def set_backend(name):
-        if name is None:
-            monkeypatch.delenv(BACKEND_ENV, raising=False)
-        else:
-            monkeypatch.setenv(BACKEND_ENV, name)
-
-    return set_backend
-
-
-def test_backend_selection(backend_env):
-    backend_env("numpy")
+def test_backend_selection():
     assert active_backend() == "numpy"
-    backend_env(None)
-    assert active_backend() == ("numba" if HAVE_NUMBA else "numpy")
-    backend_env("fortran")
-    with pytest.raises(RuntimeError):
-        active_backend()
 
 
 def test_encoding_shapes(example_cdata):
@@ -108,8 +83,30 @@ def wide_dataset(seed, alphabet):
     return transform_dataset(ESequenceDataset(tuple(seqs)), table)
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_backends_agree_on_random_data(backend_env):
+def assert_chain_matches_oracle(d, chain):
+    """Extend the empty prefix by each coincidence of chain in turn.
+
+    After every step, each sequence's matched flag and best utility must
+    equal what the oracle finds by enumerating every match. The utilities
+    are integers, so the sums are exact and compared with ==.
+    """
+    enc = encode_dataset(d)
+    scores, base = empty_prefix_scores(enc), 0.0
+    for depth, coin in enumerate(chain, start=1):
+        mask, putil = encode_coincidence(coin, enc)
+        scores = extend_scores(
+            enc.masks, enc.durations, enc.lengths, scores, base, mask, putil
+        )
+        base = float("-inf")
+        matched, best = summarize_scores(enc, scores)
+        l = LSequence(tuple(chain[:depth]))
+        for s, c in enumerate(d.csequences):
+            expected = best_match_utility(l, c, d.utilities)
+            assert matched[s] == (expected is not None), (str(l), c.id)
+            assert best[s] == (0.0 if expected is None else expected), (str(l), c.id)
+
+
+def test_kernel_agrees_with_oracle_on_random_data():
     rng = random.Random(424242)
     for trial in range(25):
         p = GeneratorParams(
@@ -119,42 +116,31 @@ def test_backends_agree_on_random_data(backend_env):
             alphabet_size=rng.randint(1, 5),
         )
         es, table = random_dataset(p)
-        enc = encode_dataset(transform_dataset(es, table))
-        labels = enc.labels
+        d = transform_dataset(es, table)
+        labels = d.labels()
         if not labels:
             continue
-        prev = empty_prefix_scores(enc)
-        base = 0.0
-        for _ in range(3):
-            pick = rng.sample(labels, rng.randint(1, min(2, len(labels))))
-            mask, putil = encode_coincidence(Coincidence.of(pick), enc)
-            backend_env("numba")
-            jit = extend_scores(
-                enc.masks, enc.durations, enc.lengths, prev, base, mask, putil
-            )
-            ref = _extend_numpy(
-                enc.masks, enc.durations, enc.lengths, prev, base, mask, putil
-            )
-            assert np.array_equal(jit, ref)
-            prev, base = jit, float("-inf")
+        chain = [
+            Coincidence.of(rng.sample(labels, rng.randint(1, min(2, len(labels)))))
+            for _ in range(3)
+        ]
+        assert_chain_matches_oracle(d, chain)
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_backends_agree_on_wide_alphabet(backend_env):
+def test_kernel_agrees_with_oracle_on_wide_alphabet():
     d = wide_dataset(7, 130)
-    enc = encode_dataset(d)
-    assert enc.words > 1
+    assert encode_dataset(d).words > 1
     rng = random.Random(7)
-    prev = empty_prefix_scores(enc)
-    base = 0.0
-    for _ in range(4):
-        pick = rng.sample(enc.labels, rng.randint(1, 2))
-        mask, putil = encode_coincidence(Coincidence.of(pick), enc)
-        backend_env("numba")
-        jit = extend_scores(enc.masks, enc.durations, enc.lengths, prev, base, mask, putil)
-        ref = _extend_numpy(enc.masks, enc.durations, enc.lengths, prev, base, mask, putil)
-        assert np.array_equal(jit, ref)
-        prev, base = jit, float("-inf")
+    labels = d.labels()
+    chain = [Coincidence.of(rng.sample(labels, rng.randint(1, 2))) for _ in range(4)]
+    assert_chain_matches_oracle(d, chain)
+    # random labels rarely share a sequence here, so also score chains that
+    # occur: three windows of each sequence, with labels in two mask words
+    for c in d.csequences:
+        windows = [es.coincidence for es in c.eventsets if es.coincidence]
+        assert_chain_matches_oracle(
+            d, [windows[0], windows[len(windows) // 2], windows[-1]]
+        )
 
 
 def test_empty_dataset_encoding():

@@ -1,4 +1,4 @@
-"""Domain types and the containment/match relations."""
+"""Domain types and the pattern containment relation."""
 import itertools
 
 import pytest
@@ -16,12 +16,9 @@ from intervalmine.model import (
     EventInterval,
     LSequence,
     UtilityTable,
-    eventset_contains,
-    is_csubsequence,
-    is_lsubsequence,
     lsequence_sort_key,
-    matches,
 )
+from intervalmine.utility import contains_match
 
 
 def ev(labels, duration):
@@ -101,6 +98,9 @@ def test_lsequence_length_and_size():
 def test_utility_table_rejects_negative_and_unknown():
     with pytest.raises(DataError):
         UtilityTable({"A": -1.0})
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="not finite"):
+            UtilityTable({"A": value})
     t = UtilityTable({"A": 2.0})
     assert t.utility("A") == 2.0
     with pytest.raises(DataError):
@@ -113,60 +113,15 @@ def test_csequence_dataset_requires_utility_coverage():
         CSequenceDataset((c,), UtilityTable({"B": 1.0}))
 
 
-# --- eventset containment --------------------------------------------------
-
-
-def test_eventset_contains_subset_same_duration():
-    assert eventset_contains(ev(["A"], 2), ev(["A", "B"], 2))
-
-
-def test_eventset_contains_rejects_duration_mismatch():
-    assert not eventset_contains(ev(["A"], 2), ev(["A", "B"], 3))
-
-
-def test_empty_eventset_contained_everywhere():
-    assert eventset_contains(ev([], 4), ev(["D"], 4))
-
-
-# --- C-subsequence ----------------------------------------------------------
-
-# The windowed form of example sequence 1.
-CS1 = cseq(
-    (["A"], 4), (["A", "B"], 2), (["B"], 5), ([], 2),
-    (["C"], 2), (["C", "E"], 2), (["C"], 2),
-)
-
-
-def test_csubsequence_positive_cases():
-    assert is_csubsequence(cseq((["A"], 4)), CS1)
-    assert is_csubsequence(cseq((["A", "B"], 2)), CS1)
-    assert is_csubsequence(cseq((["A", "B"], 2), (["B"], 5)), CS1)
-
-
-def test_csubsequence_negative_cases():
-    assert not is_csubsequence(cseq((["A", "B", "D"], 2)), CS1)
-    # (B,2) can only land on the window already used by ({A,B},2)
-    assert not is_csubsequence(cseq((["A", "B"], 2), (["B"], 2)), CS1)
-
-
-def test_empty_csequence_is_subsequence_of_anything():
-    assert is_csubsequence(CSequence(id=9, eventsets=()), CS1)
-
-
-# --- pattern matching -------------------------------------------------------
-
-
-def test_matches_requires_equal_coincidences():
-    assert matches(cseq((["B"], 2)), LSequence.of(["B"]))
-    assert not matches(cseq((["A", "B"], 2)), LSequence.of(["A"]))
-    assert matches(cseq((["A"], 4), (["B"], 5)), LSequence.of(["A"], ["B"]))
-
-
-def test_matches_requires_equal_length():
-    assert not matches(cseq((["A"], 4)), LSequence.of(["A"], ["B"]))
-
-
 # --- L-subsequence ----------------------------------------------------------
+
+# Pattern l is an L-subsequence of l_prime exactly when l matches a
+# C-sequence whose windows carry l_prime's coincidences; contains_match
+# decides that relation for the miner's reference bounds.
+
+
+def is_lsubsequence(l, l_prime):
+    return contains_match(l, cseq(*[(coin.labels, 1) for coin in l_prime.coincidences]))
 
 
 def test_lsubsequence_examples():
@@ -180,18 +135,6 @@ def test_lsubsequence_examples():
 # --- brute-force cross-checks ----------------------------------------------
 
 
-def brute_csubsequence(c, c_prime):
-    """Try every strictly increasing index assignment."""
-    h = len(c.eventsets)
-    for idx in itertools.combinations(range(len(c_prime.eventsets)), h):
-        if all(
-            eventset_contains(c.eventsets[k], c_prime.eventsets[j])
-            for k, j in enumerate(idx)
-        ):
-            return True
-    return h == 0
-
-
 def brute_lsubsequence(l, l_prime):
     g = len(l.coincidences)
     for idx in itertools.combinations(range(len(l_prime.coincidences)), g):
@@ -203,36 +146,10 @@ def brute_lsubsequence(l, l_prime):
     return g == 0
 
 
-coincidences = st.sets(st.sampled_from("ABC"), max_size=3).map(Coincidence.of)
-eventsets = st.builds(CEventset, coincidences, st.integers(1, 3))
-
-
-def cseqs(max_len=5):
-    return st.lists(eventsets, max_size=max_len).map(
-        lambda es: CSequence(id=1, eventsets=tuple(es))
-    )
-
-
 lseqs = st.lists(
     st.sets(st.sampled_from("ABC"), min_size=1, max_size=2).map(Coincidence.of),
     max_size=3,
 ).map(lambda cs: LSequence(tuple(cs)))
-
-
-@given(cseqs(3), cseqs(5))
-def test_csubsequence_agrees_with_brute_force(c, c_prime):
-    assert is_csubsequence(c, c_prime) == brute_csubsequence(c, c_prime)
-
-
-@given(cseqs(4))
-def test_csubsequence_reflexive(c):
-    assert is_csubsequence(c, c)
-
-
-@given(cseqs(2), cseqs(3), cseqs(4))
-def test_csubsequence_transitive(a, b, c):
-    if is_csubsequence(a, b) and is_csubsequence(b, c):
-        assert is_csubsequence(a, c)
 
 
 @given(lseqs, lseqs)

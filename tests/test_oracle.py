@@ -13,13 +13,12 @@ from intervalmine.oracle import (
     enumerate_coincidences,
     enumerate_lsequences,
     exhaustive_dataset_utility,
-    match_utilities,
     pattern_max_utility,
     random_dataset,
     top_k_eventsets_utility,
 )
 from intervalmine.transform import transform_dataset
-from intervalmine.utility import dataset_utility, max_utility, utility_set
+from intervalmine.utility import dataset_utility, max_utility
 
 
 def test_enumerate_coincidences_order():
@@ -69,19 +68,6 @@ def test_brute_force_above_total_utility(example_cdata):
 def test_exhaustive_dataset_utility_matches_fast_path(example_cdata):
     assert exhaustive_dataset_utility(example_cdata) == 134.0
     assert exhaustive_dataset_utility(example_cdata) == dataset_utility(example_cdata)
-
-
-def test_match_utilities_agree_with_utility_set(example_cdata):
-    rng = random.Random(17)
-    labels = example_cdata.labels()
-    for _ in range(100):
-        l = LSequence.of(
-            *[rng.sample(labels, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
-        )
-        for c in example_cdata.csequences:
-            assert sorted(match_utilities(l, c, example_cdata.utilities)) == sorted(
-                utility_set(l, c, example_cdata.utilities)
-            )
 
 
 def test_pattern_max_utility_agrees_with_dp(example_cdata):

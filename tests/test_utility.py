@@ -8,9 +8,17 @@ import random
 
 import pytest
 
-from intervalmine.model import CSequence, CSequenceDataset, LSequence, UtilityTable
+from intervalmine.model import (
+    CEventset,
+    Coincidence,
+    CSequence,
+    CSequenceDataset,
+    LSequence,
+    UtilityTable,
+)
 from intervalmine.oracle import (
     GeneratorParams,
+    match_utilities,
     random_dataset,
     top_k_eventsets_utility,
 )
@@ -20,15 +28,12 @@ from intervalmine.utility import (
     contains_match,
     csequence_utility,
     dataset_utility,
-    event_utility,
     eventset_utility,
-    is_promising,
     lwu,
     max_k_utility,
     max_match_utility,
     max_utility,
     projected_utilization,
-    utility_set,
 )
 
 AB = LSequence.of(["A"], ["B"])
@@ -40,8 +45,9 @@ UNMATCHED = LSequence.of(["A"], ["F"])  # A and F never share a sequence
 
 
 def test_event_utility(example_table):
-    assert event_utility("A", 4, example_table) == 8.0
-    assert event_utility("F", 3, example_table) == 15.0
+    # one label over one window: p(label) * duration
+    assert eventset_utility(CEventset(Coincidence.of(["A"]), 4), example_table) == 8.0
+    assert eventset_utility(CEventset(Coincidence.of(["F"]), 3), example_table) == 15.0
 
 
 def test_eventset_utility(cs, example_table):
@@ -91,9 +97,9 @@ def test_max_k_utility_matches_exhaustive_search():
 
 
 def test_utility_set(cs, example_table):
-    assert sorted(utility_set(AB, cs[1], example_table)) == [9.0, 10.0, 13.0]
-    assert sorted(utility_set(B, cs[1], example_table)) == [2.0, 5.0]
-    assert utility_set(AB, cs[4], example_table) == []
+    assert sorted(match_utilities(AB, cs[1], example_table)) == [9.0, 10.0, 13.0]
+    assert sorted(match_utilities(B, cs[1], example_table)) == [2.0, 5.0]
+    assert match_utilities(AB, cs[4], example_table) == []
 
 
 def test_max_match_utility(cs, example_table):
@@ -110,7 +116,7 @@ def test_max_match_utility_equals_exhaustive_maximum(example_cdata, example_tabl
         length = rng.randint(1, 3)
         l = LSequence.of(*[rng.sample(labels, rng.randint(1, 2)) for _ in range(length)])
         for c in example_cdata.csequences:
-            exhaustive = utility_set(l, c, example_table)
+            exhaustive = match_utilities(l, c, example_table)
             expected = max(exhaustive) if exhaustive else 0.0
             assert max_match_utility(l, c, example_table) == expected
 
@@ -154,14 +160,6 @@ def test_projected_utilization_is_capped(example_cdata):
     # and a case where the cap stays inactive: 9 + lwu(C, 3) = 9 + 102
     assert projected_utilization(C, 4, example_cdata) == 111.0
     assert lwu(C, 4, example_cdata) == 116.0
-
-
-def test_is_promising_boundaries(example_cdata):
-    assert is_promising(AB, UpperBound.PROJECTED, 3, 42.0, example_cdata)
-    assert not is_promising(AB, UpperBound.PROJECTED, 3, 43.0, example_cdata)
-    assert is_promising(AB, UpperBound.LWU, 3, 50.0, example_cdata)
-    assert not is_promising(AB, UpperBound.LWU, 3, 50.5, example_cdata)
-    assert is_promising(AB, UpperBound.NONE, 3, 1e9, example_cdata)
 
 
 def test_upper_bound_from_name():

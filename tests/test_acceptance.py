@@ -325,14 +325,20 @@ def test_criterion_8_speed_trend():
     assert len(d) >= 200
     cfg = MiningConfig(xi=0.05, max_length=4, max_size=2, xi_mode="relative")
 
-    def best_time(strategy):
-        c = cfg.with_strategy(strategy)
-        mine(d, c)  # warm-up (caches)
-        return min(mine(d, c)[1].elapsed_ms for _ in range(5))
-
-    _, ldc_stats = mine(d, cfg.with_strategy(UpperBound.LWU))
-    _, pdc_stats = mine(d, cfg.with_strategy(UpperBound.PROJECTED))
+    strategies = (UpperBound.PROJECTED, UpperBound.LWU)
+    configs = {s: cfg.with_strategy(s) for s in strategies}
+    stats = {s: mine(d, configs[s])[1] for s in strategies}  # also warms caches
     # the tighter bound must do strictly less work here, otherwise the
     # wall-clock comparison would be measuring noise
-    assert pdc_stats.candidates_generated < ldc_stats.candidates_generated
-    assert best_time(UpperBound.PROJECTED) <= best_time(UpperBound.LWU)
+    assert (
+        stats[UpperBound.PROJECTED].candidates_generated
+        < stats[UpperBound.LWU].candidates_generated
+    )
+
+    # alternate the strategies round by round, so a burst of load from
+    # other processes slows both rather than only the one running then
+    best = {s: float("inf") for s in strategies}
+    for _ in range(5):
+        for s in strategies:
+            best[s] = min(best[s], mine(d, configs[s])[1].elapsed_ms)
+    assert best[UpperBound.PROJECTED] <= best[UpperBound.LWU]

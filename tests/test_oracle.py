@@ -1,4 +1,5 @@
 """The brute-force reference: enumeration, exhaustive utilities, generator."""
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from intervalmine.oracle import (
     enumerate_coincidences,
     enumerate_lsequences,
     exhaustive_dataset_utility,
+    match_utilities,
     pattern_max_utility,
     random_dataset,
     top_k_eventsets_utility,
@@ -68,6 +70,33 @@ def test_brute_force_above_total_utility(example_cdata):
 def test_exhaustive_dataset_utility_matches_fast_path(example_cdata):
     assert exhaustive_dataset_utility(example_cdata) == 134.0
     assert exhaustive_dataset_utility(example_cdata) == dataset_utility(example_cdata)
+
+
+def utility_set(l, c, table):
+    """Utility of every match of l in c, over all increasing position tuples."""
+    putils = [sum(table.utility(lab) for lab in coin) for coin in l.coincidences]
+    out = []
+    for positions in itertools.combinations(range(len(c.eventsets)), len(putils)):
+        windows = [c.eventsets[j] for j in positions]
+        if all(
+            coin.issubset(es.coincidence)
+            for coin, es in zip(l.coincidences, windows)
+        ):
+            out.append(sum(u * es.duration for u, es in zip(putils, windows)))
+    return out
+
+
+def test_match_utilities_agree_with_utility_set(example_cdata):
+    rng = random.Random(17)
+    labels = example_cdata.labels()
+    for _ in range(100):
+        l = LSequence.of(
+            *[rng.sample(labels, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+        )
+        for c in example_cdata.csequences:
+            assert sorted(match_utilities(l, c, example_cdata.utilities)) == sorted(
+                utility_set(l, c, example_cdata.utilities)
+            )
 
 
 def test_pattern_max_utility_agrees_with_dp(example_cdata):

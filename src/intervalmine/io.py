@@ -101,6 +101,8 @@ def fill_utilities(
     """Complete the table over the dataset's alphabet, or fail loudly."""
     if default is not None and not math.isfinite(default):
         raise DataError(f"default utility must be finite: {default}")
+    if default is not None and default < 0:
+        raise DataError(f"default utility must be nonnegative: {default}")
     entries = dict(table.entries) if table is not None else {}
     missing = [lab for lab in d.labels() if lab not in entries]
     if missing:

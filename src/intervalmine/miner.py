@@ -11,7 +11,9 @@ projected strategy tightens pruning: each prefix carries the minimum of
 its own projected bound and every ancestor's, which keeps the pruning
 value non-increasing along an extension chain and never above the
 weighted bound. The strategy changes what gets pruned, never what gets
-emitted.
+emitted. A candidate is pruned only when its bound falls short of the
+threshold by more than a relative float slack (`PRUNE_SLACK`), while
+emission compares a pattern's utility with the threshold exactly.
 """
 from __future__ import annotations
 
@@ -84,6 +86,20 @@ def resolve_threshold(cfg: MiningConfig, d: CSequenceDataset) -> float:
     if cfg.xi_mode == "absolute":
         return cfg.xi
     return cfg.xi * utility.dataset_utility(d)
+
+
+# A bound and the utility it covers add the same window utilities in
+# different orders, so with fractional utilities a bound that equals a
+# pattern's utility in exact arithmetic can land a few ulps below it, and
+# below a threshold the pattern meets. Pruning therefore requires a
+# shortfall larger than this relative slack, which stays above the float64
+# error of summing a million nonnegative terms.
+PRUNE_SLACK = 1e-9
+
+
+def _promising(ctx: _Context, bound: float) -> bool:
+    """Whether a bound keeps its candidate's subtree from being pruned."""
+    return bound >= ctx.xi_abs * (1.0 - PRUNE_SLACK)
 
 
 @dataclass(frozen=True)
@@ -161,7 +177,7 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
         stats.candidates_generated += 1
         c = Coincidence.of([lab])
         cand = _make_candidate(ctx, base, c)
-        if cand.matched.any() and _vocab_bound(ctx, cand.matched) >= ctx.xi_abs:
+        if cand.matched.any() and _promising(ctx, _vocab_bound(ctx, cand.matched)):
             level.append(cand)
         else:
             stats.candidates_pruned += 1
@@ -177,7 +193,7 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
                     continue
                 stats.candidates_generated += 1
                 child = _make_candidate(ctx, base, cand.coincidence.union(lab))
-                if child.matched.any() and _vocab_bound(ctx, child.matched) >= ctx.xi_abs:
+                if child.matched.any() and _promising(ctx, _vocab_bound(ctx, child.matched)):
                     nxt.append(child)
                 else:
                     stats.candidates_pruned += 1
@@ -238,7 +254,7 @@ def _grow(
             stats.candidates_pruned += 1
             continue
         bound = min(limit, _bound(ctx, matched, umax, depth))
-        if bound < ctx.xi_abs:
+        if not _promising(ctx, bound):
             stats.candidates_pruned += 1
             continue
         prefix.append(cand.coincidence)
@@ -252,7 +268,7 @@ def _grow(
 def _mine_root(ctx: _Context, root: _Candidate) -> tuple[list[Pattern], MiningStats]:
     out: list[Pattern] = []
     stats = MiningStats()
-    if root.bound >= ctx.xi_abs:
+    if _promising(ctx, root.bound):
         if root.umax >= ctx.xi_abs:
             out.append(Pattern(LSequence((root.coincidence,)), root.umax))
         if ctx.cfg.max_length > 1:

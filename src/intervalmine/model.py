@@ -95,9 +95,6 @@ class Coincidence:
     def of(cls, labels: Iterable[str]) -> "Coincidence":
         return cls(tuple(labels))
 
-    def issubset(self, other: "Coincidence") -> bool:
-        return set(self.labels) <= set(other.labels)
-
     def union(self, label: str) -> "Coincidence":
         return Coincidence(self.labels + (label,))
 

@@ -1,12 +1,18 @@
-"""Shared fixtures: the running example dataset and its windowed form."""
+"""Shared fixtures: the running example dataset and its windowed form,
+and helpers that drive the miner's own scoring and bound code."""
 import io
+import random
 
 import pytest
 
+from intervalmine import miner
+from intervalmine.encoding import empty_prefix_scores, encode_coincidence
 from intervalmine.io import parse_dataset
-from intervalmine.model import UtilityTable
+from intervalmine.miner import MiningConfig
+from intervalmine.model import ESequence, ESequenceDataset, EventInterval, UtilityTable
 from intervalmine.oracle import EXAMPLE_DATA, EXAMPLE_UTILITIES
 from intervalmine.transform import transform_dataset
+from intervalmine.utility import UpperBound
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +34,44 @@ def example_cdata(example_dataset, example_table):
 def cs(example_cdata):
     """C-sequences of the example keyed by sequence id."""
     return {c.id: c for c in example_cdata.csequences}
+
+
+def pruning_context(enc, max_length, strategy=UpperBound.PROJECTED):
+    """The miner's context over encoded data; xi and max_size leave the
+    bounds unchanged."""
+    cfg = MiningConfig(xi=0.0, max_length=max_length, max_size=1, strategy=strategy)
+    return miner._Context(enc=enc, cfg=cfg, xi_abs=0.0)
+
+
+def evaluate(ctx, l):
+    """(score rows, matched flags, umax) of pattern l, extended from the
+    empty prefix one coincidence at a time, as the miner grows it."""
+    scores, base = empty_prefix_scores(ctx.enc), 0.0
+    for coin in l.coincidences:
+        mask, putil = encode_coincidence(coin, ctx.enc)
+        scores, matched, umax = miner._evaluate(ctx, scores, base, mask, putil)
+        base = float("-inf")
+    return scores, matched, umax
+
+
+def wide_dataset(seed, alphabet):
+    """A dataset whose alphabet needs more than one 64-bit mask word."""
+    rng = random.Random(seed)
+    labels = [f"L{i:03d}" for i in range(alphabet)]
+    seqs = []
+    chunk = []
+    sid = 0
+    for lab in labels:
+        b = rng.randint(0, 8)
+        chunk.append(EventInterval(lab, b, b + rng.randint(1, 3)))
+        if len(chunk) == 20:
+            sid += 1
+            seqs.append(ESequence(id=sid, intervals=tuple(chunk)))
+            chunk = []
+    if chunk:
+        seqs.append(ESequence(id=sid + 1, intervals=tuple(chunk)))
+    table = UtilityTable({lab: float(rng.randint(0, 6)) for lab in labels})
+    return transform_dataset(ESequenceDataset(tuple(seqs)), table)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -16,15 +16,10 @@ import time
 import pytest
 
 import _acceptance_log
-from conftest import EXAMPLE_DATA, EXAMPLE_UTILITIES
+from conftest import EXAMPLE_DATA, EXAMPLE_UTILITIES, evaluate, pruning_context
 
 from intervalmine import miner
-from intervalmine.encoding import (
-    empty_prefix_scores,
-    encode_coincidence,
-    encode_dataset,
-    weighted_utilization,
-)
+from intervalmine.encoding import encode_dataset, summarize_scores, weighted_utilization
 from intervalmine.io import fill_utilities, parse_dataset
 from intervalmine.miner import MiningConfig, mine
 from intervalmine.model import Coincidence, LSequence, UtilityTable
@@ -32,18 +27,11 @@ from intervalmine.oracle import (
     GeneratorParams,
     brute_force_mine,
     match_utilities,
+    pattern_max_utility,
     random_dataset,
 )
 from intervalmine.transform import transform_dataset
-from intervalmine.utility import (
-    UpperBound,
-    csequence_utility,
-    dataset_utility,
-    lwu,
-    max_k_utility,
-    max_utility,
-    projected_utilization,
-)
+from intervalmine.utility import UpperBound, csequence_utility, dataset_utility
 
 
 def criterion(number, name):
@@ -104,34 +92,20 @@ def test_criterion_2_golden_utilities():
 
 @criterion(3, "golden bounds")
 def test_criterion_3_golden_bounds():
+    """The bounds of <{A}{B}>, from the arrays and code the miner prunes with."""
     cdata = example_cdata()
     c1 = cdata.csequences[0]
-    assert max_k_utility(c1, 2, cdata.utilities) == 14.0
-    assert sorted(match_utilities(AB, c1, cdata.utilities)) == [9.0, 10.0, 13.0]
-    assert max_utility(AB, cdata) == 22.0
-    assert lwu(AB, 3, cdata) == 50.0
-    assert projected_utilization(AB, 3, cdata) == 42.0
-
-
-def test_golden_bounds_of_the_pruning_code():
-    """Criterion 3's bounds for <{A}{B}>, from the arrays the miner prunes with."""
-    enc = encode_dataset(example_cdata())
+    enc = encode_dataset(cdata)
     assert enc.topk[0, 2] == 14.0
-
-    def context(strategy):
-        cfg = MiningConfig(xi=0.0, max_length=3, max_size=2, strategy=strategy)
-        return miner._Context(enc=enc, cfg=cfg, xi_abs=0.0)
-
-    ctx = context(UpperBound.PROJECTED)
-    scores, prev_base = empty_prefix_scores(enc), 0.0
-    for labels in (["A"], ["B"]):
-        mask, putil = encode_coincidence(Coincidence.of(labels), enc)
-        scores, matched, umax = miner._evaluate(ctx, scores, prev_base, mask, putil)
-        prev_base = float("-inf")
+    assert sorted(match_utilities(AB, c1, cdata.utilities)) == [9.0, 10.0, 13.0]
+    ctx = pruning_context(enc, 3)
+    scores, matched, umax = evaluate(ctx, AB)
+    assert summarize_scores(enc, scores)[1][0] == 13.0  # the best of c1's matches
     assert umax == 22.0
     assert weighted_utilization(enc, matched, 3) == 50.0
     assert miner._bound(ctx, matched, umax, length=2) == 42.0
-    assert miner._bound(context(UpperBound.LWU), matched, umax, length=2) == 50.0
+    ldc = pruning_context(enc, 3, UpperBound.LWU)
+    assert miner._bound(ldc, matched, umax, length=2) == 50.0
 
 
 # --- shared instance pool for criteria 4-6 ----------------------------------
@@ -209,6 +183,9 @@ def sub_pattern(l, rng):
 
 @criterion(5, "bound properties")
 def test_criterion_5_bound_properties():
+    """The miner's bounds (the weighted utilization over the kernel's
+    matched rows, and `miner._bound` under pdc with the length budget as
+    max_length) against pattern utilities found by brute force."""
     pool = instance_pool()
     rng = random.Random(5150)
     pairs = 0
@@ -217,6 +194,7 @@ def test_criterion_5_bound_properties():
         labels = d.labels()
         if not labels:
             continue
+        enc = encode_dataset(d)
         for _ in range(10):
             length = rng.randint(1, 3)
             l = LSequence.of(
@@ -225,19 +203,30 @@ def test_criterion_5_bound_properties():
             )
             k = rng.randint(len(l), len(l) + 2)
             pairs += 1
+            ctx = pruning_context(enc, k)
+            _, matched, umax = evaluate(ctx, l)
+            exact, _ = pattern_max_utility(l, d)
+            assert umax == exact
+            projected = miner._bound(ctx, matched, umax, len(l))
             # the projected bound never exceeds the weighted bound
-            assert projected_utilization(l, k, d) <= lwu(l, k, d) + 1e-9
-            # the weighted bound really bounds the mined measure
-            assert max_utility(l, d) <= lwu(l, len(l), d) + 1e-9
+            assert projected <= weighted_utilization(enc, matched, k) + 1e-9
+            # both bounds really bound the mined measure
+            assert exact <= weighted_utilization(enc, matched, len(l)) + 1e-9
+            assert exact <= projected + 1e-9
             # growing the budget never shrinks the weighted bound
             k_small = rng.randint(0, k)
-            assert lwu(l, k_small, d) <= lwu(l, k, d) + 1e-9
+            assert (
+                weighted_utilization(enc, matched, k_small)
+                <= weighted_utilization(enc, matched, k) + 1e-9
+            )
             sub = sub_pattern(l, rng)
             if sub is not None:
                 # extending a pattern never grows the weighted bound,
                 # including with a smaller budget on the extended side
-                assert lwu(l, k, d) <= lwu(sub, k, d) + 1e-9
-                assert lwu(l, k_small, d) <= lwu(sub, k, d) + 1e-9
+                _, sub_matched, _ = evaluate(ctx, sub)
+                wu_sub = weighted_utilization(enc, sub_matched, k)
+                assert weighted_utilization(enc, matched, k) <= wu_sub + 1e-9
+                assert weighted_utilization(enc, matched, k_small) <= wu_sub + 1e-9
         # pruning bounds along depth-first extension chains: the effective
         # (running minimum) bound never increases and always dominates the
         # mined measure of everything grown from the prefix
@@ -250,14 +239,16 @@ def test_criterion_5_bound_properties():
             continue
         for _ in range(2):
             k = rng.randint(2, 4)
+            ctx = pruning_context(enc, k)
             chain = [rng.choice(occurring) for _ in range(k)]
             prefixes = [LSequence(tuple(chain[:i])) for i in range(1, k + 1)]
             bounds = []
             running = float("inf")
             for p in prefixes:
-                running = min(running, projected_utilization(p, k, d))
+                _, matched, umax = evaluate(ctx, p)
+                running = min(running, miner._bound(ctx, matched, umax, len(p)))
                 bounds.append(running)
-            umaxes = [max_utility(p, d) for p in prefixes]
+            umaxes = [pattern_max_utility(p, d)[0] for p in prefixes]
             assert bounds == sorted(bounds, reverse=True)
             for i, b in enumerate(bounds):
                 chain_checks += 1

@@ -101,6 +101,18 @@ def test_non_finite_default_utility_is_data_error(capsys, data_file, utility_fil
         assert "finite" in err
 
 
+def test_negative_default_utility_is_data_error(capsys, data_file, utility_file):
+    # rejected even when the table is complete and the default fills nothing
+    for table in ((), ("--utilities", utility_file)):
+        code, out, err = run(
+            capsys, "mine", "--data", data_file, *table, "--default-utility", "-1",
+            "--xi", "22", "-K", "3", "-Z", "2",
+        )
+        assert code == DATA_ERROR, table
+        assert out == ""
+        assert "negative" in err
+
+
 def test_missing_data_file_is_data_error(capsys, tmp_path, utility_file):
     code, _, err = run(
         capsys, "mine", "--data", str(tmp_path / "nope.tsv"),

@@ -11,17 +11,16 @@ from intervalmine.encoding import (
     weighted_utilization,
 )
 from intervalmine.kernels import active_backend, extend_scores
-from intervalmine.model import (
-    Coincidence,
-    ESequence,
-    ESequenceDataset,
-    EventInterval,
-    LSequence,
-    UtilityTable,
+from intervalmine.model import Coincidence, LSequence, UtilityTable
+from intervalmine.oracle import (
+    GeneratorParams,
+    best_match_utility,
+    random_dataset,
+    top_k_eventsets_utility,
 )
-from intervalmine.oracle import GeneratorParams, best_match_utility, random_dataset
 from intervalmine.transform import transform_dataset
-from intervalmine.utility import lwu, max_match_utility
+
+from conftest import wide_dataset
 
 
 def test_backend_selection():
@@ -44,8 +43,10 @@ def test_topk_prefix_rows(example_cdata):
 
 
 def test_weighted_utilization_equals_lwu(example_cdata):
-    """The array path must reproduce the reference bound exactly."""
+    """The weighted bound the miner prunes with equals the top-k eventset
+    mass of the sequences that contain the pattern, by exhaustive search."""
     enc = encode_dataset(example_cdata)
+    table = example_cdata.utilities
     base = empty_prefix_scores(enc)
     for labels in (["A"], ["B"], ["C", "E"], ["D"], ["F"]):
         mask, putil = encode_coincidence(Coincidence.of(labels), enc)
@@ -54,33 +55,15 @@ def test_weighted_utilization_equals_lwu(example_cdata):
         )
         matched, best = summarize_scores(enc, scores)
         l = LSequence.of(labels)
+        expected = [best_match_utility(l, c, table) for c in example_cdata.csequences]
+        assert list(matched) == [e is not None for e in expected]
+        assert list(best) == [0.0 if e is None else e for e in expected]
         for k in range(1, 5):
-            assert weighted_utilization(enc, matched, k) == lwu(l, k, example_cdata)
-        per_seq = {
-            c.id: max_match_utility(l, c, example_cdata.utilities)
-            for c in example_cdata.csequences
-        }
-        assert list(best) == [per_seq[i] for i in (1, 2, 3, 4)]
-
-
-def wide_dataset(seed, alphabet):
-    """A dataset whose alphabet needs more than one 64-bit mask word."""
-    rng = random.Random(seed)
-    labels = [f"L{i:03d}" for i in range(alphabet)]
-    seqs = []
-    chunk = []
-    sid = 0
-    for lab in labels:
-        b = rng.randint(0, 8)
-        chunk.append(EventInterval(lab, b, b + rng.randint(1, 3)))
-        if len(chunk) == 20:
-            sid += 1
-            seqs.append(ESequence(id=sid, intervals=tuple(chunk)))
-            chunk = []
-    if chunk:
-        seqs.append(ESequence(id=sid + 1, intervals=tuple(chunk)))
-    table = UtilityTable({lab: float(rng.randint(0, 6)) for lab in labels})
-    return transform_dataset(ESequenceDataset(tuple(seqs)), table)
+            assert weighted_utilization(enc, matched, k) == sum(
+                top_k_eventsets_utility(c, k, table)
+                for c, e in zip(example_cdata.csequences, expected)
+                if e is not None
+            )
 
 
 def assert_chain_matches_oracle(d, chain):

@@ -25,6 +25,8 @@ from intervalmine.oracle import GeneratorParams, brute_force_mine, random_datase
 from intervalmine.transform import transform_dataset
 from intervalmine.utility import UpperBound
 
+from conftest import wide_dataset
+
 
 def pattern_set(patterns):
     return {
@@ -176,6 +178,49 @@ def test_all_strategies_match_the_oracle():
         for strategy in UpperBound:
             got, _ = mine(d, cfg.with_strategy(strategy))
             assert pattern_set(got) == expected, (seed, xi, strategy)
+
+
+def test_all_strategies_match_the_oracle_with_fractional_utilities():
+    """Fractional utilities, with the threshold on some pattern's value.
+
+    A bound and the utility it covers then add inexact terms in different
+    orders, so a bound that equals a pattern's utility can land an ulp
+    below it; pruning must still keep every pattern the oracle emits.
+    """
+    values = (0.1, 0.2, 0.3, 0.7, 1 / 3, 2.9)
+    rng = random.Random(3)
+    for i in range(800):
+        p = GeneratorParams(
+            seed=rng.randrange(2**31),
+            num_sequences=rng.randint(1, 4),
+            max_intervals_per_seq=rng.randint(1, 6),
+            alphabet_size=rng.randint(1, 4),
+        )
+        es, _ = random_dataset(p)
+        table = UtilityTable({lab: rng.choice(values) for lab in es.labels()})
+        d = transform_dataset(es, table)
+        k, z = rng.randint(1, 3), rng.randint(1, 2)
+        every = brute_force_mine(d, cfg_at(0.0, k, z))
+        if not every:
+            continue
+        xi = rng.choice(every).umax
+        cfg = cfg_at(xi, k, z)
+        expected = pattern_set(brute_force_mine(d, cfg))
+        for strategy in UpperBound:
+            got, _ = mine(d, cfg.with_strategy(strategy))
+            assert pattern_set(got) == expected, (i, xi, strategy)
+
+
+@pytest.mark.parametrize("k, z", [(2, 1), (1, 2)])
+def test_all_strategies_match_the_oracle_on_a_wide_alphabet(k, z):
+    """130 labels, so every coincidence mask spans three 64-bit words."""
+    d = wide_dataset(7, 130)
+    cfg = cfg_at(0.01, k, z, mode="relative")
+    expected = pattern_set(brute_force_mine(d, cfg))
+    assert expected
+    for strategy in UpperBound:
+        got, _ = mine(d, cfg.with_strategy(strategy))
+        assert pattern_set(got) == expected, strategy
 
 
 def test_pruning_never_generates_more_candidates():

@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from intervalmine.encoding import encode_dataset
 from intervalmine.model import (
     CEventset,
     Coincidence,
@@ -18,7 +19,8 @@ from intervalmine.model import (
     UtilityTable,
     lsequence_sort_key,
 )
-from intervalmine.utility import contains_match
+
+from conftest import evaluate, pruning_context
 
 
 def ev(labels, duration):
@@ -116,12 +118,22 @@ def test_csequence_dataset_requires_utility_coverage():
 # --- L-subsequence ----------------------------------------------------------
 
 # Pattern l is an L-subsequence of l_prime exactly when l matches a
-# C-sequence whose windows carry l_prime's coincidences; contains_match
-# decides that relation for the miner's reference bounds.
+# C-sequence whose windows carry l_prime's coincidences; the miner's kernel
+# decides that relation through its matched flag.
 
 
 def is_lsubsequence(l, l_prime):
-    return contains_match(l, cseq(*[(coin.labels, 1) for coin in l_prime.coincidences]))
+    if not l.coincidences:
+        return True
+    labels = {lab for coin in l.coincidences + l_prime.coincidences for lab in coin}
+    # a second sequence carrying every label gives each label of l a mask bit
+    everything = CSequence(id=2, eventsets=(ev(labels, 1),))
+    d = CSequenceDataset(
+        (cseq(*[(coin.labels, 1) for coin in l_prime.coincidences]), everything),
+        UtilityTable(dict.fromkeys(labels, 1.0)),
+    )
+    _, matched, _ = evaluate(pruning_context(encode_dataset(d), len(l)), l)
+    return bool(matched[0])
 
 
 def test_lsubsequence_examples():
@@ -139,7 +151,7 @@ def brute_lsubsequence(l, l_prime):
     g = len(l.coincidences)
     for idx in itertools.combinations(range(len(l_prime.coincidences)), g):
         if all(
-            l.coincidences[k].issubset(l_prime.coincidences[j])
+            set(l.coincidences[k]) <= set(l_prime.coincidences[j])
             for k, j in enumerate(idx)
         ):
             return True

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from intervalmine.encoding import encode_dataset
 from intervalmine.miner import MiningConfig, mine
 from intervalmine.model import LSequence
 from intervalmine.oracle import (
@@ -20,7 +21,9 @@ from intervalmine.oracle import (
     top_k_eventsets_utility,
 )
 from intervalmine.transform import transform_dataset
-from intervalmine.utility import dataset_utility, max_utility
+from intervalmine.utility import dataset_utility
+
+from conftest import evaluate, pruning_context
 
 
 def test_enumerate_coincidences_order():
@@ -79,7 +82,7 @@ def utility_set(l, c, table):
     for positions in itertools.combinations(range(len(c.eventsets)), len(putils)):
         windows = [c.eventsets[j] for j in positions]
         if all(
-            coin.issubset(es.coincidence)
+            set(coin) <= set(es.coincidence)
             for coin, es in zip(l.coincidences, windows)
         ):
             out.append(sum(u * es.duration for u, es in zip(putils, windows)))
@@ -100,6 +103,8 @@ def test_match_utilities_agree_with_utility_set(example_cdata):
 
 
 def test_pattern_max_utility_agrees_with_dp(example_cdata):
+    """The enumerated maximum equals the kernel's dynamic program."""
+    ctx = pruning_context(encode_dataset(example_cdata), 3)
     rng = random.Random(23)
     labels = example_cdata.labels()
     for _ in range(150):
@@ -107,14 +112,17 @@ def test_pattern_max_utility_agrees_with_dp(example_cdata):
             *[rng.sample(labels, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
         )
         total, occurs = pattern_max_utility(l, example_cdata)
-        assert total == max_utility(l, example_cdata)
+        _, matched, umax = evaluate(ctx, l)
+        assert total == umax
+        assert occurs == matched.any()
         if not occurs:
             assert total == 0.0
 
 
 def test_top_k_subset_search_never_needs_partial_eventsets(example_cdata):
     # whole-eventset top-k equals the general subset optimum (checked
-    # elsewhere against max_k_utility; here: monotone in k, capped at u_s)
+    # elsewhere against the miner's top-k rows; here: monotone in k, capped
+    # at u_s)
     c = example_cdata.csequences[0]
     table = example_cdata.utilities
     values = [top_k_eventsets_utility(c, k, table) for k in range(1, 9)]

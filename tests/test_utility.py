@@ -1,13 +1,20 @@
-"""Utility measures and the two upper bounds on the example dataset.
+"""Utility measures, and the two upper bounds on the example dataset.
 
-Golden values come from the worked example; the derived ones (27 for
-<{C,E}>, 72 for the capped projected value of <{A}>, the {2,5} utility
-set) were computed with the brute-force oracle before being frozen here.
+The bounds are read from the code the miner prunes with: the kernel's
+matched rows and maximum utility (`miner._evaluate`), the weighted bound
+(`weighted_utilization` over the top-k rows of `encode_dataset`) and the
+strategy bound (`miner._bound`). Golden values come from the worked
+example; the derived ones (27 for <{C,E}>, 72 for the capped projected
+value of <{A}>, the {2,5} utility set) were computed with the brute-force
+oracle before being frozen here.
 """
 import random
 
+import numpy as np
 import pytest
 
+from intervalmine import miner
+from intervalmine.encoding import encode_dataset, summarize_scores, weighted_utilization
 from intervalmine.model import (
     CEventset,
     Coincidence,
@@ -19,22 +26,19 @@ from intervalmine.model import (
 from intervalmine.oracle import (
     GeneratorParams,
     match_utilities,
+    pattern_max_utility,
     random_dataset,
     top_k_eventsets_utility,
 )
 from intervalmine.transform import transform_dataset
 from intervalmine.utility import (
     UpperBound,
-    contains_match,
     csequence_utility,
     dataset_utility,
     eventset_utility,
-    lwu,
-    max_k_utility,
-    max_match_utility,
-    max_utility,
-    projected_utilization,
 )
+
+from conftest import evaluate, pruning_context
 
 AB = LSequence.of(["A"], ["B"])
 A = LSequence.of(["A"])
@@ -73,14 +77,16 @@ def test_dataset_utility(example_cdata, cs, example_table):
     assert dataset_utility(CSequenceDataset((), UtilityTable({}))) == 0.0
 
 
-def test_max_k_utility(cs, example_table):
-    assert max_k_utility(cs[1], 2, example_table) == 14.0
-    assert max_k_utility(cs[1], 1, example_table) == 8.0
+def test_max_k_utility(example_cdata, cs):
+    enc = encode_dataset(example_cdata)
+    first = np.array([True, False, False, False])  # sequence 1 alone
+    assert weighted_utilization(enc, first, 2) == 14.0
+    assert weighted_utilization(enc, first, 1) == 8.0
     # budget at least the sequence length takes everything
-    assert max_k_utility(cs[1], len(cs[1]), example_table) == 29.0
-    assert max_k_utility(cs[1], 99, example_table) == 29.0
-    with pytest.raises(ValueError):
-        max_k_utility(cs[1], 0, example_table)
+    assert weighted_utilization(enc, first, len(cs[1])) == 29.0
+    assert weighted_utilization(enc, first, 99) == 29.0
+    # an empty budget contributes nothing
+    assert weighted_utilization(enc, first, 0) == 0.0
 
 
 def test_max_k_utility_matches_exhaustive_search():
@@ -89,11 +95,14 @@ def test_max_k_utility_matches_exhaustive_search():
         p = GeneratorParams(seed=seed, num_sequences=1,
                             max_intervals_per_seq=rng.randint(1, 5))
         es, table = random_dataset(p)
-        c = transform_dataset(es, table).csequences[0]
+        d = transform_dataset(es, table)
+        c = d.csequences[0]
         if len(c.eventsets) > 8:
             continue
+        enc = encode_dataset(d)
+        only = np.array([True])
         for k in range(1, len(c.eventsets) + 2):
-            assert max_k_utility(c, k, table) == top_k_eventsets_utility(c, k, table)
+            assert weighted_utilization(enc, only, k) == top_k_eventsets_utility(c, k, table)
 
 
 def test_utility_set(cs, example_table):
@@ -102,64 +111,82 @@ def test_utility_set(cs, example_table):
     assert match_utilities(AB, cs[4], example_table) == []
 
 
-def test_max_match_utility(cs, example_table):
-    assert max_match_utility(AB, cs[1], example_table) == 13.0
-    assert max_match_utility(AB, cs[2], example_table) == 9.0
-    assert max_match_utility(AB, cs[3], example_table) == 0.0
-    assert max_match_utility(AB, cs[4], example_table) == 0.0
+def test_max_match_utility(example_cdata):
+    enc = encode_dataset(example_cdata)
+    scores, _, _ = evaluate(pruning_context(enc, 2), AB)
+    _, best = summarize_scores(enc, scores)
+    assert list(best) == [13.0, 9.0, 0.0, 0.0]
 
 
 def test_max_match_utility_equals_exhaustive_maximum(example_cdata, example_table):
+    enc = encode_dataset(example_cdata)
+    ctx = pruning_context(enc, 3)
     rng = random.Random(5)
     labels = example_cdata.labels()
     for _ in range(200):
         length = rng.randint(1, 3)
         l = LSequence.of(*[rng.sample(labels, rng.randint(1, 2)) for _ in range(length)])
-        for c in example_cdata.csequences:
+        scores, matched, _ = evaluate(ctx, l)
+        _, best = summarize_scores(enc, scores)
+        for s, c in enumerate(example_cdata.csequences):
             exhaustive = match_utilities(l, c, example_table)
-            expected = max(exhaustive) if exhaustive else 0.0
-            assert max_match_utility(l, c, example_table) == expected
+            assert matched[s] == bool(exhaustive)
+            assert best[s] == (max(exhaustive) if exhaustive else 0.0)
 
 
 def test_max_utility(example_cdata):
-    assert max_utility(AB, example_cdata) == 22.0
-    assert max_utility(CE, example_cdata) == 27.0  # the {C,E,F} window counts
-    assert max_utility(UNMATCHED, example_cdata) == 0.0
+    ctx = pruning_context(encode_dataset(example_cdata), 2)
+    assert evaluate(ctx, AB)[2] == 22.0
+    assert evaluate(ctx, CE)[2] == 27.0  # the {C,E,F} window counts
+    assert evaluate(ctx, UNMATCHED)[2] == 0.0
 
 
-def test_contains_match(cs):
-    assert contains_match(AB, cs[1])
-    assert not contains_match(AB, cs[4])
-    assert contains_match(CE, cs[4])
+def test_contains_match(example_cdata):
+    ctx = pruning_context(encode_dataset(example_cdata), 2)
+    _, matched, _ = evaluate(ctx, AB)
+    assert list(matched) == [True, True, False, False]
+    _, matched, _ = evaluate(ctx, CE)
+    assert matched[3]
 
 
 def test_lwu(example_cdata):
-    assert lwu(AB, 3, example_cdata) == 50.0
-    assert lwu(AB, 1, example_cdata) == 20.0
-    assert lwu(UNMATCHED, 3, example_cdata) == 0.0
-    assert lwu(AB, 0, example_cdata) == 0.0
-    with pytest.raises(ValueError):
-        lwu(AB, -1, example_cdata)
+    enc = encode_dataset(example_cdata)
+    ctx = pruning_context(enc, 3)
+    _, matched, _ = evaluate(ctx, AB)
+    assert weighted_utilization(enc, matched, 3) == 50.0
+    assert weighted_utilization(enc, matched, 1) == 20.0
+    assert weighted_utilization(enc, matched, 0) == 0.0
+    _, unmatched, _ = evaluate(ctx, UNMATCHED)
+    assert weighted_utilization(enc, unmatched, 3) == 0.0
 
 
 def test_projected_utilization(example_cdata):
-    assert projected_utilization(AB, 3, example_cdata) == 42.0
+    enc = encode_dataset(example_cdata)
+    ctx = pruning_context(enc, 3)
+    _, matched, umax = evaluate(ctx, AB)
+    assert miner._bound(ctx, matched, umax, len(AB)) == 42.0
     # at full length the remaining budget is zero, so the value is u_max
-    assert projected_utilization(AB, 2, example_cdata) == max_utility(AB, example_cdata)
-    with pytest.raises(ValueError):
-        projected_utilization(AB, 1, example_cdata)
+    assert miner._bound(pruning_context(enc, 2), matched, umax, len(AB)) == umax == 22.0
 
 
 def test_projected_utilization_is_capped(example_cdata):
-    # u_max(<{A}>) = 22 and lwu at the remaining budget 2 is 56; the raw sum
-    # 78 exceeds lwu(<{A}>, 3) = 72, so the capped value is 72.
-    assert max_utility(A, example_cdata) == 22.0
-    assert lwu(A, 2, example_cdata) == 56.0
-    assert lwu(A, 3, example_cdata) == 72.0
-    assert projected_utilization(A, 3, example_cdata) == 72.0
-    # and a case where the cap stays inactive: 9 + lwu(C, 3) = 9 + 102
-    assert projected_utilization(C, 4, example_cdata) == 111.0
-    assert lwu(C, 4, example_cdata) == 116.0
+    enc = encode_dataset(example_cdata)
+    # u_max(<{A}>) = 22 and the weighted bound at the remaining budget 2 is
+    # 56; the raw sum 78 exceeds the weighted bound at 3, 72, so the capped
+    # value is 72.
+    ctx = pruning_context(enc, 3)
+    _, matched, umax = evaluate(ctx, A)
+    assert umax == 22.0
+    assert weighted_utilization(enc, matched, 2) == 56.0
+    assert weighted_utilization(enc, matched, 3) == 72.0
+    assert miner._bound(ctx, matched, umax, len(A)) == 72.0
+    # and a case where the cap stays inactive: 9 + 102 for <{C}> at K=4
+    ctx = pruning_context(enc, 4)
+    _, matched, umax = evaluate(ctx, C)
+    assert umax == 9.0
+    assert weighted_utilization(enc, matched, 3) == 102.0
+    assert miner._bound(ctx, matched, umax, len(C)) == 111.0
+    assert weighted_utilization(enc, matched, 4) == 116.0
 
 
 def test_upper_bound_from_name():
@@ -190,21 +217,25 @@ def random_pattern(labels, rng, max_len=3, max_size=2):
 
 
 def test_bound_inequalities_on_random_instances():
-    """projected <= lwu at the same budget, and u_max <= lwu at |l|."""
+    """projected <= weighted at the same budget, u_max <= weighted at |l|,
+    and u_max <= projected, with u_max found by brute force."""
     rng = random.Random(99)
     for seed in range(60):
         d = random_cdata(seed, rng)
         labels = d.labels()
         if not labels:
             continue
+        enc = encode_dataset(d)
         for _ in range(8):
             l = random_pattern(labels, rng)
             k = rng.randint(len(l), len(l) + 2)
-            p = projected_utilization(l, k, d)
-            w = lwu(l, k, d)
-            assert p <= w + 1e-9
-            assert max_utility(l, d) <= lwu(l, len(l), d) + 1e-9
-            assert max_utility(l, d) <= p + 1e-9
+            ctx = pruning_context(enc, k)
+            _, matched, umax = evaluate(ctx, l)
+            p = miner._bound(ctx, matched, umax, len(l))
+            exact, _ = pattern_max_utility(l, d)
+            assert p <= weighted_utilization(enc, matched, k) + 1e-9
+            assert exact <= weighted_utilization(enc, matched, len(l)) + 1e-9
+            assert exact <= p + 1e-9
 
 
 def test_lwu_monotone_in_budget_and_pattern():
@@ -214,12 +245,19 @@ def test_lwu_monotone_in_budget_and_pattern():
         labels = d.labels()
         if not labels:
             continue
+        enc = encode_dataset(d)
+        ctx = pruning_context(enc, 3)
         for _ in range(6):
             l = random_pattern(labels, rng, max_len=2)
-            # growing the budget never shrinks the bound
-            values = [lwu(l, k, d) for k in range(0, 5)]
+            _, matched, _ = evaluate(ctx, l)
+            # growing the budget never shrinks the weighted bound
+            values = [weighted_utilization(enc, matched, k) for k in range(0, 5)]
             assert values == sorted(values)
-            # extending the pattern never grows the bound
+            # extending the pattern never grows the weighted bound
             extended = LSequence(l.coincidences + random_pattern(labels, rng, 1).coincidences)
+            _, extended_matched, _ = evaluate(ctx, extended)
             for k in range(1, 5):
-                assert lwu(extended, k, d) <= lwu(l, k, d) + 1e-9
+                assert (
+                    weighted_utilization(enc, extended_matched, k)
+                    <= weighted_utilization(enc, matched, k) + 1e-9
+                )

@@ -108,6 +108,28 @@ def test_criterion_3_golden_bounds():
     assert miner._bound(ldc, matched, umax, length=2) == 50.0
 
 
+def test_golden_bounds_of_the_pruning_code():
+    """Every strategy's bound along the chain <{A}> -> <{A}{B}>, as the
+    miner grows it: matched rows shrink, and the bound falls from 72 to the
+    golden 50 (ldc) or 42 (pdc); with no bound nothing is ever pruned."""
+    enc = encode_dataset(example_cdata())
+    expected = {
+        UpperBound.NONE: [float("inf"), float("inf")],
+        UpperBound.LWU: [72.0, 50.0],
+        UpperBound.PROJECTED: [72.0, 42.0],
+    }
+    for strategy, bounds in expected.items():
+        ctx = pruning_context(enc, 3, strategy)
+        got, rows = [], []
+        for prefix in (LSequence.of(["A"]), AB):
+            _, matched, umax = evaluate(ctx, prefix)
+            assert umax == 22.0
+            rows.append([bool(m) for m in matched])
+            got.append(miner._bound(ctx, matched, umax, len(prefix)))
+        assert got == bounds
+        assert rows == [[True, True, True, False], [True, True, False, False]]
+
+
 # --- shared instance pool for criteria 4-6 ----------------------------------
 
 N_INSTANCES = 110

@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from io import StringIO
 
 from . import oracle
@@ -181,31 +181,22 @@ def _cmd_mine(args) -> int:
         print(f"intervalmine: error: {e}", file=sys.stderr)
         return USAGE_ERROR
 
+    dataset, table = _load_inputs(args)
+    cdata = transform_dataset(dataset, table)
     try:
-        dataset, table = _load_inputs(args)
-        cdata = transform_dataset(dataset, table)
-    except (DataError, OSError) as e:
-        print(f"intervalmine: error: {e}", file=sys.stderr)
-        return DATA_ERROR
-
-    try:
-        configs = [
-            MiningConfig(
-                xi=args.xi,
-                max_length=args.K,
-                max_size=args.Z,
-                xi_mode=args.xi_mode,
-                strategy=b,
-            )
-            for b in bounds
-        ]
+        cfg = MiningConfig(
+            xi=args.xi, max_length=args.K, max_size=args.Z, xi_mode=args.xi_mode
+        )
     except ValueError as e:
         print(f"intervalmine: error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    total = dataset_utility(cdata)
+    threshold = resolve_threshold(cfg, cdata, total)
+    cfg = replace(cfg, xi=threshold, xi_mode="absolute")
 
     results = {}
-    for name, cfg in zip(strategies, configs):
-        results[name] = mine(cdata, cfg, threads=args.threads)
+    for name, b in zip(strategies, bounds):
+        results[name] = mine(cdata, cfg.with_strategy(b), threads=args.threads)
 
     pattern_sets = {
         name: {(_pattern_key(p), p.umax) for p in res[0]}
@@ -238,9 +229,9 @@ def _cmd_mine(args) -> int:
             "sequences": len(dataset.sequences),
             "intervals": sum(len(s.intervals) for s in dataset.sequences),
             "alphabet": list(dataset.labels()),
-            "total_utility": dataset_utility(cdata),
+            "total_utility": total,
         },
-        "threshold": resolve_threshold(configs[0], cdata),
+        "threshold": threshold,
         "patterns": [
             {"pattern": [list(c.labels) for c in p.lsequence.coincidences], "umax": p.umax}
             for p in patterns

@@ -51,6 +51,8 @@ def parse_dataset(source) -> ESequenceDataset:
                 sid, begin, finish = int(sid_s), int(begin_s), int(finish_s)
             except ValueError:
                 raise DataError(f"line {lineno}: id and times must be integers") from None
+            if sid < 1:
+                raise DataError(f"line {lineno}: sequence id must be a positive integer: {sid}")
             key = (sid, label, begin, finish)
             if key in seen:
                 raise DataError(f"line {lineno}: duplicate interval {key}")

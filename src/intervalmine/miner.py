@@ -5,7 +5,11 @@ Mining has two phases. Phase 1 grows coincidence candidates level-wise
 in the data and whose weighted bound clears the threshold; the weighted
 bound is the only one that stays valid while a coincidence can still gain
 labels, because adding a label can raise a match's value at the very same
-window, which a match-based estimate never anticipates. Phase 2 grows
+window, which a match-based estimate never anticipates. A level joins its
+survivors only with the labels that survived on their own: adding a label
+can only shrink the set of sequences a coincidence occurs in, and the
+weighted bound sums over that set, so every superset of a dropped label
+fails both tests too (the Apriori property). Phase 2 grows
 patterns depth-first by appending whole vocabulary coincidences. There the
 projected strategy tightens pruning: each prefix carries the minimum of
 its own projected bound and every ancestor's, which keeps the pruning
@@ -81,11 +85,14 @@ class MiningStats:
         self.patterns_found += other.patterns_found
 
 
-def resolve_threshold(cfg: MiningConfig, d: CSequenceDataset) -> float:
-    """Absolute threshold; relative mode scales by total dataset utility."""
+def resolve_threshold(
+    cfg: MiningConfig, d: CSequenceDataset, total: float | None = None
+) -> float:
+    """Absolute threshold; relative mode scales the dataset's total utility
+    (`total`, when the caller has it already)."""
     if cfg.xi_mode == "absolute":
         return cfg.xi
-    return cfg.xi * utility.dataset_utility(d)
+    return cfg.xi * (utility.dataset_utility(d) if total is None else total)
 
 
 # A bound and the utility it covers add the same window utilities in
@@ -104,15 +111,14 @@ def _promising(ctx: _Context, bound: float) -> bool:
 
 @dataclass(frozen=True)
 class _Candidate:
-    """A vocabulary coincidence with its precomputed root evaluation."""
+    """A vocabulary coincidence evaluated as a one-coincidence pattern."""
 
     coincidence: Coincidence
     mask: np.ndarray
     putil: float
-    scores: np.ndarray   # score rows of the single-coincidence pattern
+    scores: np.ndarray
     matched: np.ndarray
     umax: float
-    bound: float         # strategy bound for extending this as a root
 
 
 @dataclass
@@ -167,67 +173,63 @@ def _vocab_bound(ctx: _Context, matched) -> float:
 def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
     """Level-wise promising coincidence generation (phase 1).
 
-    Candidates that never occur in a single window are dead ends for both
-    bound strategies and are dropped alongside the unpromising ones.
+    Each level adds one label, taken above the last one, to the previous
+    level's survivors, starting from the empty coincidence. Candidates that
+    never occur in a single window are dead ends for every strategy and are
+    dropped alongside the unpromising ones.
     """
     base = empty_prefix_scores(ctx.enc)
     labels = ctx.enc.labels
-    level: list[_Candidate] = []
-    for lab in labels:
-        stats.candidates_generated += 1
-        c = Coincidence.of([lab])
-        cand = _make_candidate(ctx, base, c)
-        if cand.matched.any() and _promising(ctx, _vocab_bound(ctx, cand.matched)):
-            level.append(cand)
-        else:
-            stats.candidates_pruned += 1
-    ctx.vocab.extend(level)
-
-    size = 1
-    while size < ctx.cfg.max_size and level:
-        nxt: list[_Candidate] = []
-        for cand in level:
-            top = cand.coincidence.labels[-1]
+    level = [Coincidence()]
+    while level and len(level[0]) < ctx.cfg.max_size:
+        survivors: list[_Candidate] = []
+        for c in level:
             for lab in labels:
-                if lab <= top:
+                if c and lab <= c.labels[-1]:
                     continue
                 stats.candidates_generated += 1
-                child = _make_candidate(ctx, base, cand.coincidence.union(lab))
-                if child.matched.any() and _promising(ctx, _vocab_bound(ctx, child.matched)):
-                    nxt.append(child)
+                child = c.union(lab)
+                mask, putil = encode_coincidence(child, ctx.enc)
+                scores, matched, umax = _evaluate(ctx, base, 0.0, mask, putil)
+                if matched.any() and _promising(ctx, _vocab_bound(ctx, matched)):
+                    survivors.append(_Candidate(child, mask, putil, scores, matched, umax))
                 else:
                     stats.candidates_pruned += 1
-        ctx.vocab.extend(nxt)
-        level = nxt
-        size += 1
+        ctx.vocab.extend(survivors)
+        level = [v.coincidence for v in survivors]
+        # only labels that survived alone can be part of a survivor
+        labels = [v.coincidence.labels[0] for v in ctx.vocab if len(v.coincidence) == 1]
 
     ctx.vocab.sort(key=lambda v: (len(v.coincidence), v.coincidence.labels))
 
 
-def _make_candidate(ctx: _Context, base, c: Coincidence) -> _Candidate:
-    mask, putil = encode_coincidence(c, ctx.enc)
-    scores, matched, umax = _evaluate(ctx, base, 0.0, mask, putil)
-    return _Candidate(
-        c, mask, putil, scores, matched, umax,
-        bound=_bound(ctx, matched, umax, 1),
-    )
-
-
-def promising_coincidences(
-    d: CSequenceDataset, cfg: MiningConfig, xi_abs: float
-) -> list[Coincidence]:
-    """Occurring coincidences up to the size cap that stay promising.
-
-    Vocabulary promise uses the weighted bound for every strategy (see the
-    module docstring for why the projected refinement only kicks in once
-    coincidences stop growing).
-    """
-    ctx = _Context(enc=encode_dataset(d), cfg=cfg, xi_abs=xi_abs)
-    _build_vocabulary(ctx, MiningStats())
-    return [v.coincidence for v in ctx.vocab]
-
-
 NEG_INF = float("-inf")
+
+
+def _visit(
+    ctx: _Context,
+    prefix: list[Coincidence],
+    scores: np.ndarray,
+    matched: np.ndarray,
+    umax: float,
+    limit: float,
+    out: list[Pattern],
+    stats: MiningStats,
+) -> bool:
+    """Bound, prune, emit and grow the pattern `prefix`; False if pruned.
+
+    `limit` is the tightest bound seen along the chain so far; a bound
+    established for a prefix also covers everything grown from it, so the
+    effective bound can only decrease down the tree.
+    """
+    bound = min(limit, _bound(ctx, matched, umax, len(prefix)))
+    if not _promising(ctx, bound):
+        return False
+    if umax >= ctx.xi_abs:
+        out.append(Pattern(LSequence(tuple(prefix)), umax))
+    if len(prefix) < ctx.cfg.max_length:
+        _grow(ctx, prefix, scores, bound, out, stats)
+    return True
 
 
 def _grow(
@@ -238,41 +240,23 @@ def _grow(
     out: list[Pattern],
     stats: MiningStats,
 ) -> None:
-    """Extend the prefix by every vocabulary coincidence, depth-first.
-
-    `limit` is the tightest bound seen along the chain so far; a bound
-    established for a prefix also covers everything grown from it, so the
-    effective bound can only decrease down the tree.
-    """
-    depth = len(prefix) + 1
+    """Extend the prefix by every vocabulary coincidence, depth-first."""
     for cand in ctx.vocab:
         stats.candidates_generated += 1
         scores, matched, umax = _evaluate(
             ctx, prefix_scores, NEG_INF, cand.mask, cand.putil
         )
-        if not matched.any():
-            stats.candidates_pruned += 1
-            continue
-        bound = min(limit, _bound(ctx, matched, umax, depth))
-        if not _promising(ctx, bound):
-            stats.candidates_pruned += 1
-            continue
         prefix.append(cand.coincidence)
-        if umax >= ctx.xi_abs:
-            out.append(Pattern(LSequence(tuple(prefix)), umax))
-        if depth < ctx.cfg.max_length:
-            _grow(ctx, prefix, scores, bound, out, stats)
+        if not (matched.any() and _visit(ctx, prefix, scores, matched, umax, limit, out, stats)):
+            stats.candidates_pruned += 1
         prefix.pop()
 
 
 def _mine_root(ctx: _Context, root: _Candidate) -> tuple[list[Pattern], MiningStats]:
     out: list[Pattern] = []
     stats = MiningStats()
-    if _promising(ctx, root.bound):
-        if root.umax >= ctx.xi_abs:
-            out.append(Pattern(LSequence((root.coincidence,)), root.umax))
-        if ctx.cfg.max_length > 1:
-            _grow(ctx, [root.coincidence], root.scores, root.bound, out, stats)
+    _visit(ctx, [root.coincidence], root.scores, root.matched, root.umax,
+           math.inf, out, stats)
     return out, stats
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from intervalmine import miner
-from intervalmine.encoding import empty_prefix_scores, encode_coincidence
+from intervalmine.encoding import empty_prefix_scores, encode_coincidence, encode_dataset
 from intervalmine.io import parse_dataset
 from intervalmine.miner import MiningConfig
 from intervalmine.model import ESequence, ESequenceDataset, EventInterval, UtilityTable
@@ -52,6 +52,15 @@ def evaluate(ctx, l):
         scores, matched, umax = miner._evaluate(ctx, scores, base, mask, putil)
         base = float("-inf")
     return scores, matched, umax
+
+
+def vocabulary(d, cfg, xi_abs):
+    """(coincidences in mining order, phase-1 stats) of the miner's
+    vocabulary phase on dataset d."""
+    ctx = miner._Context(enc=encode_dataset(d), cfg=cfg, xi_abs=xi_abs)
+    stats = miner.MiningStats()
+    miner._build_vocabulary(ctx, stats)
+    return [v.coincidence for v in ctx.vocab], stats
 
 
 def wide_dataset(seed, alphabet):

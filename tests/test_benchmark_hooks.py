@@ -4,14 +4,45 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from intervalmine import cli
+from intervalmine.oracle import EXAMPLE_DATA, EXAMPLE_UTILITIES
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_every_traced_hook_resolves():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_hook_resolves():
+    tracing = load_tracing()
     assert tracing.HOOKS
     for module_name, attr, _, _ in tracing.HOOKS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_traced_cli_run_counts_each_layer(tmp_path):
+    """A traced `mine` run on the running example: the counters the
+    benchmark reports come out of the hooked functions, so a hook whose
+    signature drifted shows up here as a wrong count."""
+    tracing = load_tracing()
+    data, utilities = tmp_path / "events.tsv", tmp_path / "utilities.tsv"
+    data.write_text(EXAMPLE_DATA)
+    utilities.write_text("".join(f"{k}\t{v}\n" for k, v in EXAMPLE_UTILITIES.items()))
+    argv = [
+        "mine", "--data", str(data), "--utilities", str(utilities),
+        "--xi", "0.25", "--xi-mode", "relative", "-K", "3", "-Z", "2",
+        "--output", str(tmp_path / "report.json"),
+    ]
+    with tracing.installed(tracing.Tracer()) as tracer:
+        assert cli.main(argv) == 0
+    counts = tracer.summary()["counts"]
+    assert counts["utility.dataset_utility_calls"] == 1
+    assert counts["miner.vocab_candidates"] == 12
+    assert counts["miner.vocab_size"] == 6
+    assert counts["miner.patterns"] == 32
+    assert counts["kernels.extend_calls.grow"] == 150

@@ -49,6 +49,12 @@ def test_parse_rejects_non_integer_fields():
         parse_dataset(io.StringIO("one A 0 3\n"))
 
 
+@pytest.mark.parametrize("sid", ["0", "-3"])
+def test_parse_rejects_non_positive_sequence_id_with_its_line(sid):
+    with pytest.raises(DataError, match="line 1: sequence id must be a positive integer"):
+        parse_dataset(io.StringIO(f"{sid} A 1 2\n"))
+
+
 def test_parse_rejects_duplicate_interval():
     text = "1 A 0 3\n1 A 0 3\n"
     with pytest.raises(DataError, match="duplicate"):

@@ -10,7 +10,6 @@ from intervalmine.miner import (
     MiningStats,
     Pattern,
     mine,
-    promising_coincidences,
     resolve_threshold,
 )
 from intervalmine.model import (
@@ -21,11 +20,16 @@ from intervalmine.model import (
     LSequence,
     UtilityTable,
 )
-from intervalmine.oracle import GeneratorParams, brute_force_mine, random_dataset
+from intervalmine.oracle import (
+    GeneratorParams,
+    brute_force_mine,
+    random_dataset,
+    top_k_eventsets_utility,
+)
 from intervalmine.transform import transform_dataset
 from intervalmine.utility import UpperBound
 
-from conftest import wide_dataset
+from conftest import vocabulary, wide_dataset
 
 
 def pattern_set(patterns):
@@ -82,21 +86,56 @@ def occurring_coincidences(d, max_size):
 
 
 def test_promising_coincidences_keeps_high_coverage_labels(example_cdata):
-    vocab = promising_coincidences(example_cdata, cfg_at(33.5, 4, 5), 33.5)
+    vocab, _ = vocabulary(example_cdata, cfg_at(33.5, 4, 5), 33.5)
     assert Coincidence.of(["C"]) in vocab
 
 
+def brute_force_vocabulary(d, cfg, xi):
+    """Occurring coincidences whose top-K eventset mass, summed over the
+    sequences that contain them in some window, reaches xi; with no bound,
+    every occurring coincidence."""
+    found = set()
+    for coin in occurring_coincidences(d, cfg.max_size):
+        mass = sum(
+            top_k_eventsets_utility(c, cfg.max_length, d.utilities)
+            for c in d.csequences
+            if any(set(coin.labels) <= set(es.coincidence.labels) for es in c.eventsets)
+        )
+        if cfg.strategy is UpperBound.NONE or mass >= xi:
+            found.add(coin)
+    return found
+
+
 def test_promising_coincidences_at_zero_threshold(example_cdata):
+    rng = random.Random(11)
     for z in (1, 2, 3):
-        vocab = promising_coincidences(example_cdata, cfg_at(0.0, 3, z), 0.0)
+        vocab, _ = vocabulary(example_cdata, cfg_at(0.0, 3, z), 0.0)
         assert set(vocab) == occurring_coincidences(example_cdata, z)
         # canonical enumeration order: by size, then label tuple
         keys = [(len(c), c.labels) for c in vocab]
         assert keys == sorted(keys)
+        # positive thresholds: the weighted bound decides, for every strategy
+        for _ in range(100):
+            xi = rng.uniform(0.0, 140.0)
+            for strategy in UpperBound:
+                cfg = cfg_at(xi, 3, z, strategy)
+                vocab, _ = vocabulary(example_cdata, cfg, xi)
+                expected = brute_force_vocabulary(example_cdata, cfg, xi)
+                assert set(vocab) == expected, (z, xi, strategy)
+
+
+def test_vocabulary_joins_only_surviving_labels(example_cdata):
+    """At xi=40, 4 of the 6 labels survive alone, so 6 + 6 candidates are
+    tried; joining the survivors with the whole alphabet would try 6 + 13.
+    At xi=22 every label survives and all 15 pairs are tried."""
+    _, stats = vocabulary(example_cdata, cfg_at(40.0, 3, 2), 40.0)
+    assert stats.candidates_generated == 12
+    _, stats = vocabulary(example_cdata, cfg_at(22.0, 3, 2), 22.0)
+    assert stats.candidates_generated == 21
 
 
 def test_promising_coincidences_above_total_utility_is_empty(example_cdata):
-    vocab = promising_coincidences(example_cdata, cfg_at(135.0, 3, 2), 135.0)
+    vocab, _ = vocabulary(example_cdata, cfg_at(135.0, 3, 2), 135.0)
     assert vocab == []
 
 

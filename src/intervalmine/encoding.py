@@ -96,21 +96,23 @@ def empty_prefix_scores(enc: EncodedDataset) -> np.ndarray:
     return np.zeros((enc.n_sequences, enc.capacity), dtype=np.float64)
 
 
-def summarize_scores(enc: EncodedDataset, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(matched flags, per-sequence best utility) from a prefix's score rows."""
-    n = enc.n_sequences
-    last = np.full(n, -np.inf)
-    nonempty = enc.lengths > 0
-    rows = np.nonzero(nonempty)[0]
-    if rows.size:
-        last[rows] = scores[rows, enc.lengths[rows] - 1]
+def summarize_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(matched flags, per-row best utility) from a prefix's score rows.
+
+    The kernel's running maximum carries each row's last real value through
+    the padding, so the last column holds the best utility of the row, and
+    -inf where the prefix never matched.
+    """
+    if scores.shape[1] == 0:
+        return np.zeros(scores.shape[0], dtype=bool), np.zeros(scores.shape[0])
+    last = scores[:, -1]
     matched = np.isfinite(last)
-    best = np.where(matched, last, 0.0)
-    return matched, best
+    return matched, np.where(matched, last, 0.0)
 
 
 def weighted_utilization(enc: EncodedDataset, matched: np.ndarray, k: int) -> float:
-    """Sum of top-k eventset mass over the matched sequences."""
+    """Sum of top-k eventset mass over the matched sequences, given as row
+    indices or as one flag per sequence."""
     if k <= 0:
         return 0.0
     col = min(k, enc.capacity)

@@ -1,6 +1,7 @@
 """The match-scoring kernel: extend a pattern prefix by one coincidence.
 
-A prefix's state is one float64 row per sequence: entry j is the best
+A prefix's state is one float64 row per sequence it is scored on (the
+miner passes only the sequences the prefix occurs in): entry j is the best
 utility of any match of the prefix that ends at or before window j, and
 -inf where no such match exists. Extending by a candidate coincidence
 keeps the windows whose label bitmask covers the candidate's, adds the

@@ -10,7 +10,10 @@ survivors only with the labels that survived on their own: adding a label
 can only shrink the set of sequences a coincidence occurs in, and the
 weighted bound sums over that set, so every superset of a dropped label
 fails both tests too (the Apriori property). Phase 2 grows
-patterns depth-first by appending whole vocabulary coincidences. There the
+patterns depth-first by appending whole vocabulary coincidences. A prefix
+carries only the sequences it occurs in and its score rows on them, so the
+kernel never scans a sequence the prefix misses, and a child tries only the
+coincidences that survived after its parent (see `_grow`). The
 projected strategy tightens pruning: each prefix carries the minimum of
 its own projected bound and every ancestor's, which keeps the pruning
 value non-increasing along an extension chain and never above the
@@ -111,14 +114,19 @@ def _promising(ctx: _Context, bound: float) -> bool:
 
 @dataclass(frozen=True)
 class _Candidate:
-    """A vocabulary coincidence evaluated as a one-coincidence pattern."""
+    """A vocabulary coincidence evaluated as a one-coincidence pattern.
+
+    `rows` are the sequences it occurs in and `scores` its score rows on
+    those sequences only; `full` is its weighted bound.
+    """
 
     coincidence: Coincidence
     mask: np.ndarray
     putil: float
+    rows: np.ndarray
     scores: np.ndarray
-    matched: np.ndarray
     umax: float
+    full: float
 
 
 @dataclass
@@ -129,74 +137,98 @@ class _Context:
     vocab: list[_Candidate] = field(default_factory=list)
 
 
-def _evaluate(ctx: _Context, prev_scores, prev_base, mask, putil):
-    scores = extend_scores(
-        ctx.enc.masks, ctx.enc.durations, ctx.enc.lengths,
-        prev_scores, prev_base, mask, putil,
-    )
-    matched, best = summarize_scores(ctx.enc, scores)
-    umax = float(best.sum())
-    return scores, matched, umax
+def _project(enc: EncodedDataset, rows: np.ndarray):
+    """The kernel's inputs restricted to the ascending sequence indices
+    `rows`; the arrays themselves when that is every sequence."""
+    if rows.size == enc.n_sequences:
+        return enc.masks, enc.durations, enc.lengths
+    return enc.masks[rows], enc.durations[rows], enc.lengths[rows]
 
 
-def _bound(ctx: _Context, matched, umax: float, length: int) -> float:
+def _evaluate(arrays, rows, prev_scores, prev_base, mask, putil):
+    """(matched rows, their score rows, umax) of a prefix extended by one
+    coincidence, given the prefix's score rows on `rows` and the kernel
+    inputs `arrays` restricted to the same rows.
+
+    umax adds the per-sequence values left to right, as the oracle does.
+    A pairwise sum (`ndarray.sum`) groups fractional values differently,
+    can land an ulp off, and then flips a pattern whose value is exactly
+    the threshold.
+    """
+    scores = extend_scores(*arrays, prev_scores, prev_base, mask, putil)
+    matched, best = summarize_scores(scores)
+    umax = float(np.cumsum(best)[-1]) if best.size else 0.0
+    return rows[matched], scores[matched], umax
+
+
+def _weighted_bound(ctx: _Context, rows) -> float:
+    """Promise value of a candidate and of everything grown from it.
+
+    The weighted bound is valid both while a coincidence can still gain
+    labels (label growth can raise a match's value inside the same window,
+    which a match-based estimate never anticipates) and along every
+    extension chain; `none` never prunes.
+    """
+    if ctx.cfg.strategy is UpperBound.NONE:
+        return float("inf")
+    return weighted_utilization(ctx.enc, rows, ctx.cfg.max_length)
+
+
+def _bound(ctx: _Context, rows, umax: float, length: int, full: float | None = None) -> float:
     """Upper bound on any pattern built by appending coincidences.
 
-    The projected value is clamped to the weighted bound; the raw sum can
-    exceed it when a best match sits on top-ranked eventsets, and an
-    unclamped value would make the projected strategy keep candidates the
-    weighted strategy discards.
+    `full` is the weighted bound over `rows`, when the caller has it
+    already. The projected value is clamped to it; the raw sum can exceed
+    it when a best match sits on top-ranked eventsets, and an unclamped
+    value would make the projected strategy keep candidates the weighted
+    strategy discards. At the length cap nothing can be appended, so the
+    projected value is umax itself, which the weighted bound already covers.
     """
-    if ctx.cfg.strategy is UpperBound.NONE:
-        return float("inf")
-    full = weighted_utilization(ctx.enc, matched, ctx.cfg.max_length)
-    if ctx.cfg.strategy is UpperBound.LWU:
+    if ctx.cfg.strategy is UpperBound.PROJECTED and length == ctx.cfg.max_length:
+        return umax
+    if full is None:
+        full = _weighted_bound(ctx, rows)
+    if ctx.cfg.strategy is not UpperBound.PROJECTED:
         return full
-    remaining = weighted_utilization(
-        ctx.enc, matched, ctx.cfg.max_length - length
-    )
+    remaining = weighted_utilization(ctx.enc, rows, ctx.cfg.max_length - length)
     return min(umax + remaining, full)
-
-
-def _vocab_bound(ctx: _Context, matched) -> float:
-    """Promise value while a coincidence may still grow labels.
-
-    Label growth can raise a match's value inside the same window, so the
-    match-based projected estimate is not a valid bound here; the weighted
-    bound is, for every strategy.
-    """
-    if ctx.cfg.strategy is UpperBound.NONE:
-        return float("inf")
-    return weighted_utilization(ctx.enc, matched, ctx.cfg.max_length)
 
 
 def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
     """Level-wise promising coincidence generation (phase 1).
 
     Each level adds one label, taken above the last one, to the previous
-    level's survivors, starting from the empty coincidence. Candidates that
-    never occur in a single window are dead ends for every strategy and are
+    level's survivors, starting from the empty coincidence. A join is
+    scored only on the sequences its survivor occurs in, since a larger
+    label set fits no window the smaller one misses. Candidates that never
+    occur in a single window are dead ends for every strategy and are
     dropped alongside the unpromising ones.
     """
-    base = empty_prefix_scores(ctx.enc)
-    labels = ctx.enc.labels
-    level = [Coincidence()]
-    while level and len(level[0]) < ctx.cfg.max_size:
+    enc = ctx.enc
+    # the empty prefix scores 0 everywhere, so any leading block of its
+    # rows stands for it on any set of sequences
+    base = empty_prefix_scores(enc)
+    labels = enc.labels
+    level = [(Coincidence(), np.arange(enc.n_sequences))]
+    while level and len(level[0][0]) < ctx.cfg.max_size:
         survivors: list[_Candidate] = []
-        for c in level:
+        for c, c_rows in level:
+            arrays = _project(enc, c_rows)
             for lab in labels:
                 if c and lab <= c.labels[-1]:
                     continue
                 stats.candidates_generated += 1
                 child = c.union(lab)
-                mask, putil = encode_coincidence(child, ctx.enc)
-                scores, matched, umax = _evaluate(ctx, base, 0.0, mask, putil)
-                if matched.any() and _promising(ctx, _vocab_bound(ctx, matched)):
-                    survivors.append(_Candidate(child, mask, putil, scores, matched, umax))
+                mask, putil = encode_coincidence(child, enc)
+                rows, scores, umax = _evaluate(
+                    arrays, c_rows, base[: c_rows.size], 0.0, mask, putil
+                )
+                if rows.size and _promising(ctx, full := _weighted_bound(ctx, rows)):
+                    survivors.append(_Candidate(child, mask, putil, rows, scores, umax, full))
                 else:
                     stats.candidates_pruned += 1
         ctx.vocab.extend(survivors)
-        level = [v.coincidence for v in survivors]
+        level = [(v.coincidence, v.rows) for v in survivors]
         # only labels that survived alone can be part of a survivor
         labels = [v.coincidence.labels[0] for v in ctx.vocab if len(v.coincidence) == 1]
 
@@ -209,45 +241,77 @@ NEG_INF = float("-inf")
 def _visit(
     ctx: _Context,
     prefix: list[Coincidence],
+    rows: np.ndarray,
     scores: np.ndarray,
-    matched: np.ndarray,
     umax: float,
+    full: float | None,
     limit: float,
+    cands: list[_Candidate],
     out: list[Pattern],
     stats: MiningStats,
 ) -> bool:
     """Bound, prune, emit and grow the pattern `prefix`; False if pruned.
 
-    `limit` is the tightest bound seen along the chain so far; a bound
-    established for a prefix also covers everything grown from it, so the
-    effective bound can only decrease down the tree.
+    The prefix occurs in the sequences `rows`, with score rows `scores` on
+    them and weighted bound `full` (None if not computed yet). `limit` is the tightest bound seen
+    along the chain so far; a bound established for a prefix also covers
+    everything grown from it, so the effective bound can only decrease down
+    the tree. `cands` are the coincidences worth appending.
     """
-    bound = min(limit, _bound(ctx, matched, umax, len(prefix)))
+    bound = min(limit, _bound(ctx, rows, umax, len(prefix), full))
     if not _promising(ctx, bound):
         return False
     if umax >= ctx.xi_abs:
         out.append(Pattern(LSequence(tuple(prefix)), umax))
     if len(prefix) < ctx.cfg.max_length:
-        _grow(ctx, prefix, scores, bound, out, stats)
+        _grow(ctx, prefix, rows, scores, bound, cands, out, stats)
     return True
 
 
 def _grow(
     ctx: _Context,
     prefix: list[Coincidence],
+    rows: np.ndarray,
     prefix_scores: np.ndarray,
     limit: float,
+    cands: list[_Candidate],
     out: list[Pattern],
     stats: MiningStats,
 ) -> None:
-    """Extend the prefix by every vocabulary coincidence, depth-first."""
-    for cand in ctx.vocab:
+    """Extend the prefix by each candidate, then grow the children
+    depth-first.
+
+    The kernel runs only on the sequences the prefix occurs in. A child
+    inherits the candidates c for which prefix+c occurred and cleared the
+    weighted bound: a pattern grown from prefix+x+c is a supersequence of
+    prefix+c, so it occurs in no sequence prefix+c misses, and the weighted
+    bound only shrinks with the set of sequences it sums over. The filter
+    is the weighted bound for every strategy, so `pdc` and `ldc` try the
+    same candidates and differ only in which children they prune. Children
+    at the length cap grow nothing, so they skip the filter and are left to
+    their strategy's bound.
+    """
+    arrays = _project(ctx.enc, rows)
+    inherits = len(prefix) + 1 < ctx.cfg.max_length
+    children = []
+    for cand in cands:
         stats.candidates_generated += 1
-        scores, matched, umax = _evaluate(
-            ctx, prefix_scores, NEG_INF, cand.mask, cand.putil
+        child_rows, scores, umax = _evaluate(
+            arrays, rows, prefix_scores, NEG_INF, cand.mask, cand.putil
         )
+        if not child_rows.size:
+            stats.candidates_pruned += 1
+            continue
+        full = _weighted_bound(ctx, child_rows) if inherits else None
+        if full is None or _promising(ctx, full):
+            children.append((cand, child_rows, scores, umax, full))
+        else:
+            stats.candidates_pruned += 1
+    inherited = [child[0] for child in children]
+    for cand, child_rows, scores, umax, full in children:
         prefix.append(cand.coincidence)
-        if not (matched.any() and _visit(ctx, prefix, scores, matched, umax, limit, out, stats)):
+        if not _visit(ctx, prefix, child_rows, scores, umax, full, limit,
+                      inherited, out, stats):
             stats.candidates_pruned += 1
         prefix.pop()
 
@@ -255,8 +319,8 @@ def _grow(
 def _mine_root(ctx: _Context, root: _Candidate) -> tuple[list[Pattern], MiningStats]:
     out: list[Pattern] = []
     stats = MiningStats()
-    _visit(ctx, [root.coincidence], root.scores, root.matched, root.umax,
-           math.inf, out, stats)
+    _visit(ctx, [root.coincidence], root.rows, root.scores, root.umax, root.full,
+           math.inf, ctx.vocab, out, stats)
     return out, stats
 
 

@@ -3,6 +3,7 @@ and helpers that drive the miner's own scoring and bound code."""
 import io
 import random
 
+import numpy as np
 import pytest
 
 from intervalmine import miner
@@ -45,13 +46,22 @@ def pruning_context(enc, max_length, strategy=UpperBound.PROJECTED):
 
 def evaluate(ctx, l):
     """(score rows, matched flags, umax) of pattern l, extended from the
-    empty prefix one coincidence at a time, as the miner grows it."""
-    scores, base = empty_prefix_scores(ctx.enc), 0.0
+    empty prefix one coincidence at a time on the rows the prefix matched,
+    as the miner grows it. The score rows and flags returned cover every
+    sequence; unmatched sequences score -inf."""
+    enc = ctx.enc
+    rows, scores, base = np.arange(enc.n_sequences), empty_prefix_scores(enc), 0.0
     for coin in l.coincidences:
-        mask, putil = encode_coincidence(coin, ctx.enc)
-        scores, matched, umax = miner._evaluate(ctx, scores, base, mask, putil)
+        mask, putil = encode_coincidence(coin, enc)
+        rows, scores, umax = miner._evaluate(
+            miner._project(enc, rows), rows, scores, base, mask, putil
+        )
         base = float("-inf")
-    return scores, matched, umax
+    every = np.full((enc.n_sequences, enc.capacity), -np.inf)
+    every[rows] = scores
+    matched = np.zeros(enc.n_sequences, dtype=bool)
+    matched[rows] = True
+    return every, matched, umax
 
 
 def vocabulary(d, cfg, xi_abs):

@@ -100,7 +100,7 @@ def test_criterion_3_golden_bounds():
     assert sorted(match_utilities(AB, c1, cdata.utilities)) == [9.0, 10.0, 13.0]
     ctx = pruning_context(enc, 3)
     scores, matched, umax = evaluate(ctx, AB)
-    assert summarize_scores(enc, scores)[1][0] == 13.0  # the best of c1's matches
+    assert summarize_scores(scores)[1][0] == 13.0  # the best of c1's matches
     assert umax == 22.0
     assert weighted_utilization(enc, matched, 3) == 50.0
     assert miner._bound(ctx, matched, umax, length=2) == 42.0

@@ -45,4 +45,6 @@ def test_traced_cli_run_counts_each_layer(tmp_path):
     assert counts["miner.vocab_candidates"] == 12
     assert counts["miner.vocab_size"] == 6
     assert counts["miner.patterns"] == 32
-    assert counts["kernels.extend_calls.grow"] == 150
+    assert counts["kernels.extend_calls.grow"] == 115
+    # growth scores only the sequences a prefix matched, never all four
+    assert counts["kernels.rows_scanned.grow"] < 4 * counts["kernels.extend_calls.grow"]

@@ -53,7 +53,7 @@ def test_weighted_utilization_equals_lwu(example_cdata):
         scores = extend_scores(
             enc.masks, enc.durations, enc.lengths, base, 0.0, mask, putil
         )
-        matched, best = summarize_scores(enc, scores)
+        matched, best = summarize_scores(scores)
         l = LSequence.of(labels)
         expected = [best_match_utility(l, c, table) for c in example_cdata.csequences]
         assert list(matched) == [e is not None for e in expected]
@@ -67,26 +67,34 @@ def test_weighted_utilization_equals_lwu(example_cdata):
 
 
 def assert_chain_matches_oracle(d, chain):
-    """Extend the empty prefix by each coincidence of chain in turn.
+    """Extend the empty prefix by each coincidence of chain in turn, each
+    step scoring only the sequences the previous step matched, as the
+    miner does.
 
     After every step, each sequence's matched flag and best utility must
-    equal what the oracle finds by enumerating every match. The utilities
-    are integers, so the sums are exact and compared with ==.
+    equal what the oracle finds by enumerating every match; a sequence
+    dropped at an earlier step must have no match. The utilities are
+    integers, so the sums are exact and compared with ==.
     """
     enc = encode_dataset(d)
+    rows = np.arange(enc.n_sequences)
     scores, base = empty_prefix_scores(enc), 0.0
     for depth, coin in enumerate(chain, start=1):
         mask, putil = encode_coincidence(coin, enc)
         scores = extend_scores(
-            enc.masks, enc.durations, enc.lengths, scores, base, mask, putil
+            enc.masks[rows], enc.durations[rows], enc.lengths[rows],
+            scores, base, mask, putil,
         )
         base = float("-inf")
-        matched, best = summarize_scores(enc, scores)
+        matched, best = summarize_scores(scores)
+        assert not best[~matched].any()
+        found = dict(zip(rows[matched].tolist(), best[matched].tolist()))
         l = LSequence(tuple(chain[:depth]))
         for s, c in enumerate(d.csequences):
             expected = best_match_utility(l, c, d.utilities)
-            assert matched[s] == (expected is not None), (str(l), c.id)
-            assert best[s] == (0.0 if expected is None else expected), (str(l), c.id)
+            assert (s in found) == (expected is not None), (str(l), c.id)
+            assert found.get(s) == expected, (str(l), c.id)
+        rows, scores = rows[matched], scores[matched]
 
 
 def test_kernel_agrees_with_oracle_on_random_data():
@@ -137,3 +145,9 @@ def test_empty_dataset_encoding():
         np.zeros(1, dtype=np.uint64), 0.0,
     )
     assert scores.shape == (0, 0)
+    matched, best = summarize_scores(scores)
+    assert matched.shape == best.shape == (0,)
+    # sequences but no windows at all: none of them is matched
+    matched, best = summarize_scores(np.empty((3, 0)))
+    assert list(matched) == [False] * 3
+    assert list(best) == [0.0] * 3

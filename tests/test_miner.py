@@ -160,9 +160,11 @@ def test_mine_example_candidate_accounting(example_cdata):
         counts[strategy] = stats.candidates_generated
         assert stats.candidates_pruned <= stats.candidates_generated
         assert stats.patterns_found <= stats.candidates_generated - stats.candidates_pruned
-    assert counts[UpperBound.NONE] == 837
-    assert counts[UpperBound.LWU] == 837
-    assert counts[UpperBound.PROJECTED] == 825
+    # a prefix longer than one coincidence tries only the coincidences that
+    # occurred and cleared the weighted bound after its parent
+    assert counts[UpperBound.NONE] == 565
+    assert counts[UpperBound.LWU] == 565
+    assert counts[UpperBound.PROJECTED] == 559
 
 
 def test_mine_single_windows_without_pruning(example_cdata):
@@ -248,6 +250,71 @@ def test_all_strategies_match_the_oracle_with_fractional_utilities():
         for strategy in UpperBound:
             got, _ = mine(d, cfg.with_strategy(strategy))
             assert pattern_set(got) == expected, (i, xi, strategy)
+
+
+def test_fractional_utilities_sum_like_the_oracle_over_many_sequences():
+    """With nine or more sequences a pairwise sum of fractional values can
+    differ from the oracle's left-to-right sum in the last bit, which moves
+    umax and flips a pattern whose value is exactly the threshold."""
+    values = (0.1, 0.2, 0.3, 0.7, 1 / 3, 2.9)
+    rng = random.Random(9)
+    for i in range(60):
+        p = GeneratorParams(
+            seed=rng.randrange(2**31),
+            num_sequences=rng.randint(9, 40),
+            max_intervals_per_seq=rng.randint(1, 5),
+            alphabet_size=rng.randint(1, 3),
+        )
+        es, _ = random_dataset(p)
+        table = UtilityTable({lab: rng.choice(values) for lab in es.labels()})
+        d = transform_dataset(es, table)
+        every = brute_force_mine(d, cfg_at(0.0, 2, 1))
+        if not every:
+            continue
+        xi = rng.choice(every).umax
+        expected = {(key, umax) for key, umax in pattern_set(every) if umax >= xi}
+        for strategy in UpperBound:
+            got, _ = mine(d, cfg_at(xi, 2, 1, strategy))
+            assert pattern_set(got) == expected, (i, xi, strategy)
+
+
+@pytest.mark.parametrize("fractional", [False, True])
+def test_all_strategies_match_the_oracle_at_depth_four(fractional):
+    """K=4, so a depth-4 pattern is tried only if its last coincidence
+    survived under its parent and under its grandparent.
+
+    Each instance is mined at zero, where a candidate that never occurs
+    would be emitted if it were ever visited, at the value of some pattern,
+    and at a random threshold. Inherited lists keep the candidate streams
+    ordered: pdc tries no more than ldc, and ldc no more than none.
+    """
+    values = (0.1, 0.2, 0.3, 0.7, 1 / 3, 2.9)
+    rng = random.Random(44 + fractional)
+    for i in range(40):
+        p = GeneratorParams(
+            seed=rng.randrange(2**31),
+            num_sequences=rng.randint(1, 5),
+            max_intervals_per_seq=rng.randint(2, 7),
+            alphabet_size=rng.randint(2, 3),
+        )
+        es, table = random_dataset(p)
+        if fractional:
+            table = UtilityTable({lab: rng.choice(values) for lab in es.labels()})
+        d = transform_dataset(es, table)
+        z = rng.randint(1, 2)
+        every = brute_force_mine(d, cfg_at(0.0, 4, z))
+        if not every:
+            continue
+        top = max(pt.umax for pt in every)
+        for xi in (0.0, rng.choice(every).umax, rng.uniform(0.0, top)):
+            cfg = cfg_at(xi, 4, z)
+            expected = pattern_set(brute_force_mine(d, cfg))
+            gen = {}
+            for strategy in UpperBound:
+                got, stats = mine(d, cfg.with_strategy(strategy))
+                assert pattern_set(got) == expected, (i, xi, strategy)
+                gen[strategy] = stats.candidates_generated
+            assert gen[UpperBound.PROJECTED] <= gen[UpperBound.LWU] <= gen[UpperBound.NONE]
 
 
 @pytest.mark.parametrize("k, z", [(2, 1), (1, 2)])

@@ -114,7 +114,7 @@ def test_utility_set(cs, example_table):
 def test_max_match_utility(example_cdata):
     enc = encode_dataset(example_cdata)
     scores, _, _ = evaluate(pruning_context(enc, 2), AB)
-    _, best = summarize_scores(enc, scores)
+    _, best = summarize_scores(scores)
     assert list(best) == [13.0, 9.0, 0.0, 0.0]
 
 
@@ -127,7 +127,7 @@ def test_max_match_utility_equals_exhaustive_maximum(example_cdata, example_tabl
         length = rng.randint(1, 3)
         l = LSequence.of(*[rng.sample(labels, rng.randint(1, 2)) for _ in range(length)])
         scores, matched, _ = evaluate(ctx, l)
-        _, best = summarize_scores(enc, scores)
+        _, best = summarize_scores(scores)
         for s, c in enumerate(example_cdata.csequences):
             exhaustive = match_utilities(l, c, example_table)
             assert matched[s] == bool(exhaustive)

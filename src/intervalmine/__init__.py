@@ -3,7 +3,8 @@
 from .model import CSequenceDataset, DataError, ESequenceDataset, UtilityTable
 from .transform import transform_dataset
 from .miner import MiningConfig, MiningStats, Pattern, mine
-from .io import parse_dataset, parse_utilities
+from .io import parse_dataset, parse_utilities, read_intervals
+from .encoding import encode_intervals
 
 __version__ = "0.1.0"
 
@@ -15,8 +16,10 @@ __all__ = [
     "MiningStats",
     "Pattern",
     "UtilityTable",
+    "encode_intervals",
     "mine",
     "parse_dataset",
     "parse_utilities",
+    "read_intervals",
     "transform_dataset",
 ]

@@ -13,10 +13,14 @@ from dataclasses import asdict, replace
 from io import StringIO
 
 from . import oracle
+from .encoding import encode_dataset, encode_intervals, same_encoding
 from .io import (
+    IntervalColumns,
+    dataset_to_string,
     fill_utilities,
     parse_dataset,
     parse_utilities,
+    read_intervals,
     write_dataset,
     write_utilities,
 )
@@ -73,7 +77,12 @@ def _build_parser() -> _Parser:
     )
     p_mine.add_argument("--output", help="write the report here instead of stdout")
     p_mine.add_argument("--format", choices=("json", "table"), default="json")
-    p_mine.add_argument("--threads", type=int, default=1)
+    p_mine.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility (must be >= 1); mining runs on one thread",
+    )
     p_mine.add_argument(
         "--timings",
         action="store_true",
@@ -150,8 +159,8 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_inputs(args) -> tuple[ESequenceDataset, UtilityTable]:
-    dataset = parse_dataset(args.data)
+def _load_inputs(args) -> tuple[IntervalColumns, UtilityTable]:
+    dataset = read_intervals(args.data)
     table = None
     if args.utilities:
         if os.path.exists(args.utilities):
@@ -177,26 +186,21 @@ def _cmd_mine(args) -> int:
         return USAGE_ERROR
     try:
         bounds = [UpperBound.from_name(s) for s in strategies]
-    except ValueError as e:
-        print(f"intervalmine: error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-
-    dataset, table = _load_inputs(args)
-    cdata = transform_dataset(dataset, table)
-    try:
         cfg = MiningConfig(
             xi=args.xi, max_length=args.K, max_size=args.Z, xi_mode=args.xi_mode
         )
     except ValueError as e:
         print(f"intervalmine: error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    total = dataset_utility(cdata)
-    threshold = resolve_threshold(cfg, cdata, total)
+
+    dataset, table = _load_inputs(args)
+    enc = encode_intervals(dataset, table)
+    threshold = resolve_threshold(cfg, enc)
     cfg = replace(cfg, xi=threshold, xi_mode="absolute")
 
     results = {}
     for name, b in zip(strategies, bounds):
-        results[name] = mine(cdata, cfg.with_strategy(b), threads=args.threads)
+        results[name] = mine(enc, cfg.with_strategy(b))
 
     pattern_sets = {
         name: {(_pattern_key(p), p.umax) for p in res[0]}
@@ -226,10 +230,10 @@ def _cmd_mine(args) -> int:
             "threads": args.threads,
         },
         "dataset": {
-            "sequences": len(dataset.sequences),
-            "intervals": sum(len(s.intervals) for s in dataset.sequences),
+            "sequences": len(dataset.ids),
+            "intervals": len(dataset.label),
             "alphabet": list(dataset.labels()),
-            "total_utility": total,
+            "total_utility": enc.total_utility,
         },
         "threshold": threshold,
         "patterns": [
@@ -279,8 +283,9 @@ def _check_instance(dataset, table, cfg: MiningConfig, label: str) -> bool:
         (_pattern_key(p), p.umax) for p in oracle.brute_force_mine(cdata, cfg)
     }
     ok = True
+    enc = encode_dataset(cdata)
     for bound in UpperBound:
-        got_patterns, _ = mine(cdata, cfg.with_strategy(bound), threads=1)
+        got_patterns, _ = mine(enc, cfg.with_strategy(bound))
         got = {(_pattern_key(p), p.umax) for p in got_patterns}
         if got != expected:
             print(
@@ -318,7 +323,14 @@ def _cmd_check(args) -> int:
         xi_abs = rng.uniform(0.0, dataset_utility(cdata))
         cfg = MiningConfig(xi=xi_abs, max_length=rng.randint(1, 3), max_size=rng.randint(1, 2))
         checks += 1
-        if not _check_instance(ds, tab, cfg, f"random #{i}"):
+        # the mining path's array ingest must encode the written file as
+        # the object model does
+        columns = read_intervals(StringIO(dataset_to_string(ds)))
+        ingested = same_encoding(encode_intervals(columns, tab), encode_dataset(cdata))
+        if not ingested:
+            print(f"check random #{i}: array ingest differs from the object encoding",
+                  file=sys.stderr)
+        if not (_check_instance(ds, tab, cfg, f"random #{i}") and ingested):
             failures += 1
 
     if failures:

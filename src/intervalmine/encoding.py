@@ -1,10 +1,19 @@
-"""Array encoding of a coincidence dataset for the match kernels.
+"""Array encoding of a dataset for the match kernels.
 
 Coincidences become bitmasks over the dataset alphabet (multiple uint64
 words when the alphabet exceeds 64 labels), sequences become padded rows of
 a 3-d mask array, and the per-sequence top-k eventset utility sums are
 precomputed as padded prefix rows so every weighted-utilization lookup is a
 single indexed sum.
+
+`encode_intervals` builds the arrays straight from interval columns;
+`encode_dataset` encodes the object model's windowed form. Both hand the
+windows to one array builder, so both give bit-identical arrays. The
+builder adds a window's label utilities in ascending label order, and the
+eventset utilities of a sequence and then the sequences' totals left to
+right: the order of the object model's `sum()` calls, which keeps
+`total_utility` and relative thresholds bit-identical with fractional
+utilities.
 """
 from __future__ import annotations
 
@@ -12,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Coincidence, CSequenceDataset
+from .io import IntervalColumns
+from .model import Coincidence, CSequenceDataset, DataError, UtilityTable
+
+# Ceiling on the bytes of `masks`, `durations` and `topk`, checked before
+# they are allocated.
+MAX_ARRAY_BYTES = 4 * 2**30
 
 
 @dataclass(frozen=True)
@@ -24,6 +38,7 @@ class EncodedDataset:
     lengths: np.ndarray     # int64 [n]
     topk: np.ndarray        # float64 [n, cap+1]; column k = top-k eventset mass
     label_utility: np.ndarray  # float64 [len(labels)]
+    total_utility: float    # summed eventset utility of the dataset
 
     @property
     def n_sequences(self) -> int:
@@ -38,45 +53,138 @@ class EncodedDataset:
         return int(self.masks.shape[2])
 
 
+def encode_intervals(cols: IntervalColumns, table: UtilityTable) -> EncodedDataset:
+    """Windows and encoding of interval columns, all sequences at once."""
+    # two calls, so that the windowing temporaries are freed before the
+    # arrays are allocated
+    return _assemble(cols.alphabet, table, *_interval_windows(cols))
+
+
+def _interval_windows(cols: IntervalColumns):
+    """(lengths, durations, pair_window, label_start) of the coincidence
+    windows of every sequence, in the form `_assemble` takes.
+
+    The distinct (sequence, time) endpoints, in order, are the global
+    points; window w of the dataset runs from point w + s to the next point,
+    s being its sequence's index, as every sequence has one point more than
+    windows. An interval covers the windows from its begin point up to its
+    finish point. Overlapping intervals of one label are merged first, so
+    every covered (window, label) pair is listed once.
+    """
+    m = len(cols.label)
+    seq = np.concatenate((cols.sequence, cols.sequence))
+    time = np.concatenate((cols.begin, cols.finish))
+    order = np.lexsort((time, seq))
+    seq, time = seq[order], time[order]
+    new = np.ones(2 * m, dtype=bool)
+    new[1:] = (seq[1:] != seq[:-1]) | (time[1:] != time[:-1])
+    point = np.empty(2 * m, dtype=np.int64)
+    point[order] = np.cumsum(new) - 1
+    seq, time = seq[new], time[new]
+    lengths = np.bincount(seq, minlength=len(cols.ids)) - 1
+    durations = np.diff(time)[seq[1:] == seq[:-1]]
+
+    first = point[:m] - cols.sequence
+    stop = point[m:] - cols.sequence
+    # sorted by label, then window: a label's intervals in different
+    # sequences cover disjoint window ranges, in sequence order
+    order = np.lexsort((first, cols.label))
+    label, first, stop = cols.label[order], first[order], stop[order]
+    # a running maximum of the stops that restarts at each label: offset
+    # every label's windows past the previous label's
+    offset = label * (len(durations) + 1)
+    reach = np.maximum.accumulate(stop + offset)
+    starts = np.ones(m, dtype=bool)
+    starts[1:] = first[1:] + offset[1:] >= reach[:-1]
+    head = np.flatnonzero(starts)
+    tail = np.append(head[1:], m)[: len(head)] - 1
+    seg_label, seg_first = label[head], first[head]
+    seg_len = reach[tail] - offset[head] - seg_first
+    ends = np.cumsum(seg_len)
+    pair_window = np.repeat(seg_first - (ends - seg_len), seg_len) + np.arange(seg_len.sum())
+    label_start = np.append(0, ends)[np.searchsorted(seg_label, np.arange(len(cols.alphabet) + 1))]
+    return lengths, durations, pair_window, label_start
+
+
 def encode_dataset(d: CSequenceDataset) -> EncodedDataset:
+    """Encoding of the windowed object model (the reference path)."""
     labels = d.labels()
     label_bit = {lab: i for i, lab in enumerate(labels)}
+    lengths = np.array([len(c.eventsets) for c in d.csequences], dtype=np.int64)
+    durations = [es.duration for c in d.csequences for es in c.eventsets]
+    pairs = [
+        (label_bit[lab], w)
+        for w, es in enumerate(es for c in d.csequences for es in c.eventsets)
+        for lab in es.coincidence
+    ]
+    pairs.sort()
+    pair_label = np.array([b for b, _ in pairs], dtype=np.int64)
+    pair_window = np.array([w for _, w in pairs], dtype=np.int64)
+    label_start = np.searchsorted(pair_label, np.arange(len(labels) + 1))
+    return _assemble(labels, d.utilities, lengths, durations, pair_window, label_start)
+
+
+def _assemble(labels, table, lengths, durations, pair_window, label_start) -> EncodedDataset:
+    """The encoding of windows given per sequence `lengths`, the windows'
+    `durations` in sequence order, and the covered (window, label) pairs as
+    window indices grouped by label: label b covers the windows
+    `pair_window[label_start[b]:label_start[b + 1]]`, each once.
+    """
+    n = len(lengths)
+    cap = int(lengths.max()) if n else 0
     words = max(1, (len(labels) + 63) // 64)
-    n = len(d.csequences)
-    cap = max((len(c.eventsets) for c in d.csequences), default=0)
+    need = 8 * n * (cap * words + cap + cap + 1)  # masks, durations, topk
+    if need > MAX_ARRAY_BYTES:
+        raise DataError(
+            f"the encoded dataset needs {need / 1e6:.1f} MB ({need} bytes for {n} sequences "
+            f"x {cap} windows x {words} mask words), over the limit of {MAX_ARRAY_BYTES} bytes"
+        )
+    label_utility = np.array([table.utility(lab) for lab in labels], dtype=np.float64)
+    row_start = np.cumsum(lengths) - lengths
+    cell = np.arange(len(durations)) + np.repeat(np.arange(n) * cap - row_start, lengths)
 
     masks = np.zeros((n, cap, words), dtype=np.uint64)
-    durations = np.zeros((n, cap), dtype=np.float64)
-    lengths = np.zeros(n, dtype=np.int64)
+    cell_masks = masks.reshape(n * cap, words)
+    flat_durations = np.zeros(n * cap, dtype=np.float64)
+    flat_durations[cell] = durations
+    # label utilities of each window, added in ascending label order
+    mass = np.zeros(n * cap, dtype=np.float64)
+    for bit in range(len(labels)):
+        covered = cell[pair_window[label_start[bit] : label_start[bit + 1]]]
+        cell_masks[covered, bit >> 6] |= np.uint64(1 << (bit & 63))
+        mass[covered] += label_utility[bit]
+    # the sums below write into buffers already allocated
+    eventset_utility = np.multiply(mass, flat_durations, out=mass).reshape(n, cap)
+
+    # budgets beyond a row's length take everything: its padding adds 0
     topk = np.zeros((n, cap + 1), dtype=np.float64)
-
-    for s, cseq in enumerate(d.csequences):
-        lengths[s] = len(cseq.eventsets)
-        es_utils = []
-        for j, es in enumerate(cseq.eventsets):
-            for lab in es.coincidence:
-                bit = label_bit[lab]
-                masks[s, j, bit // 64] |= np.uint64(1) << np.uint64(bit % 64)
-            durations[s, j] = es.duration
-            es_utils.append(
-                sum(d.utilities.utility(lab) for lab in es.coincidence) * es.duration
-            )
-        es_utils.sort(reverse=True)
-        acc = 0.0
-        for k, u in enumerate(es_utils, start=1):
-            acc += u
-            topk[s, k] = acc
-        topk[s, len(es_utils) + 1 :] = acc  # budgets beyond |C| take everything
-
-    label_utility = np.array([d.utilities.utility(lab) for lab in labels], dtype=np.float64)
+    ranked = np.sort(eventset_utility, axis=1)
+    np.cumsum(ranked[:, ::-1], axis=1, out=topk[:, 1:])
+    per_sequence = np.cumsum(eventset_utility, axis=1, out=ranked)[:, -1] if cap else np.zeros(n)
+    total = float(np.cumsum(per_sequence)[-1]) if n else 0.0
     return EncodedDataset(
-        labels=labels,
-        label_bit=label_bit,
+        labels=tuple(labels),
+        label_bit={lab: i for i, lab in enumerate(labels)},
         masks=masks,
-        durations=durations,
-        lengths=lengths,
+        durations=flat_durations.reshape(n, cap),
+        lengths=np.asarray(lengths, dtype=np.int64),
         topk=topk,
         label_utility=label_utility,
+        total_utility=total,
+    )
+
+
+def same_encoding(a: EncodedDataset, b: EncodedDataset) -> bool:
+    """Whether two encodings have the same labels and bit-identical arrays
+    and total utility."""
+    arrays = ("masks", "durations", "lengths", "topk", "label_utility")
+    return (
+        a.labels == b.labels
+        and float(a.total_utility).hex() == float(b.total_utility).hex()
+        and all(
+            x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+            for x, y in ((getattr(a, f), getattr(b, f)) for f in arrays)
+        )
     )
 
 

@@ -3,13 +3,21 @@
 Dataset lines are `sequence_id  label  begin  finish`, tab or space
 separated, one interval per line; `#` starts a comment and blank lines are
 skipped. Utility lines are `label  value`.
+
+`read_intervals` reads a dataset into columns for the mining path;
+`parse_dataset` builds the object model and is the reference that names
+the first offending line of malformed input for both.
 """
 from __future__ import annotations
 
 import io as _io
+import itertools
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
+
+import numpy as np
 
 from .model import (
     DataError,
@@ -34,6 +42,10 @@ def _data_lines(handle: IO[str]):
         yield lineno, line
 
 
+# Ids and times are stored as int64 on the mining path.
+INT64_MAX = 2**63 - 1
+
+
 def parse_dataset(source) -> ESequenceDataset:
     """Parse interval lines into a dataset, grouping by sequence id."""
     handle, owned = _open_lines(source)
@@ -53,6 +65,8 @@ def parse_dataset(source) -> ESequenceDataset:
                 raise DataError(f"line {lineno}: id and times must be integers") from None
             if sid < 1:
                 raise DataError(f"line {lineno}: sequence id must be a positive integer: {sid}")
+            if max(sid, begin, finish) > INT64_MAX:
+                raise DataError(f"line {lineno}: id and times must be below 2**63")
             key = (sid, label, begin, finish)
             if key in seen:
                 raise DataError(f"line {lineno}: duplicate interval {key}")
@@ -69,6 +83,74 @@ def parse_dataset(source) -> ESequenceDataset:
         ESequence(id=sid, intervals=tuple(per_seq[sid])) for sid in sorted(per_seq)
     )
     return ESequenceDataset(sequences)
+
+
+@dataclass(frozen=True)
+class IntervalColumns:
+    """A dataset as columns, one entry per interval in file order.
+
+    `alphabet` is the distinct labels in Python's sort order, `ids` the
+    distinct sequence ids ascending. An interval's `sequence` is the index
+    of its id in `ids` and its `label` the index of its label in `alphabet`.
+    """
+
+    alphabet: tuple[str, ...]
+    ids: np.ndarray       # int64 [n]
+    sequence: np.ndarray  # int64 [m]
+    label: np.ndarray     # int64 [m]
+    begin: np.ndarray     # int64 [m]
+    finish: np.ndarray    # int64 [m]
+
+    def labels(self) -> tuple[str, ...]:
+        return self.alphabet
+
+
+def read_intervals(source) -> IntervalColumns:
+    """The dataset in `source` as columns, with every check of
+    `parse_dataset` run on whole columns.
+
+    Integers are converted with `int()`, as `parse_dataset` does. When any
+    check fails, `parse_dataset` reparses the text to raise the error of
+    the first offending line.
+    """
+    handle, owned = _open_lines(source)
+    try:
+        text = handle.read()
+    finally:
+        if owned:
+            handle.close()
+    # a StringIO yields the lines one at a time, split at "\n" only
+    rows = [p for p in map(str.split, _io.StringIO(text)) if p and not p[0].startswith("#")]
+    if any(map((4).__ne__, map(len, rows))):
+        _raise_first_error(text)
+    # each list goes as soon as the next one holds its strings, which
+    # lowers the peak memory of a large file
+    tokens = list(itertools.chain.from_iterable(rows))
+    del rows
+    sid_s, label_s, begin_s, finish_s = (tokens[k::4] for k in range(4))
+    del tokens
+    try:
+        sid, begin, finish = (
+            np.array(list(map(int, col)), dtype=np.int64) for col in (sid_s, begin_s, finish_s)
+        )
+    except (ValueError, OverflowError):
+        _raise_first_error(text)
+    alphabet = tuple(sorted(set(label_s)))
+    index = {lab: i for i, lab in enumerate(alphabet)}
+    label = np.fromiter(map(index.__getitem__, label_s), dtype=np.int64, count=len(label_s))
+    if (sid < 1).any() or (begin < 0).any() or (begin >= finish).any():
+        _raise_first_error(text)
+    order = np.lexsort((finish, begin, label, sid))
+    keys = np.stack((sid, label, begin, finish))[:, order]
+    if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
+        _raise_first_error(text)
+    ids, sequence = np.unique(sid, return_inverse=True)
+    return IntervalColumns(alphabet, ids, sequence.astype(np.int64), label, begin, finish)
+
+
+def _raise_first_error(text: str):
+    parse_dataset(_io.StringIO(text))
+    raise AssertionError("read_intervals rejected a dataset that parse_dataset accepts")
 
 
 def parse_utilities(source) -> UtilityTable:
@@ -98,7 +180,7 @@ def parse_utilities(source) -> UtilityTable:
 
 
 def fill_utilities(
-    d: ESequenceDataset, table: UtilityTable | None, default: float | None
+    d: ESequenceDataset | IntervalColumns, table: UtilityTable | None, default: float | None
 ) -> UtilityTable:
     """Complete the table over the dataset's alphabet, or fail loudly."""
     if default is not None and not math.isfinite(default):

@@ -26,12 +26,10 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import utility
 from .encoding import (
     EncodedDataset,
     empty_prefix_scores,
@@ -82,20 +80,12 @@ class MiningStats:
     patterns_found: int = 0
     elapsed_ms: float = 0.0
 
-    def merge(self, other: "MiningStats") -> None:
-        self.candidates_generated += other.candidates_generated
-        self.candidates_pruned += other.candidates_pruned
-        self.patterns_found += other.patterns_found
 
-
-def resolve_threshold(
-    cfg: MiningConfig, d: CSequenceDataset, total: float | None = None
-) -> float:
-    """Absolute threshold; relative mode scales the dataset's total utility
-    (`total`, when the caller has it already)."""
+def resolve_threshold(cfg: MiningConfig, enc: EncodedDataset) -> float:
+    """Absolute threshold; relative mode scales the dataset's total utility."""
     if cfg.xi_mode == "absolute":
         return cfg.xi
-    return cfg.xi * (utility.dataset_utility(d) if total is None else total)
+    return cfg.xi * enc.total_utility
 
 
 # A bound and the utility it covers add the same window utilities in
@@ -244,7 +234,7 @@ def _visit(
     rows: np.ndarray,
     scores: np.ndarray,
     umax: float,
-    full: float | None,
+    bound: float | None,
     limit: float,
     cands: list[_Candidate],
     out: list[Pattern],
@@ -253,12 +243,15 @@ def _visit(
     """Bound, prune, emit and grow the pattern `prefix`; False if pruned.
 
     The prefix occurs in the sequences `rows`, with score rows `scores` on
-    them and weighted bound `full` (None if not computed yet). `limit` is the tightest bound seen
-    along the chain so far; a bound established for a prefix also covers
-    everything grown from it, so the effective bound can only decrease down
-    the tree. `cands` are the coincidences worth appending.
+    them and strategy bound `bound` (None if not computed yet). `limit` is
+    the tightest bound seen along the chain so far; a bound established for
+    a prefix also covers everything grown from it, so the effective bound
+    can only decrease down the tree. `cands` are the coincidences worth
+    appending.
     """
-    bound = min(limit, _bound(ctx, rows, umax, len(prefix), full))
+    if bound is None:
+        bound = _bound(ctx, rows, umax, len(prefix))
+    bound = min(limit, bound)
     if not _promising(ctx, bound):
         return False
     if umax >= ctx.xi_abs:
@@ -282,17 +275,19 @@ def _grow(
     depth-first.
 
     The kernel runs only on the sequences the prefix occurs in. A child
-    inherits the candidates c for which prefix+c occurred and cleared the
-    weighted bound: a pattern grown from prefix+x+c is a supersequence of
-    prefix+c, so it occurs in no sequence prefix+c misses, and the weighted
-    bound only shrinks with the set of sequences it sums over. The filter
-    is the weighted bound for every strategy, so `pdc` and `ldc` try the
-    same candidates and differ only in which children they prune. Children
-    at the length cap grow nothing, so they skip the filter and are left to
-    their strategy's bound.
+    inherits the candidates c for which prefix+c occurred and cleared its
+    strategy's bound. A pattern grown from prefix+x that appends c is a
+    supersequence of prefix+c, so it occurs in no sequence prefix+c misses,
+    and the weighted bound only shrinks with the set of sequences it sums
+    over. Under `pdc` the filter is prefix+c's own bound: each of the at
+    most K - |prefix+c| coincidences such a pattern has beyond prefix+c
+    matches its own window, worth at most that window's eventset mass.
+    Children at the length cap grow nothing, so they skip the filter and
+    are left to their strategy's bound.
     """
     arrays = _project(ctx.enc, rows)
-    inherits = len(prefix) + 1 < ctx.cfg.max_length
+    depth = len(prefix) + 1
+    inherits = depth < ctx.cfg.max_length
     children = []
     for cand in cands:
         stats.candidates_generated += 1
@@ -302,54 +297,44 @@ def _grow(
         if not child_rows.size:
             stats.candidates_pruned += 1
             continue
-        full = _weighted_bound(ctx, child_rows) if inherits else None
-        if full is None or _promising(ctx, full):
-            children.append((cand, child_rows, scores, umax, full))
+        bound = _bound(ctx, child_rows, umax, depth) if inherits else None
+        if bound is None or _promising(ctx, bound):
+            children.append((cand, child_rows, scores, umax, bound))
         else:
             stats.candidates_pruned += 1
     inherited = [child[0] for child in children]
-    for cand, child_rows, scores, umax, full in children:
+    for cand, child_rows, scores, umax, bound in children:
         prefix.append(cand.coincidence)
-        if not _visit(ctx, prefix, child_rows, scores, umax, full, limit,
+        if not _visit(ctx, prefix, child_rows, scores, umax, bound, limit,
                       inherited, out, stats):
             stats.candidates_pruned += 1
         prefix.pop()
 
 
-def _mine_root(ctx: _Context, root: _Candidate) -> tuple[list[Pattern], MiningStats]:
-    out: list[Pattern] = []
-    stats = MiningStats()
-    _visit(ctx, [root.coincidence], root.rows, root.scores, root.umax, root.full,
+def _mine_root(ctx: _Context, root: _Candidate, out: list[Pattern], stats: MiningStats) -> None:
+    bound = _bound(ctx, root.rows, root.umax, 1, root.full)
+    _visit(ctx, [root.coincidence], root.rows, root.scores, root.umax, bound,
            math.inf, ctx.vocab, out, stats)
-    return out, stats
 
 
 def mine(
-    d: CSequenceDataset, cfg: MiningConfig, threads: int = 1
+    data: EncodedDataset | CSequenceDataset, cfg: MiningConfig
 ) -> tuple[list[Pattern], MiningStats]:
     """All patterns within the length/size caps whose utility meets xi.
 
-    The emitted set is identical for every strategy; bounds only control
-    how much of the candidate space is visited. Root subtrees may be mined
-    by a thread pool; output order is canonical regardless of scheduling.
+    `data` is an encoding, or a windowed dataset to encode first. The
+    emitted set is identical for every strategy; bounds only control how
+    much of the candidate space is visited.
     """
     start = time.perf_counter()
+    enc = data if isinstance(data, EncodedDataset) else encode_dataset(data)
     stats = MiningStats()
-    xi_abs = resolve_threshold(cfg, d)
-    ctx = _Context(enc=encode_dataset(d), cfg=cfg, xi_abs=xi_abs)
+    ctx = _Context(enc=enc, cfg=cfg, xi_abs=resolve_threshold(cfg, enc))
     _build_vocabulary(ctx, stats)
 
     patterns: list[Pattern] = []
-    if threads > 1 and len(ctx.vocab) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for sub, substats in pool.map(lambda r: _mine_root(ctx, r), ctx.vocab):
-                patterns.extend(sub)
-                stats.merge(substats)
-    else:
-        for root in ctx.vocab:
-            sub, substats = _mine_root(ctx, root)
-            patterns.extend(sub)
-            stats.merge(substats)
+    for root in ctx.vocab:
+        _mine_root(ctx, root, patterns, stats)
 
     patterns.sort(key=lambda p: lsequence_sort_key(p.lsequence))
     stats.patterns_found = len(patterns)

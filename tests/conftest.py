@@ -1,5 +1,6 @@
 """Shared fixtures: the running example dataset and its windowed form,
-and helpers that drive the miner's own scoring and bound code."""
+helpers that drive the miner's own scoring and bound code, and the
+per-window reference encoder the array builder is checked against."""
 import io
 import random
 
@@ -7,13 +8,18 @@ import numpy as np
 import pytest
 
 from intervalmine import miner
-from intervalmine.encoding import empty_prefix_scores, encode_coincidence, encode_dataset
+from intervalmine.encoding import (
+    EncodedDataset,
+    empty_prefix_scores,
+    encode_coincidence,
+    encode_dataset,
+)
 from intervalmine.io import parse_dataset
 from intervalmine.miner import MiningConfig
 from intervalmine.model import ESequence, ESequenceDataset, EventInterval, UtilityTable
 from intervalmine.oracle import EXAMPLE_DATA, EXAMPLE_UTILITIES
 from intervalmine.transform import transform_dataset
-from intervalmine.utility import UpperBound
+from intervalmine.utility import UpperBound, dataset_utility
 
 
 @pytest.fixture(scope="session")
@@ -73,8 +79,53 @@ def vocabulary(d, cfg, xi_abs):
     return [v.coincidence for v in ctx.vocab], stats
 
 
-def wide_dataset(seed, alphabet):
-    """A dataset whose alphabet needs more than one 64-bit mask word."""
+def reference_encoding(d):
+    """The encoding of d built window by window from the object model, with
+    the total from `dataset_utility`."""
+    labels = d.labels()
+    label_bit = {lab: i for i, lab in enumerate(labels)}
+    words = max(1, (len(labels) + 63) // 64)
+    n = len(d.csequences)
+    cap = max((len(c.eventsets) for c in d.csequences), default=0)
+
+    masks = np.zeros((n, cap, words), dtype=np.uint64)
+    durations = np.zeros((n, cap), dtype=np.float64)
+    lengths = np.zeros(n, dtype=np.int64)
+    topk = np.zeros((n, cap + 1), dtype=np.float64)
+    for s, cseq in enumerate(d.csequences):
+        lengths[s] = len(cseq.eventsets)
+        es_utils = []
+        for j, es in enumerate(cseq.eventsets):
+            for lab in es.coincidence:
+                bit = label_bit[lab]
+                masks[s, j, bit // 64] |= np.uint64(1) << np.uint64(bit % 64)
+            durations[s, j] = es.duration
+            es_utils.append(
+                sum(d.utilities.utility(lab) for lab in es.coincidence) * es.duration
+            )
+        es_utils.sort(reverse=True)
+        acc = 0.0
+        for k, u in enumerate(es_utils, start=1):
+            acc += u
+            topk[s, k] = acc
+        topk[s, len(es_utils) + 1 :] = acc  # budgets beyond |C| take everything
+
+    label_utility = np.array([d.utilities.utility(lab) for lab in labels], dtype=np.float64)
+    return EncodedDataset(
+        labels=labels,
+        label_bit=label_bit,
+        masks=masks,
+        durations=durations,
+        lengths=lengths,
+        topk=topk,
+        label_utility=label_utility,
+        total_utility=float(dataset_utility(d)),
+    )
+
+
+def wide_intervals(seed, alphabet):
+    """Intervals and utility table over an alphabet that needs more than
+    one 64-bit mask word."""
     rng = random.Random(seed)
     labels = [f"L{i:03d}" for i in range(alphabet)]
     seqs = []
@@ -90,7 +141,12 @@ def wide_dataset(seed, alphabet):
     if chunk:
         seqs.append(ESequence(id=sid + 1, intervals=tuple(chunk)))
     table = UtilityTable({lab: float(rng.randint(0, 6)) for lab in labels})
-    return transform_dataset(ESequenceDataset(tuple(seqs)), table)
+    return ESequenceDataset(tuple(seqs)), table
+
+
+def wide_dataset(seed, alphabet):
+    """The windowed form of `wide_intervals`."""
+    return transform_dataset(*wide_intervals(seed, alphabet))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from intervalmine import cli, encoding, miner
 from intervalmine.cli import DATA_ERROR, USAGE_ERROR, main
 
 from conftest import EXAMPLE_DATA
@@ -89,6 +90,15 @@ def test_threads_below_one_is_usage_error(capsys, data_file, utility_file):
         assert "--threads" in err
 
 
+def test_usage_errors_are_reported_before_reading_the_data(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "mine", "--data", str(tmp_path / "missing.tsv"), "--default-utility", "1",
+        "--xi", "-1", "-K", "0", "-Z", "1",
+    )
+    assert code == USAGE_ERROR
+    assert "missing.tsv" not in err
+
+
 def test_non_finite_default_utility_is_data_error(capsys, data_file, utility_file):
     # whether the default fills gaps or goes unused, it must not reach the report
     for table in ((), ("--utilities", utility_file)):
@@ -150,6 +160,19 @@ def test_incomplete_utility_table_is_data_error(capsys, data_file, tmp_path):
     )
     assert code == DATA_ERROR
     assert "'B'" in err
+
+
+def test_arrays_over_the_memory_ceiling_are_a_data_error(
+    capsys, monkeypatch, data_file, utility_file
+):
+    # the running example needs 4 x (8 x 1 + 8 + 9) float64/uint64 cells
+    monkeypatch.setattr(encoding, "MAX_ARRAY_BYTES", 799)
+    code, out, err = run(capsys, *mine_args(data_file, utility_file))
+    assert code == DATA_ERROR
+    assert out == ""
+    assert "800 bytes for 4 sequences x 8 windows x 1 mask words" in err
+    monkeypatch.setattr(encoding, "MAX_ARRAY_BYTES", 800)
+    assert run(capsys, *mine_args(data_file, utility_file))[0] == 0
 
 
 # --- mining reports -----------------------------------------------------------
@@ -242,6 +265,25 @@ def test_benchmark_compares_strategies(capsys, data_file, utility_file):
     assert set(report["stats"]) == {"none", "ldc", "pdc"}
     gen = {k: v["candidates_generated"] for k, v in report["stats"].items()}
     assert gen["pdc"] <= gen["ldc"] <= gen["none"]
+
+
+def test_benchmark_encodes_the_input_once(capsys, monkeypatch, data_file, utility_file):
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(cli, "encode_intervals", counting(cli.encode_intervals))
+    monkeypatch.setattr(miner, "encode_dataset", counting(miner.encode_dataset))
+    code, _, _ = run(
+        capsys,
+        *mine_args(data_file, utility_file, "--strategy", "none,ldc,pdc", "--benchmark"),
+    )
+    assert code == 0
+    assert calls == ["encode_intervals"]
 
 
 def test_relative_threshold_report(capsys, data_file, utility_file):

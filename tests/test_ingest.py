@@ -1,0 +1,197 @@
+"""Array ingest: `read_intervals` and `encode_intervals` against the object
+path (`parse_dataset`, `transform_dataset` and the per-window reference
+encoder), bit for bit, and the same error for malformed input."""
+import io
+import random
+
+import pytest
+
+from intervalmine.encoding import (
+    _interval_windows,
+    encode_dataset,
+    encode_intervals,
+    same_encoding,
+)
+from intervalmine.io import dataset_to_string, parse_dataset, read_intervals
+from intervalmine.model import DataError, UtilityTable
+from intervalmine.oracle import EXAMPLE_DATA, GeneratorParams, random_dataset
+from intervalmine.transform import transform_dataset
+
+from conftest import reference_encoding, wide_intervals
+
+FRACTIONS = (0.1, 0.2, 0.3, 0.7, 1 / 3, 2.9)
+
+
+def assert_matches_object_path(text, table):
+    """The array ingest of text equals the object path's encoding, and the
+    object model's adapter onto the array builder agrees too."""
+    cdata = transform_dataset(parse_dataset(io.StringIO(text)), table)
+    got = encode_intervals(read_intervals(io.StringIO(text)), table)
+    assert same_encoding(got, reference_encoding(cdata))
+    assert same_encoding(encode_dataset(cdata), got)
+    return got
+
+
+def fractional_table(labels, rng):
+    return UtilityTable({lab: rng.choice(FRACTIONS) for lab in labels})
+
+
+def shuffled_text(rng, sequences, labels):
+    """Intervals in random line order under scattered sequence ids, with
+    comments and blank lines between them."""
+    lines, seen = [], set()
+    for sid in rng.sample(range(1, 10**6), sequences):
+        for _ in range(rng.randint(1, 8)):
+            begin = rng.randrange(0, 30)
+            row = (sid, rng.choice(labels), begin, begin + rng.randint(1, 8))
+            if row not in seen:
+                seen.add(row)
+                lines.append(" \t".join(map(str, row)))
+    rng.shuffle(lines)
+    lines[len(lines) // 2 : len(lines) // 2] = ["# comment", "", "   "]
+    return "\n".join(lines) + "\n"
+
+
+def test_random_instances_match_the_object_path():
+    rng = random.Random(606)
+    for i in range(120):
+        es, table = random_dataset(GeneratorParams(
+            seed=rng.randrange(2**31),
+            num_sequences=rng.randint(1, 12),
+            max_intervals_per_seq=rng.randint(1, 9),
+            alphabet_size=rng.randint(1, 6),
+            max_time=rng.randint(1, 30),
+            max_duration=rng.randint(1, 8),
+        ))
+        if i % 2:
+            table = fractional_table(es.labels(), rng)
+        assert_matches_object_path(dataset_to_string(es), table)
+
+
+def test_fractional_tables_over_many_sequences_sum_like_the_object_path():
+    """Up to 40 sequences, where the order of the sums shows in the last bits."""
+    rng = random.Random(4040)
+    for _ in range(60):
+        labels = [chr(ord("A") + k) for k in range(rng.randint(1, 8))]
+        text = shuffled_text(rng, rng.randint(9, 40), labels)
+        got = assert_matches_object_path(text, fractional_table(labels, rng))
+        assert got.total_utility > 0
+
+
+def test_wide_alphabet_matches_the_object_path():
+    es, table = wide_intervals(7, 130)
+    got = assert_matches_object_path(dataset_to_string(es), table)
+    assert got.words == 3
+
+
+@pytest.mark.parametrize("text", [
+    # overlapping, nested and touching intervals of one label
+    "1 A 0 5\n1 A 3 8\n1 A 1 2\n1 A 8 9\n1 B 2 4\n2 A 0 4\n2 A 0 9\n",
+    # a NUL-terminated label is a label of its own
+    "1 A\x00 0 3\n1 A 1 4\n2 A\x00 2 3\n",
+    # one interval per sequence
+    "3 C 5 6\n1 A 0 1\n2 B 7 100\n",
+    "1 A 0 1\n",
+    EXAMPLE_DATA,
+])
+def test_edge_cases_match_the_object_path(text):
+    labels = parse_dataset(io.StringIO(text)).labels()
+    assert_matches_object_path(text, fractional_table(labels, random.Random(1)))
+    assert_matches_object_path(text, UtilityTable(dict.fromkeys(labels, 2.0)))
+
+
+def test_overlapping_intervals_of_one_label_list_each_window_once():
+    """Merged before the windows are listed, so nested and chained
+    intervals of one label cost one (window, label) pair per window."""
+    text = "".join(f"1 A {k} {40 - k}\n" for k in range(20)) + "1 B 5 6\n2 A 0 3\n2 A 2 9\n"
+    lengths, _, pair_window, label_start = _interval_windows(read_intervals(io.StringIO(text)))
+    assert list(lengths) == [39, 3]
+    a_windows = pair_window[label_start[0] : label_start[1]]
+    assert sorted(a_windows) == list(range(39 + 3))
+    assert list(pair_window[label_start[1] : label_start[2]]) == [5]
+
+
+@pytest.mark.parametrize("text", ["", "# nothing here\n\n"])
+def test_empty_file_matches_the_object_path(text):
+    got = assert_matches_object_path(text, UtilityTable({}))
+    assert got.n_sequences == 0 and got.total_utility == 0.0
+
+
+def test_columns_keep_file_order_and_sorted_ids():
+    cols = read_intervals(io.StringIO("9 B 1 3\n2 A\x00 0 4\n9 A 2 5\n"))
+    assert cols.alphabet == ("A", "A\x00", "B")
+    assert list(cols.ids) == [2, 9]
+    assert list(cols.sequence) == [1, 0, 1]
+    assert list(cols.label) == [2, 1, 0]
+    assert list(cols.begin) == [1, 0, 2] and list(cols.finish) == [3, 4, 5]
+
+
+# --- malformed input ----------------------------------------------------------
+
+INT64_OVER = str(2**63)
+
+MALFORMED = [
+    # every case of test_io and test_cli
+    "1 A 12 6\n",
+    "1 A 0 3\n1 A 0\n",
+    "one A 0 3\n",
+    "0 A 1 2\n",
+    "-3 A 1 2\n",
+    "1 A 0 3\n1 A 0 3\n",
+    # more faults of one kind
+    "1 A 3 3\n",
+    "1 A -1 3\n",
+    "1 A 0 3 4\n",
+    "1 A 0 -3\n",
+    # two faults on different lines: the first line wins
+    "1 A 0 3\n2 B 5 2\n1 A 0 3\n",
+    "1 A 0 3\n1 A 0 3\n2 B x 4\n",
+    "1 A 0 3\n2 B x 4\n1 A 0 3\n1 A 0 3\n",
+    "2 B 4 5\n0 A 1 2\n2 B 4\n",
+    # values that do not fit in int64
+    f"1 A 0 {INT64_OVER}\n",
+    f"{INT64_OVER} A 0 3\n",
+    f"1 A -{INT64_OVER}0 3\n",
+    f"1 A 5 3\n1 A 0 {INT64_OVER}\n",
+]
+
+
+def outcome(parse, text):
+    try:
+        parse(io.StringIO(text))
+    except DataError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_input_gets_the_same_error_from_both_parsers(text):
+    expected = outcome(parse_dataset, text)
+    assert expected is not None and expected.startswith("line ")
+    assert outcome(read_intervals, text) == expected
+
+
+@pytest.mark.parametrize("token", ["+3", "1_0", "٣", "0x1", "1e3"])
+@pytest.mark.parametrize("field", [0, 2, 3])
+def test_integer_tokens_parse_as_int_does(token, field):
+    row = ["1", "A", "0", "20"]
+    row[field] = token
+    text = "1 B 1 2\n" + " ".join(row) + "\n"
+    expected = outcome(parse_dataset, text)
+    assert outcome(read_intervals, text) == expected
+    if expected is None:
+        assert_matches_object_path(text, UtilityTable({"A": 0.7, "B": 1 / 3}))
+
+
+def test_int64_overflow_names_its_line():
+    with pytest.raises(DataError, match="line 2: id and times must be below 2\\*\\*63"):
+        parse_dataset(io.StringIO(f"1 A 0 3\n1 A 0 {INT64_OVER}\n"))
+    # the largest int64 still parses
+    cols = read_intervals(io.StringIO(f"1 A 0 {2**63 - 1}\n"))
+    assert cols.finish[0] == 2**63 - 1
+
+
+def test_missing_file_fails_in_both_parsers(tmp_path):
+    for parse in (parse_dataset, read_intervals):
+        with pytest.raises(FileNotFoundError):
+            parse(tmp_path / "absent.tsv")

@@ -1,13 +1,13 @@
 """Miner behavior: correctness against the oracle, pruning accounting,
-threading determinism, and the threshold/vocabulary plumbing."""
+and the threshold/vocabulary plumbing."""
 import itertools
 import random
 
 import pytest
 
+from intervalmine.encoding import encode_dataset
 from intervalmine.miner import (
     MiningConfig,
-    MiningStats,
     Pattern,
     mine,
     resolve_threshold,
@@ -66,9 +66,10 @@ def test_with_strategy_changes_only_the_strategy():
 
 
 def test_resolve_threshold(example_cdata):
-    assert resolve_threshold(cfg_at(22.0, 3, 2), example_cdata) == 22.0
-    assert resolve_threshold(cfg_at(0.0, 3, 2, mode="relative"), example_cdata) == 0.0
-    assert resolve_threshold(cfg_at(0.25, 3, 2, mode="relative"), example_cdata) == 33.5
+    enc = encode_dataset(example_cdata)
+    assert resolve_threshold(cfg_at(22.0, 3, 2), enc) == 22.0
+    assert resolve_threshold(cfg_at(0.0, 3, 2, mode="relative"), enc) == 0.0
+    assert resolve_threshold(cfg_at(0.25, 3, 2, mode="relative"), enc) == 33.5
 
 
 # --- vocabulary -------------------------------------------------------------
@@ -161,10 +162,10 @@ def test_mine_example_candidate_accounting(example_cdata):
         assert stats.candidates_pruned <= stats.candidates_generated
         assert stats.patterns_found <= stats.candidates_generated - stats.candidates_pruned
     # a prefix longer than one coincidence tries only the coincidences that
-    # occurred and cleared the weighted bound after its parent
+    # occurred and cleared its strategy's bound after its parent
     assert counts[UpperBound.NONE] == 565
     assert counts[UpperBound.LWU] == 565
-    assert counts[UpperBound.PROJECTED] == 559
+    assert counts[UpperBound.PROJECTED] == 554
 
 
 def test_mine_single_windows_without_pruning(example_cdata):
@@ -365,29 +366,6 @@ def test_growing_a_coincidence_can_rescue_a_worthless_parent():
     for strategy in UpperBound:
         got, _ = mine(cdata, cfg.with_strategy(strategy))
         assert pattern_set(got) == expected, strategy
-
-
-# --- threading ---------------------------------------------------------------
-
-
-def test_threaded_mining_is_deterministic(example_cdata):
-    cfg = cfg_at(5.0, 3, 2)
-    base_patterns, base_stats = mine(example_cdata, cfg, threads=1)
-    for threads in (2, 4):
-        patterns, stats = mine(example_cdata, cfg, threads=threads)
-        assert [(str(p.lsequence), p.umax) for p in patterns] == [
-            (str(p.lsequence), p.umax) for p in base_patterns
-        ]
-        assert stats.candidates_generated == base_stats.candidates_generated
-        assert stats.candidates_pruned == base_stats.candidates_pruned
-        assert stats.patterns_found == base_stats.patterns_found
-
-
-def test_stats_merge_is_associative_on_counts():
-    a = MiningStats(3, 1, 2)
-    b = MiningStats(5, 4, 1)
-    a.merge(b)
-    assert (a.candidates_generated, a.candidates_pruned, a.patterns_found) == (8, 5, 3)
 
 
 def test_pattern_is_a_plain_record():

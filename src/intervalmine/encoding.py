@@ -11,7 +11,7 @@ single indexed sum.
 windows to one array builder, so both give bit-identical arrays. The
 builder adds a window's label utilities in ascending label order, and the
 eventset utilities of a sequence and then the sequences' totals left to
-right: the order of the object model's `sum()` calls, which keeps
+right: the order in which `utility.dataset_utility` adds them, which keeps
 `total_utility` and relative thresholds bit-identical with fractional
 utilities.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import IntervalColumns
-from .model import Coincidence, CSequenceDataset, DataError, UtilityTable
+from .model import CSequenceDataset, DataError, UtilityTable
 
 # Ceiling on the bytes of `masks`, `durations` and `topk`, checked before
 # they are allocated.
@@ -188,32 +188,22 @@ def same_encoding(a: EncodedDataset, b: EncodedDataset) -> bool:
     )
 
 
-def encode_coincidence(c: Coincidence, enc: EncodedDataset) -> tuple[np.ndarray, float]:
-    """(bitmask words, summed label utility) for one pattern coincidence."""
-    mask = np.zeros(enc.words, dtype=np.uint64)
-    putil = 0.0
-    for lab in c:
-        bit = enc.label_bit[lab]
-        mask[bit // 64] |= np.uint64(1) << np.uint64(bit % 64)
-        putil += enc.label_utility[bit]
-    return mask, putil
-
-
 def empty_prefix_scores(enc: EncodedDataset) -> np.ndarray:
     """Score rows for the zero-length prefix: matched everywhere at 0."""
     return np.zeros((enc.n_sequences, enc.capacity), dtype=np.float64)
 
 
 def summarize_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(matched flags, per-row best utility) from a prefix's score rows.
+    """(matched flags, per-row best utility) from score rows, for one
+    prefix's rows [n, cap] or a batch of them [C, n, cap].
 
     The kernel's running maximum carries each row's last real value through
     the padding, so the last column holds the best utility of the row, and
     -inf where the prefix never matched.
     """
-    if scores.shape[1] == 0:
-        return np.zeros(scores.shape[0], dtype=bool), np.zeros(scores.shape[0])
-    last = scores[:, -1]
+    if scores.shape[-1] == 0:
+        return np.zeros(scores.shape[:-1], dtype=bool), np.zeros(scores.shape[:-1])
+    last = scores[..., -1]
     matched = np.isfinite(last)
     return matched, np.where(matched, last, 0.0)
 

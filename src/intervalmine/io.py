@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -28,14 +28,35 @@ from .model import (
 )
 
 
-def _open_lines(source):
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8"), True
-    return source, False
+def _read_text(source) -> str:
+    """The whole text of a path or an open text handle.
+
+    A file is decoded as UTF-8, and a byte that is not UTF-8 is a data
+    error on the line it sits on. Its line ends are read as a file opened
+    as text reads them: "\r\n" and a lone "\r" end a line too.
+    """
+    if not isinstance(source, (str, Path)):
+        return source.read()
+    data = Path(source).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = _newlines(data[: e.start].decode("utf-8")).count("\n") + 1
+        raise DataError(
+            f"line {lineno}: not UTF-8 text (byte 0x{data[e.start]:02x} at offset {e.start})"
+        ) from None
+    return _newlines(text)
 
 
-def _data_lines(handle: IO[str]):
-    for lineno, raw in enumerate(handle, start=1):
+def _newlines(text: str) -> str:
+    if "\r" not in text:
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _data_lines(text: str):
+    # a StringIO yields the lines one at a time, split at "\n" only
+    for lineno, raw in enumerate(_io.StringIO(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -48,37 +69,32 @@ INT64_MAX = 2**63 - 1
 
 def parse_dataset(source) -> ESequenceDataset:
     """Parse interval lines into a dataset, grouping by sequence id."""
-    handle, owned = _open_lines(source)
     per_seq: dict[int, list[EventInterval]] = {}
     seen: set[tuple[int, str, int, int]] = set()
-    try:
-        for lineno, line in _data_lines(handle):
-            parts = line.split()
-            if len(parts) != 4:
-                raise DataError(
-                    f"line {lineno}: expected 'id label begin finish', got {len(parts)} fields"
-                )
-            sid_s, label, begin_s, finish_s = parts
-            try:
-                sid, begin, finish = int(sid_s), int(begin_s), int(finish_s)
-            except ValueError:
-                raise DataError(f"line {lineno}: id and times must be integers") from None
-            if sid < 1:
-                raise DataError(f"line {lineno}: sequence id must be a positive integer: {sid}")
-            if max(sid, begin, finish) > INT64_MAX:
-                raise DataError(f"line {lineno}: id and times must be below 2**63")
-            key = (sid, label, begin, finish)
-            if key in seen:
-                raise DataError(f"line {lineno}: duplicate interval {key}")
-            seen.add(key)
-            try:
-                interval = EventInterval(label, begin, finish)
-            except DataError as e:
-                raise DataError(f"line {lineno}: {e}") from None
-            per_seq.setdefault(sid, []).append(interval)
-    finally:
-        if owned:
-            handle.close()
+    for lineno, line in _data_lines(_read_text(source)):
+        parts = line.split()
+        if len(parts) != 4:
+            raise DataError(
+                f"line {lineno}: expected 'id label begin finish', got {len(parts)} fields"
+            )
+        sid_s, label, begin_s, finish_s = parts
+        try:
+            sid, begin, finish = int(sid_s), int(begin_s), int(finish_s)
+        except ValueError:
+            raise DataError(f"line {lineno}: id and times must be integers") from None
+        if sid < 1:
+            raise DataError(f"line {lineno}: sequence id must be a positive integer: {sid}")
+        if max(sid, begin, finish) > INT64_MAX:
+            raise DataError(f"line {lineno}: id and times must be below 2**63")
+        key = (sid, label, begin, finish)
+        if key in seen:
+            raise DataError(f"line {lineno}: duplicate interval {key}")
+        seen.add(key)
+        try:
+            interval = EventInterval(label, begin, finish)
+        except DataError as e:
+            raise DataError(f"line {lineno}: {e}") from None
+        per_seq.setdefault(sid, []).append(interval)
     sequences = tuple(
         ESequence(id=sid, intervals=tuple(per_seq[sid])) for sid in sorted(per_seq)
     )
@@ -113,13 +129,7 @@ def read_intervals(source) -> IntervalColumns:
     check fails, `parse_dataset` reparses the text to raise the error of
     the first offending line.
     """
-    handle, owned = _open_lines(source)
-    try:
-        text = handle.read()
-    finally:
-        if owned:
-            handle.close()
-    # a StringIO yields the lines one at a time, split at "\n" only
+    text = _read_text(source)
     rows = [p for p in map(str.split, _io.StringIO(text)) if p and not p[0].startswith("#")]
     if any(map((4).__ne__, map(len, rows))):
         _raise_first_error(text)
@@ -154,28 +164,23 @@ def _raise_first_error(text: str):
 
 
 def parse_utilities(source) -> UtilityTable:
-    handle, owned = _open_lines(source)
     entries: dict[str, float] = {}
-    try:
-        for lineno, line in _data_lines(handle):
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataError(f"line {lineno}: expected 'label value'")
-            label, value_s = parts
-            try:
-                value = float(value_s)
-            except ValueError:
-                raise DataError(f"line {lineno}: utility must be a number") from None
-            if not math.isfinite(value):
-                raise DataError(f"line {lineno}: utility for {label!r} is not finite")
-            if value < 0:
-                raise DataError(f"line {lineno}: utility for {label!r} is negative")
-            if label in entries:
-                raise DataError(f"line {lineno}: duplicate label {label!r}")
-            entries[label] = value
-    finally:
-        if owned:
-            handle.close()
+    for lineno, line in _data_lines(_read_text(source)):
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataError(f"line {lineno}: expected 'label value'")
+        label, value_s = parts
+        try:
+            value = float(value_s)
+        except ValueError:
+            raise DataError(f"line {lineno}: utility must be a number") from None
+        if not math.isfinite(value):
+            raise DataError(f"line {lineno}: utility for {label!r} is not finite")
+        if value < 0:
+            raise DataError(f"line {lineno}: utility for {label!r} is negative")
+        if label in entries:
+            raise DataError(f"line {lineno}: duplicate label {label!r}")
+        entries[label] = value
     return UtilityTable(entries)
 
 

@@ -33,7 +33,6 @@ import numpy as np
 from .encoding import (
     EncodedDataset,
     empty_prefix_scores,
-    encode_coincidence,
     encode_dataset,
     summarize_scores,
     weighted_utilization,
@@ -121,10 +120,16 @@ class _Candidate:
 
 @dataclass
 class _Context:
+    """A mining run's inputs and its vocabulary: the candidates in mining
+    order, and their masks [V, words] and utility masses [V] stacked, so
+    that a batch of candidates is one index gather."""
+
     enc: EncodedDataset
     cfg: MiningConfig
     xi_abs: float
     vocab: list[_Candidate] = field(default_factory=list)
+    vocab_masks: np.ndarray | None = None
+    vocab_putils: np.ndarray | None = None
 
 
 def _project(enc: EncodedDataset, rows: np.ndarray):
@@ -135,20 +140,33 @@ def _project(enc: EncodedDataset, rows: np.ndarray):
     return enc.masks[rows], enc.durations[rows], enc.lengths[rows]
 
 
-def _evaluate(arrays, rows, prev_scores, prev_base, mask, putil):
-    """(matched rows, their score rows, umax) of a prefix extended by one
-    coincidence, given the prefix's score rows on `rows` and the kernel
-    inputs `arrays` restricted to the same rows.
+# Largest (candidate, sequence, window) cell count of one kernel call: the
+# kernel's float64 temporaries stay at 0.5 MB each. A prefix whose rows
+# alone reach it is scored one candidate per call.
+BATCH_CELLS = 2**16
 
+
+def _evaluate(arrays, rows, prev_scores, prev_base, masks, putils):
+    """For each candidate, in order, (matched rows, their score rows,
+    umax) of the prefix extended by it, given the candidates' `masks`
+    [C, words] and `putils` [C], the prefix's score rows on `rows`, and the
+    kernel inputs `arrays` restricted to the same rows.
+
+    The candidates are scored in batches of at most `BATCH_CELLS` cells.
     umax adds the per-sequence values left to right, as the oracle does.
     A pairwise sum (`ndarray.sum`) groups fractional values differently,
     can land an ulp off, and then flips a pattern whose value is exactly
     the threshold.
     """
-    scores = extend_scores(*arrays, prev_scores, prev_base, mask, putil)
-    matched, best = summarize_scores(scores)
-    umax = float(np.cumsum(best)[-1]) if best.size else 0.0
-    return rows[matched], scores[matched], umax
+    step = max(1, BATCH_CELLS // max(1, prev_scores.size))
+    for lo in range(0, len(masks), step):
+        scores = extend_scores(
+            *arrays, prev_scores, prev_base, masks[lo : lo + step], putils[lo : lo + step]
+        )
+        matched, best = summarize_scores(scores)
+        umax = np.cumsum(best, axis=1)[:, -1] if best.shape[1] else np.zeros(len(best))
+        for hit, cand_scores, cand_umax in zip(matched, scores, umax.tolist()):
+            yield rows[hit], cand_scores[hit], cand_umax
 
 
 def _weighted_bound(ctx: _Context, rows) -> float:
@@ -188,41 +206,52 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
     """Level-wise promising coincidence generation (phase 1).
 
     Each level adds one label, taken above the last one, to the previous
-    level's survivors, starting from the empty coincidence. A join is
-    scored only on the sequences its survivor occurs in, since a larger
-    label set fits no window the smaller one misses. Candidates that never
-    occur in a single window are dead ends for every strategy and are
-    dropped alongside the unpromising ones.
+    level's survivors, starting from the empty coincidence. All joins of a
+    survivor are scored together, and only on the sequences the survivor
+    occurs in, since a larger label set fits no window the smaller one
+    misses. Candidates that never occur in a single window are dead ends
+    for every strategy and are dropped alongside the unpromising ones.
     """
     enc = ctx.enc
     # the empty prefix scores 0 everywhere, so any leading block of its
     # rows stands for it on any set of sequences
     base = empty_prefix_scores(enc)
-    labels = enc.labels
-    level = [(Coincidence(), np.arange(enc.n_sequences))]
-    while level and len(level[0][0]) < ctx.cfg.max_size:
+    # the mask of each label alone; a label's bit is its index in enc.labels
+    bits = np.arange(len(enc.labels))
+    label_masks = np.zeros((bits.size, enc.words), dtype=np.uint64)
+    label_masks[bits, bits >> 6] = np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64))
+    # level 0 is the empty coincidence, which occurs everywhere
+    empty = np.zeros(enc.words, dtype=np.uint64)
+    level = [_Candidate(Coincidence(), empty, 0.0, np.arange(enc.n_sequences), base, 0.0, math.inf)]
+    while level and len(level[0].coincidence) < ctx.cfg.max_size:
         survivors: list[_Candidate] = []
-        for c, c_rows in level:
-            arrays = _project(enc, c_rows)
-            for lab in labels:
-                if c and lab <= c.labels[-1]:
-                    continue
-                stats.candidates_generated += 1
-                child = c.union(lab)
-                mask, putil = encode_coincidence(child, enc)
-                rows, scores, umax = _evaluate(
-                    arrays, c_rows, base[: c_rows.size], 0.0, mask, putil
-                )
+        for c in level:
+            labels = c.coincidence.labels
+            joins = bits[bits > enc.label_bit[labels[-1]]] if labels else bits
+            stats.candidates_generated += joins.size
+            # a child's utility mass adds its label utilities in ascending
+            # label order
+            masks, putils = c.mask | label_masks[joins], c.putil + enc.label_utility[joins]
+            evaluated = _evaluate(
+                _project(enc, c.rows), c.rows, base[: c.rows.size], 0.0, masks, putils
+            )
+            for bit, mask, putil, (rows, scores, umax) in zip(joins, masks, putils, evaluated):
                 if rows.size and _promising(ctx, full := _weighted_bound(ctx, rows)):
-                    survivors.append(_Candidate(child, mask, putil, rows, scores, umax, full))
+                    child = c.coincidence.union(enc.labels[bit])
+                    survivors.append(_Candidate(child, mask, float(putil), rows, scores, umax, full))
                 else:
                     stats.candidates_pruned += 1
         ctx.vocab.extend(survivors)
-        level = [(v.coincidence, v.rows) for v in survivors]
+        level = survivors
         # only labels that survived alone can be part of a survivor
-        labels = [v.coincidence.labels[0] for v in ctx.vocab if len(v.coincidence) == 1]
+        bits = np.array(
+            [enc.label_bit[v.coincidence.labels[0]] for v in ctx.vocab if len(v.coincidence) == 1],
+            dtype=np.int64,
+        )
 
     ctx.vocab.sort(key=lambda v: (len(v.coincidence), v.coincidence.labels))
+    ctx.vocab_masks = np.array([v.mask for v in ctx.vocab], dtype=np.uint64).reshape(-1, enc.words)
+    ctx.vocab_putils = np.array([v.putil for v in ctx.vocab], dtype=np.float64)
 
 
 NEG_INF = float("-inf")
@@ -236,7 +265,7 @@ def _visit(
     umax: float,
     bound: float | None,
     limit: float,
-    cands: list[_Candidate],
+    cands: np.ndarray,
     out: list[Pattern],
     stats: MiningStats,
 ) -> bool:
@@ -246,8 +275,8 @@ def _visit(
     them and strategy bound `bound` (None if not computed yet). `limit` is
     the tightest bound seen along the chain so far; a bound established for
     a prefix also covers everything grown from it, so the effective bound
-    can only decrease down the tree. `cands` are the coincidences worth
-    appending.
+    can only decrease down the tree. `cands` are the vocabulary indices of
+    the coincidences worth appending.
     """
     if bound is None:
         bound = _bound(ctx, rows, umax, len(prefix))
@@ -267,44 +296,44 @@ def _grow(
     rows: np.ndarray,
     prefix_scores: np.ndarray,
     limit: float,
-    cands: list[_Candidate],
+    cands: np.ndarray,
     out: list[Pattern],
     stats: MiningStats,
 ) -> None:
     """Extend the prefix by each candidate, then grow the children
     depth-first.
 
-    The kernel runs only on the sequences the prefix occurs in. A child
-    inherits the candidates c for which prefix+c occurred and cleared its
-    strategy's bound. A pattern grown from prefix+x that appends c is a
-    supersequence of prefix+c, so it occurs in no sequence prefix+c misses,
-    and the weighted bound only shrinks with the set of sequences it sums
-    over. Under `pdc` the filter is prefix+c's own bound: each of the at
-    most K - |prefix+c| coincidences such a pattern has beyond prefix+c
-    matches its own window, worth at most that window's eventset mass.
-    Children at the length cap grow nothing, so they skip the filter and
-    are left to their strategy's bound.
+    The kernel scores all candidates together, on the sequences the prefix
+    occurs in only. A child inherits the candidates c for which prefix+c
+    occurred and cleared its strategy's bound. A pattern grown from
+    prefix+x that appends c is a supersequence of prefix+c, so it occurs in
+    no sequence prefix+c misses, and the weighted bound only shrinks with
+    the set of sequences it sums over. Under `pdc` the filter is prefix+c's
+    own bound: each of the at most K - |prefix+c| coincidences such a
+    pattern has beyond prefix+c matches its own window, worth at most that
+    window's eventset mass. Children at the length cap grow nothing, so
+    they skip the filter and are left to their strategy's bound.
     """
-    arrays = _project(ctx.enc, rows)
     depth = len(prefix) + 1
     inherits = depth < ctx.cfg.max_length
+    stats.candidates_generated += cands.size
+    evaluated = _evaluate(
+        _project(ctx.enc, rows), rows, prefix_scores, NEG_INF,
+        ctx.vocab_masks[cands], ctx.vocab_putils[cands],
+    )
     children = []
-    for cand in cands:
-        stats.candidates_generated += 1
-        child_rows, scores, umax = _evaluate(
-            arrays, rows, prefix_scores, NEG_INF, cand.mask, cand.putil
-        )
+    for index, (child_rows, scores, umax) in zip(cands.tolist(), evaluated):
         if not child_rows.size:
             stats.candidates_pruned += 1
             continue
         bound = _bound(ctx, child_rows, umax, depth) if inherits else None
         if bound is None or _promising(ctx, bound):
-            children.append((cand, child_rows, scores, umax, bound))
+            children.append((index, child_rows, scores, umax, bound))
         else:
             stats.candidates_pruned += 1
-    inherited = [child[0] for child in children]
-    for cand, child_rows, scores, umax, bound in children:
-        prefix.append(cand.coincidence)
+    inherited = np.array([child[0] for child in children], dtype=np.intp)
+    for index, child_rows, scores, umax, bound in children:
+        prefix.append(ctx.vocab[index].coincidence)
         if not _visit(ctx, prefix, child_rows, scores, umax, bound, limit,
                       inherited, out, stats):
             stats.candidates_pruned += 1
@@ -314,23 +343,57 @@ def _grow(
 def _mine_root(ctx: _Context, root: _Candidate, out: list[Pattern], stats: MiningStats) -> None:
     bound = _bound(ctx, root.rows, root.umax, 1, root.full)
     _visit(ctx, [root.coincidence], root.rows, root.scores, root.umax, bound,
-           math.inf, ctx.vocab, out, stats)
+           math.inf, np.arange(len(ctx.vocab)), out, stats)
+
+
+def _vocabulary_key(ctx: _Context) -> tuple:
+    """What the vocabulary phase depends on. `ldc` and `pdc` both filter
+    with the weighted bound, so they share a key; `none` filters nothing
+    but dead ends. The encoding is named by identity, and a cached context
+    keeps it alive, so the id cannot be reused while the key is cached."""
+    cfg = ctx.cfg
+    weighted = cfg.strategy is not UpperBound.NONE
+    return (id(ctx.enc), weighted, cfg.max_size, cfg.max_length, ctx.xi_abs)
 
 
 def mine(
-    data: EncodedDataset | CSequenceDataset, cfg: MiningConfig
+    data: EncodedDataset | CSequenceDataset,
+    cfg: MiningConfig,
+    vocabularies: dict | None = None,
 ) -> tuple[list[Pattern], MiningStats]:
     """All patterns within the length/size caps whose utility meets xi.
 
     `data` is an encoding, or a windowed dataset to encode first. The
     emitted set is identical for every strategy; bounds only control how
     much of the candidate space is visited.
+
+    `vocabularies` is an optional cache shared by calls on one encoding: a
+    call reuses the vocabulary an earlier call built for the same key (see
+    `_vocabulary_key`) and stores the one it builds. The stats, elapsed
+    time included, still count the vocabulary phase, so they read the same
+    whether or not it was shared.
     """
     start = time.perf_counter()
     enc = data if isinstance(data, EncodedDataset) else encode_dataset(data)
-    stats = MiningStats()
     ctx = _Context(enc=enc, cfg=cfg, xi_abs=resolve_threshold(cfg, enc))
-    _build_vocabulary(ctx, stats)
+    key = _vocabulary_key(ctx)
+    shared = vocabularies.get(key) if vocabularies is not None else None
+    if shared is None:
+        vocab_start = time.perf_counter()
+        phase1 = MiningStats()
+        _build_vocabulary(ctx, phase1)
+        phase1.elapsed_ms = (time.perf_counter() - vocab_start) * 1000.0
+        if vocabularies is not None:
+            vocabularies[key] = (ctx, phase1)
+        reused_ms = 0.0
+    else:
+        built, phase1 = shared
+        ctx = replace(built, cfg=cfg)
+        reused_ms = phase1.elapsed_ms
+    stats = MiningStats(
+        candidates_generated=phase1.candidates_generated,
+        candidates_pruned=phase1.candidates_pruned,
+    )
 
     patterns: list[Pattern] = []
     for root in ctx.vocab:
@@ -338,5 +401,5 @@ def mine(
 
     patterns.sort(key=lambda p: lsequence_sort_key(p.lsequence))
     stats.patterns_found = len(patterns)
-    stats.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    stats.elapsed_ms = (time.perf_counter() - start) * 1000.0 + reused_ms
     return patterns, stats

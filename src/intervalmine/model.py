@@ -16,6 +16,19 @@ class DataError(ValueError):
     """Raised when input data violates a structural constraint."""
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """The sum of `values` added one at a time, left to right, from 0.0.
+
+    This is the order of the encoded arrays' `np.cumsum` sums. Python 3.12
+    made `sum()` of floats compensated, which can land an ulp away from it
+    with fractional utilities, so the reference sums use this instead.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class EventInterval:
     """A labelled interval with integer begin/finish times (begin < finish)."""

@@ -21,6 +21,7 @@ from .model import (
     EventInterval,
     LSequence,
     UtilityTable,
+    left_sum,
     lsequence_sort_key,
 )
 
@@ -124,7 +125,7 @@ def match_utilities(l: LSequence, c: CSequence, table: UtilityTable) -> list[flo
         for j in range(start, h):
             es = c.eventsets[j]
             if set(coin.labels) <= set(es.coincidence.labels):
-                window = sum(table.utility(lab) for lab in coin) * es.duration
+                window = left_sum(table.utility(lab) for lab in coin) * es.duration
                 rec(k + 1, j + 1, acc + window)
 
     rec(0, 0, 0.0)
@@ -152,13 +153,13 @@ def pattern_max_utility(l: LSequence, d: CSequenceDataset) -> tuple[float, bool]
 def top_k_eventsets_utility(c: CSequence, k: int, table: UtilityTable) -> float:
     """Exhaustive max over all subsets of at most k eventsets of c."""
     utils = [
-        sum(table.utility(lab) for lab in es.coincidence) * es.duration
+        left_sum(table.utility(lab) for lab in es.coincidence) * es.duration
         for es in c.eventsets
     ]
     best = 0.0
     for size in range(0, min(k, len(utils)) + 1):
         for combo in itertools.combinations(utils, size):
-            best = max(best, sum(combo))
+            best = max(best, left_sum(combo))
     return best
 
 
@@ -166,7 +167,7 @@ def exhaustive_dataset_utility(d: CSequenceDataset) -> float:
     total = 0.0
     for c in d.csequences:
         for es in c.eventsets:
-            total += sum(d.utilities.utility(lab) for lab in es.coincidence) * es.duration
+            total += left_sum(d.utilities.utility(lab) for lab in es.coincidence) * es.duration
     return total
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import CSequence, CSequenceDataset, UtilityTable
+from .model import CSequence, CSequenceDataset, UtilityTable, left_sum
 
 
 class UpperBound(Enum):
@@ -33,12 +33,12 @@ class UpperBound(Enum):
 
 def eventset_utility(sigma, table: UtilityTable) -> float:
     """Sum of per-label utilities over the eventset's window."""
-    return sum(table.utility(l) for l in sigma.coincidence) * sigma.duration
+    return left_sum(table.utility(l) for l in sigma.coincidence) * sigma.duration
 
 
 def csequence_utility(c: CSequence, table: UtilityTable) -> float:
-    return sum(eventset_utility(es, table) for es in c.eventsets)
+    return left_sum(eventset_utility(es, table) for es in c.eventsets)
 
 
 def dataset_utility(d: CSequenceDataset) -> float:
-    return sum(csequence_utility(c, d.utilities) for c in d.csequences)
+    return left_sum(csequence_utility(c, d.utilities) for c in d.csequences)

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from intervalmine import miner
-from intervalmine.encoding import (
-    EncodedDataset,
-    empty_prefix_scores,
-    encode_coincidence,
-    encode_dataset,
-)
+from intervalmine.encoding import EncodedDataset, empty_prefix_scores, encode_dataset
 from intervalmine.io import parse_dataset
 from intervalmine.miner import MiningConfig
-from intervalmine.model import ESequence, ESequenceDataset, EventInterval, UtilityTable
+from intervalmine.model import (
+    ESequence,
+    ESequenceDataset,
+    EventInterval,
+    UtilityTable,
+    left_sum,
+)
 from intervalmine.oracle import EXAMPLE_DATA, EXAMPLE_UTILITIES
 from intervalmine.transform import transform_dataset
 from intervalmine.utility import UpperBound, dataset_utility
@@ -50,6 +51,19 @@ def pruning_context(enc, max_length, strategy=UpperBound.PROJECTED):
     return miner._Context(enc=enc, cfg=cfg, xi_abs=0.0)
 
 
+def encode_coincidence(c, enc):
+    """(bitmask words [1, words], summed label utility [1]) of one
+    coincidence: a kernel batch of one candidate. The utility adds the
+    label utilities in ascending label order, as the miner does."""
+    mask = np.zeros((1, enc.words), dtype=np.uint64)
+    putil = 0.0
+    for lab in c:
+        bit = enc.label_bit[lab]
+        mask[0, bit // 64] |= np.uint64(1) << np.uint64(bit % 64)
+        putil += enc.label_utility[bit]
+    return mask, np.array([putil])
+
+
 def evaluate(ctx, l):
     """(score rows, matched flags, umax) of pattern l, extended from the
     empty prefix one coincidence at a time on the rows the prefix matched,
@@ -59,7 +73,7 @@ def evaluate(ctx, l):
     rows, scores, base = np.arange(enc.n_sequences), empty_prefix_scores(enc), 0.0
     for coin in l.coincidences:
         mask, putil = encode_coincidence(coin, enc)
-        rows, scores, umax = miner._evaluate(
+        ((rows, scores, umax),) = miner._evaluate(
             miner._project(enc, rows), rows, scores, base, mask, putil
         )
         base = float("-inf")
@@ -101,7 +115,7 @@ def reference_encoding(d):
                 masks[s, j, bit // 64] |= np.uint64(1) << np.uint64(bit % 64)
             durations[s, j] = es.duration
             es_utils.append(
-                sum(d.utilities.utility(lab) for lab in es.coincidence) * es.duration
+                left_sum(d.utilities.utility(lab) for lab in es.coincidence) * es.duration
             )
         es_utils.sort(reverse=True)
         acc = 0.0

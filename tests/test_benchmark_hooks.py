@@ -46,6 +46,10 @@ def test_traced_cli_run_counts_each_layer(tmp_path):
     assert counts["miner.vocab_candidates"] == 12
     assert counts["miner.vocab_size"] == 6
     assert counts["miner.patterns"] == 32
-    assert counts["kernels.extend_calls.grow"] == 115
+    # one kernel call scores a batch: all candidates of one prefix here,
+    # 115 of them over 25 prefixes; the matched rows still count every
+    # candidate's
+    assert counts["kernels.extend_calls.grow"] == 25
+    assert counts["kernels.matched_rows.grow"] == 169
     # growth scores only the sequences a prefix matched, never all four
     assert counts["kernels.rows_scanned.grow"] < 4 * counts["kernels.extend_calls.grow"]

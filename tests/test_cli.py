@@ -142,6 +142,19 @@ def test_malformed_line_is_data_error(capsys, tmp_path, utility_file):
     assert "line 1" in err
 
 
+def test_non_utf8_input_is_data_error(capsys, tmp_path, data_file, utility_file):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"1 A 0 2\n1 \xff 1 3\n")
+    for data, utilities in ((str(bad), utility_file), (data_file, str(bad))):
+        code, _, err = run(
+            capsys, "mine", "--data", data, "--utilities", utilities,
+            "--xi", "1", "-K", "2", "-Z", "2",
+        )
+        assert code == DATA_ERROR
+        assert "line 2: not UTF-8 text (byte 0xff at offset 10)" in err
+        assert "Traceback" not in err
+
+
 def test_missing_utilities_without_default_is_data_error(capsys, data_file, tmp_path):
     code, _, err = run(
         capsys, "mine", "--data", data_file,
@@ -284,6 +297,32 @@ def test_benchmark_encodes_the_input_once(capsys, monkeypatch, data_file, utilit
     )
     assert code == 0
     assert calls == ["encode_intervals"]
+
+
+def test_benchmark_builds_each_vocabulary_once(capsys, monkeypatch, data_file, utility_file):
+    """ldc and pdc share one vocabulary, none builds its own; each
+    strategy's stats still read as in a run of that strategy alone."""
+    alone = {}
+    for name in ("none", "ldc", "pdc"):
+        code, out, _ = run(capsys, *mine_args(data_file, utility_file, "--strategy", name))
+        assert code == 0
+        alone[name] = json.loads(out)["stats"][name]
+
+    builds = []
+    build = miner._build_vocabulary
+
+    def counting(ctx, stats):
+        builds.append(ctx.cfg.strategy.value)
+        return build(ctx, stats)
+
+    monkeypatch.setattr(miner, "_build_vocabulary", counting)
+    code, out, _ = run(
+        capsys,
+        *mine_args(data_file, utility_file, "--strategy", "none,ldc,pdc", "--benchmark"),
+    )
+    assert code == 0
+    assert builds == ["none", "ldc"]
+    assert json.loads(out)["stats"] == alone
 
 
 def test_relative_threshold_report(capsys, data_file, utility_file):

@@ -12,7 +12,7 @@ from intervalmine.encoding import (
     encode_intervals,
     same_encoding,
 )
-from intervalmine.io import dataset_to_string, parse_dataset, read_intervals
+from intervalmine.io import dataset_to_string, parse_dataset, parse_utilities, read_intervals
 from intervalmine.model import DataError, UtilityTable
 from intervalmine.oracle import EXAMPLE_DATA, GeneratorParams, random_dataset
 from intervalmine.transform import transform_dataset
@@ -195,3 +195,24 @@ def test_missing_file_fails_in_both_parsers(tmp_path):
     for parse in (parse_dataset, read_intervals):
         with pytest.raises(FileNotFoundError):
             parse(tmp_path / "absent.tsv")
+
+
+@pytest.mark.parametrize("parse", [parse_dataset, read_intervals, parse_utilities])
+def test_a_byte_that_is_not_utf8_is_a_data_error_on_its_line(tmp_path, parse):
+    """Lines end at "\n", "\r\n" and a lone "\r", as in a file read as
+    text, so the bad byte on the fourth line is reported there."""
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"# header\r\n1 A 0 2\r1 B 1 3\n1 \xff 2 4\n")
+    with pytest.raises(DataError, match=r"line 4: not UTF-8 text \(byte 0xff at offset 28\)"):
+        parse(path)
+
+
+def test_files_read_their_line_ends_as_text_files_do(tmp_path):
+    """"\r\n" and a lone "\r" end a line in a file, as in one opened as
+    text; a multi-byte UTF-8 label is one label."""
+    path = tmp_path / "data.tsv"
+    path.write_bytes("1 A 0 2\r\n1 B 1 3\r2 é 0 1\n".encode())
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    assert parse_dataset(path) == parse_dataset(io.StringIO(text))
+    assert read_intervals(path).alphabet == ("A", "B", "é")

@@ -2,10 +2,11 @@
 import random
 
 import numpy as np
+import pytest
 
+from intervalmine import kernels
 from intervalmine.encoding import (
     empty_prefix_scores,
-    encode_coincidence,
     encode_dataset,
     summarize_scores,
     weighted_utilization,
@@ -20,7 +21,7 @@ from intervalmine.oracle import (
 )
 from intervalmine.transform import transform_dataset
 
-from conftest import wide_dataset
+from conftest import encode_coincidence, wide_dataset
 
 
 def test_backend_selection():
@@ -50,7 +51,7 @@ def test_weighted_utilization_equals_lwu(example_cdata):
     base = empty_prefix_scores(enc)
     for labels in (["A"], ["B"], ["C", "E"], ["D"], ["F"]):
         mask, putil = encode_coincidence(Coincidence.of(labels), enc)
-        scores = extend_scores(
+        (scores,) = extend_scores(
             enc.masks, enc.durations, enc.lengths, base, 0.0, mask, putil
         )
         matched, best = summarize_scores(scores)
@@ -81,7 +82,7 @@ def assert_chain_matches_oracle(d, chain):
     scores, base = empty_prefix_scores(enc), 0.0
     for depth, coin in enumerate(chain, start=1):
         mask, putil = encode_coincidence(coin, enc)
-        scores = extend_scores(
+        (scores,) = extend_scores(
             enc.masks[rows], enc.durations[rows], enc.lengths[rows],
             scores, base, mask, putil,
         )
@@ -139,10 +140,10 @@ def test_empty_dataset_encoding():
 
     enc = encode_dataset(CSequenceDataset((), UtilityTable({})))
     assert enc.masks.shape[0] == 0
-    scores = extend_scores(
+    (scores,) = extend_scores(
         enc.masks, enc.durations, enc.lengths,
         empty_prefix_scores(enc), 0.0,
-        np.zeros(1, dtype=np.uint64), 0.0,
+        np.ones((1, 1), dtype=np.uint64), np.zeros(1),
     )
     assert scores.shape == (0, 0)
     matched, best = summarize_scores(scores)
@@ -151,3 +152,97 @@ def test_empty_dataset_encoding():
     matched, best = summarize_scores(np.empty((3, 0)))
     assert list(matched) == [False] * 3
     assert list(best) == [0.0] * 3
+
+
+# --- the batched kernel against one candidate at a time ------------------------
+
+
+def reference_extend_scores(masks, durations, lengths, prev, prev_base, cand_mask, cand_putil):
+    """Score rows [n, cap] of prefix+candidate for one candidate: every
+    mask word tested at once, and windows past a sequence's length masked
+    out explicitly."""
+    n, cap, _ = masks.shape
+    if cap == 0:
+        return np.empty((n, 0), dtype=np.float64)
+    fits = ((cand_mask[None, None, :] & ~masks) == 0).all(axis=2)
+    fits &= np.arange(cap)[None, :] < lengths[:, None]
+    shifted = np.empty((n, cap), dtype=np.float64)
+    shifted[:, 0] = prev_base
+    shifted[:, 1:] = prev[:, :-1]
+    ended = np.where(fits, shifted + cand_putil * durations, -np.inf)
+    return np.maximum.accumulate(ended, axis=1)
+
+
+def random_encoding(rng, n, cap, words):
+    """Masks, durations, lengths and prefix score rows shaped like an
+    encoding's: zero masks and durations past each length, and score rows
+    that are -inf up to some window and nondecreasing after it."""
+    lengths = rng.integers(0, cap + 1, size=n)
+    real = np.arange(cap)[None, :] < lengths[:, None]
+    bits = rng.integers(0, 2**64, size=(n, cap, words), dtype=np.uint64)
+    masks = np.where(real[..., None], bits & rng.integers(0, 2**64, size=bits.shape, dtype=np.uint64), 0)
+    durations = np.where(real, rng.integers(1, 9, size=(n, cap)) * rng.choice([1.0, 0.1, 1 / 3]), 0.0)
+    prev = rng.random((n, cap)) * 50
+    prev[rng.random((n, cap)) < 0.3] = -np.inf
+    if cap:
+        prev = np.maximum.accumulate(prev, axis=1)
+    return masks.astype(np.uint64), durations, lengths, prev
+
+
+def random_candidates(rng, masks, count):
+    """Candidate masks: a window's own labels, a few random bits in one
+    word only, or bits spread over every word; never empty."""
+    n, cap, words = masks.shape
+    cands = np.zeros((count, words), dtype=np.uint64)
+    for c in range(count):
+        kind = rng.integers(0, 3)
+        if kind == 0 and n and cap and masks.any():
+            s, j, _ = np.argwhere(masks)[rng.integers(0, np.count_nonzero(masks))]
+            cands[c] = masks[s, j]
+        elif kind == 1:
+            word = rng.integers(0, words)
+            for bit in rng.integers(0, 64, size=rng.integers(1, 3)):
+                cands[c, word] |= np.uint64(1) << np.uint64(bit)
+        else:
+            for word in range(words):
+                cands[c, word] |= np.uint64(1) << np.uint64(rng.integers(0, 64))
+    return cands, rng.random(count) * rng.choice([1.0, 7.0])
+
+
+@pytest.mark.parametrize("running_max_rows", [0, 10**9])
+def test_batched_kernel_matches_the_reference_bit_for_bit(monkeypatch, running_max_rows):
+    """Every batch size from 1 to C, over random encodings with one to
+    three mask words, no windows, no rows, and both prefix bases; once with
+    the per-window running maximum and once with `ufunc.accumulate`."""
+    monkeypatch.setattr(kernels, "RUNNING_MAX_ROWS", running_max_rows)
+    rng = np.random.default_rng(running_max_rows % 97)
+    shapes = [(0, 4, 1), (3, 0, 2), (0, 0, 1)] + [
+        (rng.integers(1, 9), rng.integers(1, 12), rng.integers(1, 4)) for _ in range(60)
+    ]
+    for n, cap, words in shapes:
+        masks, durations, lengths, prev = random_encoding(rng, n, cap, words)
+        cands, putils = random_candidates(rng, masks, 6)
+        for base in (0.0, -np.inf):
+            expected = [
+                reference_extend_scores(masks, durations, lengths, prev, base, m, float(u))
+                for m, u in zip(cands, putils)
+            ]
+            for size in range(1, len(cands) + 1):
+                for lo in range(0, len(cands), size):
+                    got = extend_scores(
+                        masks, durations, lengths, prev, base,
+                        cands[lo : lo + size], putils[lo : lo + size],
+                    )
+                    assert got.shape == (len(cands[lo : lo + size]), n, cap)
+                    for k, scores in enumerate(got, start=lo):
+                        assert scores.tobytes() == expected[k].tobytes(), (n, cap, words, k)
+
+
+def test_batched_kernel_rejects_an_empty_candidate():
+    enc_masks = np.ones((2, 3, 2), dtype=np.uint64)
+    cands = np.array([[1, 0], [0, 0]], dtype=np.uint64)
+    with pytest.raises(ValueError, match="at least one label"):
+        extend_scores(
+            enc_masks, np.ones((2, 3)), np.full(2, 3), np.zeros((2, 3)), 0.0,
+            cands, np.ones(2),
+        )

@@ -2,9 +2,11 @@
 and the threshold/vocabulary plumbing."""
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+from intervalmine import miner
 from intervalmine.encoding import encode_dataset
 from intervalmine.miner import (
     MiningConfig,
@@ -156,16 +158,20 @@ def test_mine_example_includes_the_boundary_pattern(example_cdata):
 
 def test_mine_example_candidate_accounting(example_cdata):
     counts = {}
+    enc, vocabularies = encode_dataset(example_cdata), {}
     for strategy in UpperBound:
         _, stats = mine(example_cdata, cfg_at(22.0, 3, 2, strategy))
-        counts[strategy] = stats.candidates_generated
+        counts[strategy] = stats.candidates_generated, stats.candidates_pruned
         assert stats.candidates_pruned <= stats.candidates_generated
         assert stats.patterns_found <= stats.candidates_generated - stats.candidates_pruned
+        # the vocabulary phase's counts are carried into a shared one's stats
+        _, shared = mine(enc, cfg_at(22.0, 3, 2, strategy), vocabularies)
+        assert (shared.candidates_generated, shared.candidates_pruned) == counts[strategy]
     # a prefix longer than one coincidence tries only the coincidences that
     # occurred and cleared its strategy's bound after its parent
-    assert counts[UpperBound.NONE] == 565
-    assert counts[UpperBound.LWU] == 565
-    assert counts[UpperBound.PROJECTED] == 554
+    assert counts[UpperBound.NONE] == (565, 347)
+    assert counts[UpperBound.LWU] == (565, 347)
+    assert counts[UpperBound.PROJECTED] == (554, 415)
 
 
 def test_mine_single_windows_without_pruning(example_cdata):
@@ -345,6 +351,65 @@ def test_pruning_never_generates_more_candidates():
             gen[strategy] = stats.candidates_generated
         assert gen[UpperBound.PROJECTED] <= gen[UpperBound.LWU]
         assert gen[UpperBound.LWU] <= gen[UpperBound.NONE]
+
+
+def fractional_depth_four_instances(seed, count):
+    """(windowed dataset, K=4 config) pairs with fractional utilities, each
+    at the value of one of its patterns."""
+    values = (0.1, 0.2, 0.3, 0.7, 1 / 3, 2.9)
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = GeneratorParams(
+            seed=rng.randrange(2**31),
+            num_sequences=rng.randint(1, 12),
+            max_intervals_per_seq=rng.randint(2, 7),
+            alphabet_size=rng.randint(2, 4),
+        )
+        es, _ = random_dataset(p)
+        table = UtilityTable({lab: rng.choice(values) for lab in es.labels()})
+        d = transform_dataset(es, table)
+        z = rng.randint(1, 2)
+        every = brute_force_mine(d, cfg_at(0.0, 2, z))
+        xi = rng.choice(every).umax if every else 0.0
+        yield d, cfg_at(xi, 4, z)
+
+
+def mined(enc, cfg, vocabularies=None):
+    """Patterns with their exact umax, and the stats without the time."""
+    patterns, stats = mine(enc, cfg, vocabularies)
+    stats.elapsed_ms = 0.0
+    return [(p.lsequence, p.umax.hex()) for p in patterns], stats
+
+
+@pytest.mark.parametrize("cells", [1, 2**30])
+def test_the_batch_budget_changes_nothing(monkeypatch, cells):
+    """One candidate per kernel call, or every candidate of a prefix in one
+    call: the same patterns, bit for bit, and the same counters."""
+    for d, cfg in fractional_depth_four_instances(12, 25):
+        enc = encode_dataset(d)
+        expected = {s: mined(enc, cfg.with_strategy(s)) for s in UpperBound}
+        with monkeypatch.context() as m:
+            m.setattr(miner, "BATCH_CELLS", cells)
+            for s in UpperBound:
+                assert mined(enc, cfg.with_strategy(s)) == expected[s], (cells, s)
+
+
+def test_a_shared_vocabulary_changes_nothing():
+    """Strategies and thresholds mined on one encoding through one cache:
+    ldc and pdc share a vocabulary per configuration, none has its own, and
+    every result equals the unshared one."""
+    for d, cfg in fractional_depth_four_instances(13, 10):
+        enc = encode_dataset(d)
+        vocabularies = {}
+        for xi in (cfg.xi, 0.0):
+            for s in UpperBound:
+                c = replace(cfg, xi=xi, strategy=s)
+                assert mined(enc, c, vocabularies) == mined(enc, c), (xi, s)
+        assert len(vocabularies) == 4
+        # another encoding of the same data does not reuse them
+        other = encode_dataset(d)
+        mine(other, cfg, vocabularies)
+        assert len(vocabularies) == 5
 
 
 def test_growing_a_coincidence_can_rescue_a_worthless_parent():

@@ -22,9 +22,11 @@ from intervalmine.model import (
     CSequenceDataset,
     LSequence,
     UtilityTable,
+    left_sum,
 )
 from intervalmine.oracle import (
     GeneratorParams,
+    exhaustive_dataset_utility,
     match_utilities,
     pattern_max_utility,
     random_dataset,
@@ -261,3 +263,26 @@ def test_lwu_monotone_in_budget_and_pattern():
                     weighted_utilization(enc, extended_matched, k)
                     <= weighted_utilization(enc, matched, k) + 1e-9
                 )
+
+
+def test_reference_sums_add_left_to_right():
+    """Ten windows worth 0.1 each total 0.9999999999999999 added left to
+    right, as the encoded arrays add them; a compensated sum (`sum()` of
+    floats since Python 3.12, `math.fsum`) gives 1.0."""
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum([]) == 0.0
+    table = UtilityTable({"A": 0.1})
+    c = CSequence(1, tuple(CEventset(Coincidence.of(["A"]), 1) for _ in range(10)))
+    d = CSequenceDataset((c,), table)
+    assert csequence_utility(c, table) == 0.9999999999999999
+    assert dataset_utility(d) == 0.9999999999999999
+    assert exhaustive_dataset_utility(d) == 0.9999999999999999
+    assert top_k_eventsets_utility(c, 10, table) == 0.9999999999999999
+    assert encode_dataset(d).total_utility == 0.9999999999999999
+    # ten labels of one window
+    labels = [f"L{i}" for i in range(10)]
+    wide = UtilityTable({lab: 0.1 for lab in labels})
+    window = CEventset(Coincidence.of(labels), 1)
+    assert eventset_utility(window, wide) == 0.9999999999999999
+    l = LSequence.of(labels)
+    assert match_utilities(l, CSequence(1, (window,)), wide) == [0.9999999999999999]

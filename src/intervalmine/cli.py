@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from io import StringIO
 
 from . import oracle
@@ -113,10 +113,6 @@ def _pattern_key(p: Pattern):
     return tuple(tuple(c.labels) for c in p.lsequence.coincidences)
 
 
-def _render_pattern(p: Pattern) -> str:
-    return "".join(str(c) for c in p.lsequence.coincidences)
-
-
 def _stats_dict(stats, timings: bool) -> dict:
     d = asdict(stats)
     if not timings:
@@ -196,7 +192,6 @@ def _cmd_mine(args) -> int:
     dataset, table = _load_inputs(args)
     enc = encode_intervals(dataset, table)
     threshold = resolve_threshold(cfg, enc)
-    cfg = replace(cfg, xi=threshold, xi_mode="absolute")
 
     # ldc and pdc build the same vocabulary: the first builds it, the
     # second reuses it

@@ -3,8 +3,9 @@
 Coincidences become bitmasks over the dataset alphabet (multiple uint64
 words when the alphabet exceeds 64 labels), sequences become padded rows of
 a 3-d mask array, and the per-sequence top-k eventset utility sums are
-precomputed as padded prefix rows so every weighted-utilization lookup is a
-single indexed sum.
+precomputed with one row per budget k, so that the weighted utilization of
+a whole batch of candidates is one contiguous gather and one row sum per
+budget.
 
 `encode_intervals` builds the arrays straight from interval columns;
 `encode_dataset` encodes the object model's windowed form. Both hand the
@@ -36,7 +37,7 @@ class EncodedDataset:
     masks: np.ndarray       # uint64 [n, cap, words]
     durations: np.ndarray   # float64 [n, cap], 0 in padding
     lengths: np.ndarray     # int64 [n]
-    topk: np.ndarray        # float64 [n, cap+1]; column k = top-k eventset mass
+    topk: np.ndarray        # float64 [cap+1, n]; row k = top-k eventset mass
     label_utility: np.ndarray  # float64 [len(labels)]
     total_utility: float    # summed eventset utility of the dataset
 
@@ -156,10 +157,10 @@ def _assemble(labels, table, lengths, durations, pair_window, label_start) -> En
     # the sums below write into buffers already allocated
     eventset_utility = np.multiply(mass, flat_durations, out=mass).reshape(n, cap)
 
-    # budgets beyond a row's length take everything: its padding adds 0
-    topk = np.zeros((n, cap + 1), dtype=np.float64)
+    # budgets beyond a sequence's length take everything: its padding adds 0
+    topk = np.zeros((cap + 1, n), dtype=np.float64)
     ranked = np.sort(eventset_utility, axis=1)
-    np.cumsum(ranked[:, ::-1], axis=1, out=topk[:, 1:])
+    np.cumsum(ranked[:, ::-1], axis=1, out=topk[1:].T)
     per_sequence = np.cumsum(eventset_utility, axis=1, out=ranked)[:, -1] if cap else np.zeros(n)
     total = float(np.cumsum(per_sequence)[-1]) if n else 0.0
     return EncodedDataset(
@@ -208,10 +209,21 @@ def summarize_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return matched, np.where(matched, last, 0.0)
 
 
-def weighted_utilization(enc: EncodedDataset, matched: np.ndarray, k: int) -> float:
-    """Sum of top-k eventset mass over the matched sequences, given as row
-    indices or as one flag per sequence."""
-    if k <= 0:
-        return 0.0
-    col = min(k, enc.capacity)
-    return float(enc.topk[matched, col].sum())
+def weighted_utilization(
+    enc: EncodedDataset, rows: np.ndarray, matched: np.ndarray, budgets
+) -> np.ndarray:
+    """Top-k eventset mass summed over each candidate's matched sequences,
+    for each budget k: float64 [len(budgets), C].
+
+    `matched` holds one row of flags [C, n] per candidate over the
+    ascending sequence indices `rows`. Each candidate's row is reduced on
+    its own and contiguously, so its sums do not depend on the other
+    candidates of the batch. A budget of 0 or less sums nothing.
+    """
+    out = np.zeros((len(budgets), len(matched)))
+    for total, k in zip(out, budgets):
+        if k > 0:
+            # a flag times a mass is the mass or 0; faster than np.where
+            mass = enc.topk[min(k, enc.capacity)][rows]
+            np.multiply(matched, mass).sum(axis=1, out=total)
+    return out

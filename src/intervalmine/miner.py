@@ -13,11 +13,16 @@ fails both tests too (the Apriori property). Phase 2 grows
 patterns depth-first by appending whole vocabulary coincidences. A prefix
 carries only the sequences it occurs in and its score rows on them, so the
 kernel never scans a sequence the prefix misses, and a child tries only the
-coincidences that survived after its parent (see `_grow`). The
-projected strategy tightens pruning: each prefix carries the minimum of
-its own projected bound and every ancestor's, which keeps the pruning
-value non-increasing along an extension chain and never above the
-weighted bound. The strategy changes what gets pruned, never what gets
+coincidences that survived after its parent (see `_grow`).
+
+Every bound is one formula, `_bound`, over three numbers that come with a
+candidate's scores: its umax, its weighted bound `full` (the top-K
+eventset mass of the sequences it occurs in) and `rest` (their top-(K -
+length) mass). One `weighted_utilization` call sums both for a whole
+kernel batch. The projected strategy tightens pruning: each prefix carries
+the minimum of its own projected bound and every ancestor's, which keeps
+the pruning value non-increasing along an extension chain and never above
+the weighted bound. The strategy changes what gets pruned, never what gets
 emitted. A candidate is pruned only when its bound falls short of the
 threshold by more than a relative float slack (`PRUNE_SLACK`), while
 emission compares a pattern's utility with the threshold exactly.
@@ -106,7 +111,8 @@ class _Candidate:
     """A vocabulary coincidence evaluated as a one-coincidence pattern.
 
     `rows` are the sequences it occurs in and `scores` its score rows on
-    those sequences only; `full` is its weighted bound.
+    those sequences only; `umax`, `full` and `rest` are the inputs of
+    `_bound`, the same for both bounding strategies.
     """
 
     coincidence: Coincidence
@@ -116,6 +122,7 @@ class _Candidate:
     scores: np.ndarray
     umax: float
     full: float
+    rest: float
 
 
 @dataclass
@@ -146,18 +153,24 @@ def _project(enc: EncodedDataset, rows: np.ndarray):
 BATCH_CELLS = 2**16
 
 
-def _evaluate(arrays, rows, prev_scores, prev_base, masks, putils):
-    """For each candidate, in order, (matched rows, their score rows,
-    umax) of the prefix extended by it, given the candidates' `masks`
-    [C, words] and `putils` [C], the prefix's score rows on `rows`, and the
-    kernel inputs `arrays` restricted to the same rows.
+def _evaluate(ctx: _Context, rows, prev_scores, prev_base, masks, putils, length: int):
+    """For each candidate, in order, (matched rows, their score rows, umax,
+    full, rest) of the prefix extended by it, given the candidates' `masks`
+    [C, words] and `putils` [C] and the prefix's score rows on the sequences
+    `rows`. `length` is the extended pattern's length; `full` and `rest`
+    are its top-K and top-(K - length) eventset mass over the matched rows.
 
-    The candidates are scored in batches of at most `BATCH_CELLS` cells.
+    The candidates are scored in batches of at most `BATCH_CELLS` cells,
+    and each batch's masses are one `weighted_utilization` call.
     umax adds the per-sequence values left to right, as the oracle does.
     A pairwise sum (`ndarray.sum`) groups fractional values differently,
     can land an ulp off, and then flips a pattern whose value is exactly
     the threshold.
     """
+    arrays = _project(ctx.enc, rows)
+    # `none` never bounds, so it sums nothing: full and rest read 0
+    k = 0 if ctx.cfg.strategy is UpperBound.NONE else ctx.cfg.max_length
+    budgets = (k, k - length)
     step = max(1, BATCH_CELLS // max(1, prev_scores.size))
     for lo in range(0, len(masks), step):
         scores = extend_scores(
@@ -165,41 +178,30 @@ def _evaluate(arrays, rows, prev_scores, prev_base, masks, putils):
         )
         matched, best = summarize_scores(scores)
         umax = np.cumsum(best, axis=1)[:, -1] if best.shape[1] else np.zeros(len(best))
-        for hit, cand_scores, cand_umax in zip(matched, scores, umax.tolist()):
-            yield rows[hit], cand_scores[hit], cand_umax
+        full, rest = weighted_utilization(ctx.enc, rows, matched, budgets).tolist()
+        for hit, cand_scores, cand_umax, cand_full, cand_rest in zip(
+            matched, scores, umax.tolist(), full, rest
+        ):
+            yield rows[hit], cand_scores[hit], cand_umax, cand_full, cand_rest
 
 
-def _weighted_bound(ctx: _Context, rows) -> float:
-    """Promise value of a candidate and of everything grown from it.
+def _bound(ctx: _Context, umax: float, full: float, rest: float) -> float:
+    """Upper bound on a pattern and on every pattern grown from it by
+    appending coincidences, given its `_evaluate` values.
 
-    The weighted bound is valid both while a coincidence can still gain
-    labels (label growth can raise a match's value inside the same window,
-    which a match-based estimate never anticipates) and along every
-    extension chain; `none` never prunes.
+    The weighted bound is `full`. The projected one adds to umax `rest`:
+    each of the at most K - length coincidences appended later matches its
+    own window, worth at most that window's eventset mass. It is clamped to
+    `full`; the raw sum can exceed it when a best match sits on top-ranked
+    eventsets, and an unclamped value would make the projected strategy
+    keep candidates the weighted strategy discards. At the length cap
+    `rest` is 0, so the bound is umax. `none` never prunes.
     """
     if ctx.cfg.strategy is UpperBound.NONE:
-        return float("inf")
-    return weighted_utilization(ctx.enc, rows, ctx.cfg.max_length)
-
-
-def _bound(ctx: _Context, rows, umax: float, length: int, full: float | None = None) -> float:
-    """Upper bound on any pattern built by appending coincidences.
-
-    `full` is the weighted bound over `rows`, when the caller has it
-    already. The projected value is clamped to it; the raw sum can exceed
-    it when a best match sits on top-ranked eventsets, and an unclamped
-    value would make the projected strategy keep candidates the weighted
-    strategy discards. At the length cap nothing can be appended, so the
-    projected value is umax itself, which the weighted bound already covers.
-    """
-    if ctx.cfg.strategy is UpperBound.PROJECTED and length == ctx.cfg.max_length:
-        return umax
-    if full is None:
-        full = _weighted_bound(ctx, rows)
-    if ctx.cfg.strategy is not UpperBound.PROJECTED:
+        return math.inf
+    if ctx.cfg.strategy is UpperBound.LWU:
         return full
-    remaining = weighted_utilization(ctx.enc, rows, ctx.cfg.max_length - length)
-    return min(umax + remaining, full)
+    return min(umax + rest, full)
 
 
 def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
@@ -222,7 +224,8 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
     label_masks[bits, bits >> 6] = np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64))
     # level 0 is the empty coincidence, which occurs everywhere
     empty = np.zeros(enc.words, dtype=np.uint64)
-    level = [_Candidate(Coincidence(), empty, 0.0, np.arange(enc.n_sequences), base, 0.0, math.inf)]
+    everywhere = np.arange(enc.n_sequences)
+    level = [_Candidate(Coincidence(), empty, 0.0, everywhere, base, 0.0, math.inf, math.inf)]
     while level and len(level[0].coincidence) < ctx.cfg.max_size:
         survivors: list[_Candidate] = []
         for c in level:
@@ -232,13 +235,14 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
             # a child's utility mass adds its label utilities in ascending
             # label order
             masks, putils = c.mask | label_masks[joins], c.putil + enc.label_utility[joins]
-            evaluated = _evaluate(
-                _project(enc, c.rows), c.rows, base[: c.rows.size], 0.0, masks, putils
-            )
-            for bit, mask, putil, (rows, scores, umax) in zip(joins, masks, putils, evaluated):
-                if rows.size and _promising(ctx, full := _weighted_bound(ctx, rows)):
+            evaluated = _evaluate(ctx, c.rows, base[: c.rows.size], 0.0, masks, putils, 1)
+            for bit, mask, putil, values in zip(joins, masks, putils, evaluated):
+                rows, _, _, full, rest = values
+                # a coincidence that can still gain labels has no match
+                # value to project from, so only the weighted part holds
+                if rows.size and _promising(ctx, _bound(ctx, math.inf, full, rest)):
                     child = c.coincidence.union(enc.labels[bit])
-                    survivors.append(_Candidate(child, mask, float(putil), rows, scores, umax, full))
+                    survivors.append(_Candidate(child, mask, float(putil), *values))
                 else:
                     stats.candidates_pruned += 1
         ctx.vocab.extend(survivors)
@@ -263,31 +267,23 @@ def _visit(
     rows: np.ndarray,
     scores: np.ndarray,
     umax: float,
-    bound: float | None,
-    limit: float,
+    bound: float,
     cands: np.ndarray,
     out: list[Pattern],
     stats: MiningStats,
-) -> bool:
-    """Bound, prune, emit and grow the pattern `prefix`; False if pruned.
+) -> None:
+    """Emit and grow the pattern `prefix`, which survived its bound.
 
     The prefix occurs in the sequences `rows`, with score rows `scores` on
-    them and strategy bound `bound` (None if not computed yet). `limit` is
-    the tightest bound seen along the chain so far; a bound established for
-    a prefix also covers everything grown from it, so the effective bound
-    can only decrease down the tree. `cands` are the vocabulary indices of
-    the coincidences worth appending.
+    them. `bound` is the tightest bound along its extension chain: a bound
+    established for a prefix also covers everything grown from it, so the
+    effective bound can only decrease down the tree. `cands` are the
+    vocabulary indices of the coincidences worth appending.
     """
-    if bound is None:
-        bound = _bound(ctx, rows, umax, len(prefix))
-    bound = min(limit, bound)
-    if not _promising(ctx, bound):
-        return False
     if umax >= ctx.xi_abs:
         out.append(Pattern(LSequence(tuple(prefix)), umax))
     if len(prefix) < ctx.cfg.max_length:
         _grow(ctx, prefix, rows, scores, bound, cands, out, stats)
-    return True
 
 
 def _grow(
@@ -300,50 +296,45 @@ def _grow(
     out: list[Pattern],
     stats: MiningStats,
 ) -> None:
-    """Extend the prefix by each candidate, then grow the children
-    depth-first.
+    """Extend the prefix by each candidate, then grow the surviving
+    children depth-first.
 
     The kernel scores all candidates together, on the sequences the prefix
-    occurs in only. A child inherits the candidates c for which prefix+c
-    occurred and cleared its strategy's bound. A pattern grown from
+    occurs in only. A child survives when it occurred and its own bound
+    clears the threshold; `limit`, the prefix's bound, already does. The
+    survivors are also the list every child inherits. A pattern grown from
     prefix+x that appends c is a supersequence of prefix+c, so it occurs in
     no sequence prefix+c misses, and the weighted bound only shrinks with
-    the set of sequences it sums over. Under `pdc` the filter is prefix+c's
-    own bound: each of the at most K - |prefix+c| coincidences such a
+    the set of sequences it sums over. Under `pdc` prefix+c's own bound
+    covers it too: each of the at most K - |prefix+c| coincidences such a
     pattern has beyond prefix+c matches its own window, worth at most that
-    window's eventset mass. Children at the length cap grow nothing, so
-    they skip the filter and are left to their strategy's bound.
+    window's eventset mass.
     """
-    depth = len(prefix) + 1
-    inherits = depth < ctx.cfg.max_length
     stats.candidates_generated += cands.size
     evaluated = _evaluate(
-        _project(ctx.enc, rows), rows, prefix_scores, NEG_INF,
-        ctx.vocab_masks[cands], ctx.vocab_putils[cands],
+        ctx, rows, prefix_scores, NEG_INF,
+        ctx.vocab_masks[cands], ctx.vocab_putils[cands], len(prefix) + 1,
     )
     children = []
-    for index, (child_rows, scores, umax) in zip(cands.tolist(), evaluated):
-        if not child_rows.size:
-            stats.candidates_pruned += 1
-            continue
-        bound = _bound(ctx, child_rows, umax, depth) if inherits else None
-        if bound is None or _promising(ctx, bound):
-            children.append((index, child_rows, scores, umax, bound))
+    for index, (child_rows, scores, umax, full, rest) in zip(cands.tolist(), evaluated):
+        if child_rows.size and _promising(ctx, bound := _bound(ctx, umax, full, rest)):
+            children.append((index, child_rows, scores, umax, min(limit, bound)))
         else:
             stats.candidates_pruned += 1
     inherited = np.array([child[0] for child in children], dtype=np.intp)
     for index, child_rows, scores, umax, bound in children:
         prefix.append(ctx.vocab[index].coincidence)
-        if not _visit(ctx, prefix, child_rows, scores, umax, bound, limit,
-                      inherited, out, stats):
-            stats.candidates_pruned += 1
+        _visit(ctx, prefix, child_rows, scores, umax, bound, inherited, out, stats)
         prefix.pop()
 
 
 def _mine_root(ctx: _Context, root: _Candidate, out: list[Pattern], stats: MiningStats) -> None:
-    bound = _bound(ctx, root.rows, root.umax, 1, root.full)
-    _visit(ctx, [root.coincidence], root.rows, root.scores, root.umax, bound,
-           math.inf, np.arange(len(ctx.vocab)), out, stats)
+    bound = _bound(ctx, root.umax, root.full, root.rest)
+    if _promising(ctx, bound):
+        _visit(ctx, [root.coincidence], root.rows, root.scores, root.umax, bound,
+               np.arange(len(ctx.vocab)), out, stats)
+    else:
+        stats.candidates_pruned += 1
 
 
 def _vocabulary_key(ctx: _Context) -> tuple:

@@ -3,12 +3,18 @@ helpers that drive the miner's own scoring and bound code, and the
 per-window reference encoder the array builder is checked against."""
 import io
 import random
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from intervalmine import miner
-from intervalmine.encoding import EncodedDataset, empty_prefix_scores, encode_dataset
+from intervalmine.encoding import (
+    EncodedDataset,
+    empty_prefix_scores,
+    encode_dataset,
+    weighted_utilization,
+)
 from intervalmine.io import parse_dataset
 from intervalmine.miner import MiningConfig
 from intervalmine.model import (
@@ -64,24 +70,35 @@ def encode_coincidence(c, enc):
     return mask, np.array([putil])
 
 
+Evaluated = namedtuple("Evaluated", "scores matched umax full rest")
+
+
 def evaluate(ctx, l):
-    """(score rows, matched flags, umax) of pattern l, extended from the
-    empty prefix one coincidence at a time on the rows the prefix matched,
-    as the miner grows it. The score rows and flags returned cover every
-    sequence; unmatched sequences score -inf."""
+    """Pattern l extended from the empty prefix one coincidence at a time
+    on the rows the prefix matched, as the miner grows it: its score rows
+    and matched flags over every sequence (unmatched sequences score
+    -inf), its umax, and the inputs of `miner._bound` at the context's K,
+    `full` (top-K eventset mass) and `rest` (top-(K - |l|) mass)."""
     enc = ctx.enc
     rows, scores, base = np.arange(enc.n_sequences), empty_prefix_scores(enc), 0.0
-    for coin in l.coincidences:
+    for length, coin in enumerate(l.coincidences, start=1):
         mask, putil = encode_coincidence(coin, enc)
-        ((rows, scores, umax),) = miner._evaluate(
-            miner._project(enc, rows), rows, scores, base, mask, putil
+        ((rows, scores, umax, full, rest),) = miner._evaluate(
+            ctx, rows, scores, base, mask, putil, length
         )
         base = float("-inf")
     every = np.full((enc.n_sequences, enc.capacity), -np.inf)
     every[rows] = scores
     matched = np.zeros(enc.n_sequences, dtype=bool)
     matched[rows] = True
-    return every, matched, umax
+    return Evaluated(every, matched, umax, full, rest)
+
+
+def weighted(enc, matched, *budgets):
+    """Top-k eventset mass of the sequences flagged in `matched`, one value
+    per budget k, from the batched sum the miner prunes with."""
+    rows = np.arange(enc.n_sequences)
+    return weighted_utilization(enc, rows, matched[None], budgets)[:, 0].tolist()
 
 
 def vocabulary(d, cfg, xi_abs):
@@ -131,7 +148,7 @@ def reference_encoding(d):
         masks=masks,
         durations=durations,
         lengths=lengths,
-        topk=topk,
+        topk=np.ascontiguousarray(topk.T),
         label_utility=label_utility,
         total_utility=float(dataset_utility(d)),
     )

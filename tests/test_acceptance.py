@@ -16,10 +16,10 @@ import time
 import pytest
 
 import _acceptance_log
-from conftest import EXAMPLE_DATA, EXAMPLE_UTILITIES, evaluate, pruning_context
+from conftest import EXAMPLE_DATA, EXAMPLE_UTILITIES, evaluate, pruning_context, weighted
 
 from intervalmine import miner
-from intervalmine.encoding import encode_dataset, summarize_scores, weighted_utilization
+from intervalmine.encoding import encode_dataset, summarize_scores
 from intervalmine.io import fill_utilities, parse_dataset
 from intervalmine.miner import MiningConfig, mine
 from intervalmine.model import Coincidence, LSequence, UtilityTable
@@ -96,16 +96,17 @@ def test_criterion_3_golden_bounds():
     cdata = example_cdata()
     c1 = cdata.csequences[0]
     enc = encode_dataset(cdata)
-    assert enc.topk[0, 2] == 14.0
+    assert enc.topk[2, 0] == 14.0
     assert sorted(match_utilities(AB, c1, cdata.utilities)) == [9.0, 10.0, 13.0]
     ctx = pruning_context(enc, 3)
-    scores, matched, umax = evaluate(ctx, AB)
-    assert summarize_scores(scores)[1][0] == 13.0  # the best of c1's matches
-    assert umax == 22.0
-    assert weighted_utilization(enc, matched, 3) == 50.0
-    assert miner._bound(ctx, matched, umax, length=2) == 42.0
+    e = evaluate(ctx, AB)
+    assert summarize_scores(e.scores)[1][0] == 13.0  # the best of c1's matches
+    assert e.umax == 22.0
+    assert e.full == 50.0
+    assert miner._bound(ctx, e.umax, e.full, e.rest) == 42.0
     ldc = pruning_context(enc, 3, UpperBound.LWU)
-    assert miner._bound(ldc, matched, umax, length=2) == 50.0
+    e = evaluate(ldc, AB)
+    assert miner._bound(ldc, e.umax, e.full, e.rest) == 50.0
 
 
 def test_golden_bounds_of_the_pruning_code():
@@ -122,10 +123,10 @@ def test_golden_bounds_of_the_pruning_code():
         ctx = pruning_context(enc, 3, strategy)
         got, rows = [], []
         for prefix in (LSequence.of(["A"]), AB):
-            _, matched, umax = evaluate(ctx, prefix)
-            assert umax == 22.0
-            rows.append([bool(m) for m in matched])
-            got.append(miner._bound(ctx, matched, umax, len(prefix)))
+            e = evaluate(ctx, prefix)
+            assert e.umax == 22.0
+            rows.append([bool(m) for m in e.matched])
+            got.append(miner._bound(ctx, e.umax, e.full, e.rest))
         assert got == bounds
         assert rows == [[True, True, True, False], [True, True, False, False]]
 
@@ -205,7 +206,7 @@ def sub_pattern(l, rng):
 
 @criterion(5, "bound properties")
 def test_criterion_5_bound_properties():
-    """The miner's bounds (the weighted utilization over the kernel's
+    """The miner's bounds (the batched top-k masses over the kernel's
     matched rows, and `miner._bound` under pdc with the length budget as
     max_length) against pattern utilities found by brute force."""
     pool = instance_pool()
@@ -226,29 +227,27 @@ def test_criterion_5_bound_properties():
             k = rng.randint(len(l), len(l) + 2)
             pairs += 1
             ctx = pruning_context(enc, k)
-            _, matched, umax = evaluate(ctx, l)
+            e = evaluate(ctx, l)
             exact, _ = pattern_max_utility(l, d)
-            assert umax == exact
-            projected = miner._bound(ctx, matched, umax, len(l))
+            assert e.umax == exact
+            projected = miner._bound(ctx, e.umax, e.full, e.rest)
             # the projected bound never exceeds the weighted bound
-            assert projected <= weighted_utilization(enc, matched, k) + 1e-9
+            assert projected <= e.full + 1e-9
             # both bounds really bound the mined measure
-            assert exact <= weighted_utilization(enc, matched, len(l)) + 1e-9
+            at_length = evaluate(pruning_context(enc, len(l)), l)
+            assert exact <= at_length.full + 1e-9
             assert exact <= projected + 1e-9
             # growing the budget never shrinks the weighted bound
             k_small = rng.randint(0, k)
-            assert (
-                weighted_utilization(enc, matched, k_small)
-                <= weighted_utilization(enc, matched, k) + 1e-9
-            )
+            (wu_small,) = weighted(enc, e.matched, k_small)
+            assert wu_small <= e.full + 1e-9
             sub = sub_pattern(l, rng)
             if sub is not None:
                 # extending a pattern never grows the weighted bound,
                 # including with a smaller budget on the extended side
-                _, sub_matched, _ = evaluate(ctx, sub)
-                wu_sub = weighted_utilization(enc, sub_matched, k)
-                assert weighted_utilization(enc, matched, k) <= wu_sub + 1e-9
-                assert weighted_utilization(enc, matched, k_small) <= wu_sub + 1e-9
+                wu_sub = evaluate(ctx, sub).full
+                assert e.full <= wu_sub + 1e-9
+                assert wu_small <= wu_sub + 1e-9
         # pruning bounds along depth-first extension chains: the effective
         # (running minimum) bound never increases and always dominates the
         # mined measure of everything grown from the prefix
@@ -267,8 +266,8 @@ def test_criterion_5_bound_properties():
             bounds = []
             running = float("inf")
             for p in prefixes:
-                _, matched, umax = evaluate(ctx, p)
-                running = min(running, miner._bound(ctx, matched, umax, len(p)))
+                e = evaluate(ctx, p)
+                running = min(running, miner._bound(ctx, e.umax, e.full, e.rest))
                 bounds.append(running)
             umaxes = [pattern_max_utility(p, d)[0] for p in prefixes]
             assert bounds == sorted(bounds, reverse=True)

@@ -53,3 +53,7 @@ def test_traced_cli_run_counts_each_layer(tmp_path):
     assert counts["kernels.matched_rows.grow"] == 169
     # growth scores only the sequences a prefix matched, never all four
     assert counts["kernels.rows_scanned.grow"] < 4 * counts["kernels.extend_calls.grow"]
+    # the bound inputs of a whole batch come from one weighted sum, never
+    # one per candidate
+    batches = counts["kernels.extend_calls.vocab"] + counts["kernels.extend_calls.grow"]
+    assert 0 < counts["encoding.wu_calls"] <= batches

@@ -33,14 +33,14 @@ def test_encoding_shapes(example_cdata):
     assert enc.labels == ("A", "B", "C", "D", "E", "F")
     assert enc.masks.shape == (4, 8, 1)  # longest sequence has 8 windows
     assert list(enc.lengths) == [7, 8, 6, 5]
-    assert enc.topk.shape == (4, 9)
+    assert enc.topk.shape == (9, 4)
 
 
 def test_topk_prefix_rows(example_cdata):
     enc = encode_dataset(example_cdata)
-    # row of sequence 1: eventset utilities 8,6,5,0,2,6,2 sorted desc
-    assert list(enc.topk[0][:4]) == [0.0, 8.0, 14.0, 20.0]
-    assert enc.topk[0][-1] == 29.0
+    # sequence 1: eventset utilities 8,6,5,0,2,6,2 sorted desc
+    assert list(enc.topk[:4, 0]) == [0.0, 8.0, 14.0, 20.0]
+    assert enc.topk[-1, 0] == 29.0
 
 
 def test_weighted_utilization_equals_lwu(example_cdata):
@@ -48,23 +48,30 @@ def test_weighted_utilization_equals_lwu(example_cdata):
     mass of the sequences that contain the pattern, by exhaustive search."""
     enc = encode_dataset(example_cdata)
     table = example_cdata.utilities
-    base = empty_prefix_scores(enc)
-    for labels in (["A"], ["B"], ["C", "E"], ["D"], ["F"]):
-        mask, putil = encode_coincidence(Coincidence.of(labels), enc)
-        (scores,) = extend_scores(
-            enc.masks, enc.durations, enc.lengths, base, 0.0, mask, putil
-        )
-        matched, best = summarize_scores(scores)
+    candidates = (["A"], ["B"], ["C", "E"], ["D"], ["F"])
+    encoded = [encode_coincidence(Coincidence.of(labels), enc) for labels in candidates]
+    # one batch, scored and summed as the miner does
+    scores = extend_scores(
+        enc.masks, enc.durations, enc.lengths, empty_prefix_scores(enc), 0.0,
+        np.concatenate([mask for mask, _ in encoded]),
+        np.concatenate([putil for _, putil in encoded]),
+    )
+    matched, best = summarize_scores(scores)
+    budgets = range(1, 5)
+    masses = weighted_utilization(enc, np.arange(enc.n_sequences), matched, budgets)
+    for i, labels in enumerate(candidates):
         l = LSequence.of(labels)
         expected = [best_match_utility(l, c, table) for c in example_cdata.csequences]
-        assert list(matched) == [e is not None for e in expected]
-        assert list(best) == [0.0 if e is None else e for e in expected]
-        for k in range(1, 5):
-            assert weighted_utilization(enc, matched, k) == sum(
+        assert list(matched[i]) == [e is not None for e in expected]
+        assert list(best[i]) == [0.0 if e is None else e for e in expected]
+        assert masses[:, i].tolist() == [
+            sum(
                 top_k_eventsets_utility(c, k, table)
                 for c, e in zip(example_cdata.csequences, expected)
                 if e is not None
             )
+            for k in budgets
+        ]
 
 
 def assert_chain_matches_oracle(d, chain):

@@ -174,6 +174,31 @@ def test_mine_example_candidate_accounting(example_cdata):
     assert counts[UpperBound.PROJECTED] == (554, 415)
 
 
+def test_a_root_its_bound_prunes_is_counted():
+    """Every candidate tried is pruned or grown, roots included. Here pdc's
+    bound drops the root <{D}> (umax 16 + rest 40 < threshold 58), so of
+    its 6 candidates only <{A}> survives."""
+    es, table = random_dataset(
+        GeneratorParams(seed=3, num_sequences=4, max_intervals_per_seq=5, alphabet_size=4)
+    )
+    d = transform_dataset(es, table)
+    cfg = cfg_at(0.5, 2, 1, mode="relative")
+    enc = encode_dataset(d)
+    assert resolve_threshold(cfg, enc) == 58.0
+    roots, _ = vocabulary(d, cfg, 58.0)
+    assert roots == [Coincidence.of(["A"]), Coincidence.of(["D"])]
+    counts = {}
+    for strategy in UpperBound:
+        patterns, stats = mine(enc, cfg.with_strategy(strategy))
+        assert patterns == []
+        counts[strategy] = stats.candidates_generated, stats.candidates_pruned
+    assert counts == {
+        UpperBound.NONE: (20, 8),
+        UpperBound.LWU: (8, 6),
+        UpperBound.PROJECTED: (6, 5),
+    }
+
+
 def test_mine_single_windows_without_pruning(example_cdata):
     patterns, _ = mine(example_cdata, cfg_at(0.0, 1, 1))
     got = {str(p.lsequence): p.umax for p in patterns}

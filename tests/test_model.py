@@ -132,8 +132,7 @@ def is_lsubsequence(l, l_prime):
         (cseq(*[(coin.labels, 1) for coin in l_prime.coincidences]), everything),
         UtilityTable(dict.fromkeys(labels, 1.0)),
     )
-    _, matched, _ = evaluate(pruning_context(encode_dataset(d), len(l)), l)
-    return bool(matched[0])
+    return bool(evaluate(pruning_context(encode_dataset(d), len(l)), l).matched[0])
 
 
 def test_lsubsequence_examples():

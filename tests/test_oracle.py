@@ -112,9 +112,9 @@ def test_pattern_max_utility_agrees_with_dp(example_cdata):
             *[rng.sample(labels, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
         )
         total, occurs = pattern_max_utility(l, example_cdata)
-        _, matched, umax = evaluate(ctx, l)
-        assert total == umax
-        assert occurs == matched.any()
+        e = evaluate(ctx, l)
+        assert total == e.umax
+        assert occurs == e.matched.any()
         if not occurs:
             assert total == 0.0
 

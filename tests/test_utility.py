@@ -1,9 +1,9 @@
 """Utility measures, and the two upper bounds on the example dataset.
 
 The bounds are read from the code the miner prunes with: the kernel's
-matched rows and maximum utility (`miner._evaluate`), the weighted bound
-(`weighted_utilization` over the top-k rows of `encode_dataset`) and the
-strategy bound (`miner._bound`). Golden values come from the worked
+matched rows, maximum utility and batched top-k masses (`miner._evaluate`,
+which sums `weighted_utilization` over the top-k rows of `encode_dataset`)
+and the strategy bound (`miner._bound`). Golden values come from the worked
 example; the derived ones (27 for <{C,E}>, 72 for the capped projected
 value of <{A}>, the {2,5} utility set) were computed with the brute-force
 oracle before being frozen here.
@@ -40,7 +40,7 @@ from intervalmine.utility import (
     eventset_utility,
 )
 
-from conftest import evaluate, pruning_context
+from conftest import evaluate, pruning_context, weighted
 
 AB = LSequence.of(["A"], ["B"])
 A = LSequence.of(["A"])
@@ -82,13 +82,27 @@ def test_dataset_utility(example_cdata, cs, example_table):
 def test_max_k_utility(example_cdata, cs):
     enc = encode_dataset(example_cdata)
     first = np.array([True, False, False, False])  # sequence 1 alone
-    assert weighted_utilization(enc, first, 2) == 14.0
-    assert weighted_utilization(enc, first, 1) == 8.0
+    assert weighted(enc, first, 2, 1) == [14.0, 8.0]
     # budget at least the sequence length takes everything
-    assert weighted_utilization(enc, first, len(cs[1])) == 29.0
-    assert weighted_utilization(enc, first, 99) == 29.0
+    assert weighted(enc, first, len(cs[1]), 99) == [29.0, 29.0]
     # an empty budget contributes nothing
-    assert weighted_utilization(enc, first, 0) == 0.0
+    assert weighted(enc, first, 0, -1) == [0.0, 0.0]
+
+
+def test_batched_masses_sum_each_candidate_on_its_own(example_cdata):
+    """One call sums every candidate of a batch over its own matched rows,
+    at every budget, whatever else shares the batch."""
+    enc = encode_dataset(example_cdata)
+    rows = np.array([1, 2, 3])  # sequences 2-4
+    matched = np.array([[True, False, True], [False, False, False], [True, True, True]])
+    got = weighted_utilization(enc, rows, matched, (1, 3))
+    assert got.shape == (2, 3)
+    for i, flags in enumerate(matched):
+        assert got[:, i].tolist() == [
+            sum(enc.topk[k, r] for r in rows[flags]) for k in (1, 3)
+        ]
+        alone = weighted_utilization(enc, rows, matched[i : i + 1], (1, 3))
+        assert alone[:, 0].tolist() == got[:, i].tolist()
 
 
 def test_max_k_utility_matches_exhaustive_search():
@@ -102,9 +116,10 @@ def test_max_k_utility_matches_exhaustive_search():
         if len(c.eventsets) > 8:
             continue
         enc = encode_dataset(d)
-        only = np.array([True])
-        for k in range(1, len(c.eventsets) + 2):
-            assert weighted_utilization(enc, only, k) == top_k_eventsets_utility(c, k, table)
+        budgets = range(1, len(c.eventsets) + 2)
+        assert weighted(enc, np.array([True]), *budgets) == [
+            top_k_eventsets_utility(c, k, table) for k in budgets
+        ]
 
 
 def test_utility_set(cs, example_table):
@@ -115,8 +130,7 @@ def test_utility_set(cs, example_table):
 
 def test_max_match_utility(example_cdata):
     enc = encode_dataset(example_cdata)
-    scores, _, _ = evaluate(pruning_context(enc, 2), AB)
-    _, best = summarize_scores(scores)
+    _, best = summarize_scores(evaluate(pruning_context(enc, 2), AB).scores)
     assert list(best) == [13.0, 9.0, 0.0, 0.0]
 
 
@@ -128,47 +142,47 @@ def test_max_match_utility_equals_exhaustive_maximum(example_cdata, example_tabl
     for _ in range(200):
         length = rng.randint(1, 3)
         l = LSequence.of(*[rng.sample(labels, rng.randint(1, 2)) for _ in range(length)])
-        scores, matched, _ = evaluate(ctx, l)
-        _, best = summarize_scores(scores)
+        e = evaluate(ctx, l)
+        _, best = summarize_scores(e.scores)
         for s, c in enumerate(example_cdata.csequences):
             exhaustive = match_utilities(l, c, example_table)
-            assert matched[s] == bool(exhaustive)
+            assert e.matched[s] == bool(exhaustive)
             assert best[s] == (max(exhaustive) if exhaustive else 0.0)
 
 
 def test_max_utility(example_cdata):
     ctx = pruning_context(encode_dataset(example_cdata), 2)
-    assert evaluate(ctx, AB)[2] == 22.0
-    assert evaluate(ctx, CE)[2] == 27.0  # the {C,E,F} window counts
-    assert evaluate(ctx, UNMATCHED)[2] == 0.0
+    assert evaluate(ctx, AB).umax == 22.0
+    assert evaluate(ctx, CE).umax == 27.0  # the {C,E,F} window counts
+    assert evaluate(ctx, UNMATCHED).umax == 0.0
 
 
 def test_contains_match(example_cdata):
     ctx = pruning_context(encode_dataset(example_cdata), 2)
-    _, matched, _ = evaluate(ctx, AB)
-    assert list(matched) == [True, True, False, False]
-    _, matched, _ = evaluate(ctx, CE)
-    assert matched[3]
+    assert list(evaluate(ctx, AB).matched) == [True, True, False, False]
+    assert evaluate(ctx, CE).matched[3]
 
 
 def test_lwu(example_cdata):
     enc = encode_dataset(example_cdata)
-    ctx = pruning_context(enc, 3)
-    _, matched, _ = evaluate(ctx, AB)
-    assert weighted_utilization(enc, matched, 3) == 50.0
-    assert weighted_utilization(enc, matched, 1) == 20.0
-    assert weighted_utilization(enc, matched, 0) == 0.0
-    _, unmatched, _ = evaluate(ctx, UNMATCHED)
-    assert weighted_utilization(enc, unmatched, 3) == 0.0
+    # at K=3 the full budget is 3 and the rest after <{A}{B}> is 1
+    e = evaluate(pruning_context(enc, 3), AB)
+    assert (e.full, e.rest) == (50.0, 20.0)
+    # at the length cap the rest is empty
+    assert evaluate(pruning_context(enc, 2), AB).rest == 0.0
+    e = evaluate(pruning_context(enc, 3), UNMATCHED)
+    assert (e.full, e.rest) == (0.0, 0.0)
 
 
 def test_projected_utilization(example_cdata):
     enc = encode_dataset(example_cdata)
     ctx = pruning_context(enc, 3)
-    _, matched, umax = evaluate(ctx, AB)
-    assert miner._bound(ctx, matched, umax, len(AB)) == 42.0
+    e = evaluate(ctx, AB)
+    assert miner._bound(ctx, e.umax, e.full, e.rest) == 42.0
     # at full length the remaining budget is zero, so the value is u_max
-    assert miner._bound(pruning_context(enc, 2), matched, umax, len(AB)) == umax == 22.0
+    ctx = pruning_context(enc, 2)
+    e = evaluate(ctx, AB)
+    assert miner._bound(ctx, e.umax, e.full, e.rest) == e.umax == 22.0
 
 
 def test_projected_utilization_is_capped(example_cdata):
@@ -177,18 +191,14 @@ def test_projected_utilization_is_capped(example_cdata):
     # 56; the raw sum 78 exceeds the weighted bound at 3, 72, so the capped
     # value is 72.
     ctx = pruning_context(enc, 3)
-    _, matched, umax = evaluate(ctx, A)
-    assert umax == 22.0
-    assert weighted_utilization(enc, matched, 2) == 56.0
-    assert weighted_utilization(enc, matched, 3) == 72.0
-    assert miner._bound(ctx, matched, umax, len(A)) == 72.0
+    e = evaluate(ctx, A)
+    assert (e.umax, e.rest, e.full) == (22.0, 56.0, 72.0)
+    assert miner._bound(ctx, e.umax, e.full, e.rest) == 72.0
     # and a case where the cap stays inactive: 9 + 102 for <{C}> at K=4
     ctx = pruning_context(enc, 4)
-    _, matched, umax = evaluate(ctx, C)
-    assert umax == 9.0
-    assert weighted_utilization(enc, matched, 3) == 102.0
-    assert miner._bound(ctx, matched, umax, len(C)) == 111.0
-    assert weighted_utilization(enc, matched, 4) == 116.0
+    e = evaluate(ctx, C)
+    assert (e.umax, e.rest, e.full) == (9.0, 102.0, 116.0)
+    assert miner._bound(ctx, e.umax, e.full, e.rest) == 111.0
 
 
 def test_upper_bound_from_name():
@@ -232,11 +242,11 @@ def test_bound_inequalities_on_random_instances():
             l = random_pattern(labels, rng)
             k = rng.randint(len(l), len(l) + 2)
             ctx = pruning_context(enc, k)
-            _, matched, umax = evaluate(ctx, l)
-            p = miner._bound(ctx, matched, umax, len(l))
+            e = evaluate(ctx, l)
+            p = miner._bound(ctx, e.umax, e.full, e.rest)
             exact, _ = pattern_max_utility(l, d)
-            assert p <= weighted_utilization(enc, matched, k) + 1e-9
-            assert exact <= weighted_utilization(enc, matched, len(l)) + 1e-9
+            assert p <= e.full + 1e-9
+            assert exact <= evaluate(pruning_context(enc, len(l)), l).full + 1e-9
             assert exact <= p + 1e-9
 
 
@@ -251,18 +261,15 @@ def test_lwu_monotone_in_budget_and_pattern():
         ctx = pruning_context(enc, 3)
         for _ in range(6):
             l = random_pattern(labels, rng, max_len=2)
-            _, matched, _ = evaluate(ctx, l)
+            matched = evaluate(ctx, l).matched
             # growing the budget never shrinks the weighted bound
-            values = [weighted_utilization(enc, matched, k) for k in range(0, 5)]
+            values = weighted(enc, matched, *range(0, 5))
             assert values == sorted(values)
             # extending the pattern never grows the weighted bound
             extended = LSequence(l.coincidences + random_pattern(labels, rng, 1).coincidences)
-            _, extended_matched, _ = evaluate(ctx, extended)
+            extended_values = weighted(enc, evaluate(ctx, extended).matched, *range(0, 5))
             for k in range(1, 5):
-                assert (
-                    weighted_utilization(enc, extended_matched, k)
-                    <= weighted_utilization(enc, matched, k) + 1e-9
-                )
+                assert extended_values[k] <= values[k] + 1e-9
 
 
 def test_reference_sums_add_left_to_right():

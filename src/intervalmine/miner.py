@@ -9,23 +9,25 @@ window, which a match-based estimate never anticipates. A level joins its
 survivors only with the labels that survived on their own: adding a label
 can only shrink the set of sequences a coincidence occurs in, and the
 weighted bound sums over that set, so every superset of a dropped label
-fails both tests too (the Apriori property). Phase 2 grows
-patterns depth-first by appending whole vocabulary coincidences. A prefix
+fails both tests too (the Apriori property). Phase 2 grows patterns
+depth-first by appending whole vocabulary coincidences, starting from the
+empty prefix, whose children, the roots, phase 1 already scored. A prefix
 carries only the sequences it occurs in and its score rows on them, so the
-kernel never scans a sequence the prefix misses, and a child tries only the
-coincidences that survived after its parent (see `_grow`).
+kernel never scans a sequence the prefix misses, and a child tries only
+the coincidences that survived beside it (see `_grow`).
 
 Every bound is one formula, `_bound`, over three numbers that come with a
 candidate's scores: its umax, its weighted bound `full` (the top-K
 eventset mass of the sequences it occurs in) and `rest` (their top-(K -
 length) mass). One `weighted_utilization` call sums both for a whole
-kernel batch. The projected strategy tightens pruning: each prefix carries
-the minimum of its own projected bound and every ancestor's, which keeps
-the pruning value non-increasing along an extension chain and never above
-the weighted bound. The strategy changes what gets pruned, never what gets
-emitted. A candidate is pruned only when its bound falls short of the
-threshold by more than a relative float slack (`PRUNE_SLACK`), while
-emission compares a pattern's utility with the threshold exactly.
+kernel batch, and one test, `_survivors`, keeps a batch's candidates that
+occurred and whose bound clears the threshold, at every level. The
+projected bound never exceeds the weighted one, and a prefix's bound
+covers every pattern grown from it. The strategy changes what gets pruned,
+never what gets emitted. A candidate is pruned only when its bound falls
+short of the threshold by more than a relative float slack
+(`PRUNE_SLACK`), while emission compares a pattern's utility with the
+threshold exactly.
 """
 from __future__ import annotations
 
@@ -101,8 +103,9 @@ def resolve_threshold(cfg: MiningConfig, enc: EncodedDataset) -> float:
 PRUNE_SLACK = 1e-9
 
 
-def _promising(ctx: _Context, bound: float) -> bool:
-    """Whether a bound keeps its candidate's subtree from being pruned."""
+def _promising(ctx: _Context, bound):
+    """Whether a bound, or each bound of a batch, keeps its candidate's
+    subtree from being pruned."""
     return bound >= ctx.xi_abs * (1.0 - PRUNE_SLACK)
 
 
@@ -154,18 +157,21 @@ BATCH_CELLS = 2**16
 
 
 def _evaluate(ctx: _Context, rows, prev_scores, prev_base, masks, putils, length: int):
-    """For each candidate, in order, (matched rows, their score rows, umax,
-    full, rest) of the prefix extended by it, given the candidates' `masks`
-    [C, words] and `putils` [C] and the prefix's score rows on the sequences
-    `rows`. `length` is the extended pattern's length; `full` and `rest`
-    are its top-K and top-(K - length) eventset mass over the matched rows.
+    """Score the prefix extended by each candidate, one kernel batch at a
+    time, given the candidates' `masks` [C, words] and `putils` [C] and the
+    prefix's score rows on the sequences `rows`.
 
-    The candidates are scored in batches of at most `BATCH_CELLS` cells,
-    and each batch's masses are one `weighted_utilization` call.
-    umax adds the per-sequence values left to right, as the oracle does.
-    A pairwise sum (`ndarray.sum`) groups fractional values differently,
-    can land an ulp off, and then flips a pattern whose value is exactly
-    the threshold.
+    Yields, per batch of c candidates in order: the position of its first
+    candidate, matched flags [c, n] over `rows`, score rows [c, n, cap],
+    and umax, full and rest as [c] arrays. `length` is the extended
+    pattern's length; `full` and `rest` are its top-K and top-(K - length)
+    eventset mass over the matched rows.
+
+    A batch holds at most `BATCH_CELLS` cells, and its masses are one
+    `weighted_utilization` call. umax adds the per-sequence values left to
+    right, as the oracle does. A pairwise sum (`ndarray.sum`) groups
+    fractional values differently, can land an ulp off, and then flips a
+    pattern whose value is exactly the threshold.
     """
     arrays = _project(ctx.enc, rows)
     # `none` never bounds, so it sums nothing: full and rest read 0
@@ -178,16 +184,13 @@ def _evaluate(ctx: _Context, rows, prev_scores, prev_base, masks, putils, length
         )
         matched, best = summarize_scores(scores)
         umax = np.cumsum(best, axis=1)[:, -1] if best.shape[1] else np.zeros(len(best))
-        full, rest = weighted_utilization(ctx.enc, rows, matched, budgets).tolist()
-        for hit, cand_scores, cand_umax, cand_full, cand_rest in zip(
-            matched, scores, umax.tolist(), full, rest
-        ):
-            yield rows[hit], cand_scores[hit], cand_umax, cand_full, cand_rest
+        yield lo, matched, scores, umax, *weighted_utilization(ctx.enc, rows, matched, budgets)
 
 
-def _bound(ctx: _Context, umax: float, full: float, rest: float) -> float:
+def _bound(ctx: _Context, umax, full, rest):
     """Upper bound on a pattern and on every pattern grown from it by
-    appending coincidences, given its `_evaluate` values.
+    appending coincidences, given its `_evaluate` values; element-wise on
+    a batch's arrays.
 
     The weighted bound is `full`. The projected one adds to umax `rest`:
     each of the at most K - length coincidences appended later matches its
@@ -201,7 +204,15 @@ def _bound(ctx: _Context, umax: float, full: float, rest: float) -> float:
         return math.inf
     if ctx.cfg.strategy is UpperBound.LWU:
         return full
-    return min(umax + rest, full)
+    return np.minimum(umax + rest, full)
+
+
+def _survivors(ctx: _Context, stats: MiningStats, occurred, umax, full, rest) -> list[int]:
+    """Positions of the candidates of a batch that occurred and whose bound
+    clears the threshold, in order; the others are counted as pruned."""
+    keep = np.flatnonzero(occurred & _promising(ctx, _bound(ctx, umax, full, rest)))
+    stats.candidates_pruned += len(occurred) - keep.size
+    return keep.tolist()
 
 
 def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
@@ -235,16 +246,16 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
             # a child's utility mass adds its label utilities in ascending
             # label order
             masks, putils = c.mask | label_masks[joins], c.putil + enc.label_utility[joins]
-            evaluated = _evaluate(ctx, c.rows, base[: c.rows.size], 0.0, masks, putils, 1)
-            for bit, mask, putil, values in zip(joins, masks, putils, evaluated):
-                rows, _, _, full, rest = values
-                # a coincidence that can still gain labels has no match
-                # value to project from, so only the weighted part holds
-                if rows.size and _promising(ctx, _bound(ctx, math.inf, full, rest)):
-                    child = c.coincidence.union(enc.labels[bit])
-                    survivors.append(_Candidate(child, mask, float(putil), *values))
-                else:
-                    stats.candidates_pruned += 1
+            batches = _evaluate(ctx, c.rows, base[: c.rows.size], 0.0, masks, putils, 1)
+            # a coincidence that can still gain labels has no match value to
+            # project from, so only the weighted part holds
+            for lo, matched, scores, umax, full, rest in batches:
+                for i in _survivors(ctx, stats, matched.any(axis=1), math.inf, full, rest):
+                    survivors.append(_Candidate(
+                        c.coincidence.union(enc.labels[joins[lo + i]]), masks[lo + i],
+                        float(putils[lo + i]), c.rows[matched[i]], scores[i][matched[i]],
+                        float(umax[i]), float(full[i]), float(rest[i]),
+                    ))
         ctx.vocab.extend(survivors)
         level = survivors
         # only labels that survived alone can be part of a survivor
@@ -258,83 +269,57 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
     ctx.vocab_putils = np.array([v.putil for v in ctx.vocab], dtype=np.float64)
 
 
-NEG_INF = float("-inf")
-
-
-def _visit(
-    ctx: _Context,
-    prefix: list[Coincidence],
-    rows: np.ndarray,
-    scores: np.ndarray,
-    umax: float,
-    bound: float,
-    cands: np.ndarray,
-    out: list[Pattern],
-    stats: MiningStats,
-) -> None:
-    """Emit and grow the pattern `prefix`, which survived its bound.
-
-    The prefix occurs in the sequences `rows`, with score rows `scores` on
-    them. `bound` is the tightest bound along its extension chain: a bound
-    established for a prefix also covers everything grown from it, so the
-    effective bound can only decrease down the tree. `cands` are the
-    vocabulary indices of the coincidences worth appending.
-    """
-    if umax >= ctx.xi_abs:
-        out.append(Pattern(LSequence(tuple(prefix)), umax))
-    if len(prefix) < ctx.cfg.max_length:
-        _grow(ctx, prefix, rows, scores, bound, cands, out, stats)
-
-
 def _grow(
-    ctx: _Context,
-    prefix: list[Coincidence],
-    rows: np.ndarray,
-    prefix_scores: np.ndarray,
-    limit: float,
-    cands: np.ndarray,
-    out: list[Pattern],
-    stats: MiningStats,
+    ctx: _Context, prefix: list[Coincidence], children: list, out: list[Pattern], stats: MiningStats
 ) -> None:
-    """Extend the prefix by each candidate, then grow the surviving
-    children depth-first.
+    """Emit and grow, depth-first, each child of the pattern `prefix`.
 
-    The kernel scores all candidates together, on the sequences the prefix
-    occurs in only. A child survives when it occurred and its own bound
-    clears the threshold; `limit`, the prefix's bound, already does. The
-    survivors are also the list every child inherits. A pattern grown from
-    prefix+x that appends c is a supersequence of prefix+c, so it occurs in
-    no sequence prefix+c misses, and the weighted bound only shrinks with
-    the set of sequences it sums over. Under `pdc` prefix+c's own bound
-    covers it too: each of the at most K - |prefix+c| coincidences such a
-    pattern has beyond prefix+c matches its own window, worth at most that
-    window's eventset mass.
+    `children` are the extensions of the prefix that survived, in
+    vocabulary order: (vocabulary index, the sequences the child occurs
+    in, its score rows on them, umax). A child is emitted when its umax
+    meets the threshold. Below the length cap the kernel then scores it
+    extended by every coincidence of `children`, on its own rows only, and
+    the survivors are grown in turn. A pattern grown from prefix+x that
+    appends c is a supersequence of prefix+c, so it occurs in no sequence
+    prefix+c misses, and the weighted bound only shrinks with the set of
+    sequences it sums over. Under `pdc` prefix+c's own bound covers it
+    too: each of the at most K - |prefix+c| coincidences such a pattern
+    has beyond prefix+c matches its own window, worth at most that
+    window's eventset mass. So a coincidence pruned beside a child is
+    never appended below it, at the roots as at any depth.
     """
-    stats.candidates_generated += cands.size
-    evaluated = _evaluate(
-        ctx, rows, prefix_scores, NEG_INF,
-        ctx.vocab_masks[cands], ctx.vocab_putils[cands], len(prefix) + 1,
-    )
-    children = []
-    for index, (child_rows, scores, umax, full, rest) in zip(cands.tolist(), evaluated):
-        if child_rows.size and _promising(ctx, bound := _bound(ctx, umax, full, rest)):
-            children.append((index, child_rows, scores, umax, min(limit, bound)))
-        else:
-            stats.candidates_pruned += 1
     inherited = np.array([child[0] for child in children], dtype=np.intp)
-    for index, child_rows, scores, umax, bound in children:
+    for index, rows, scores, umax in children:
         prefix.append(ctx.vocab[index].coincidence)
-        _visit(ctx, prefix, child_rows, scores, umax, bound, inherited, out, stats)
+        if umax >= ctx.xi_abs:
+            out.append(Pattern(LSequence(tuple(prefix)), umax))
+        if len(prefix) < ctx.cfg.max_length:
+            stats.candidates_generated += inherited.size
+            batches = _evaluate(
+                ctx, rows, scores, -math.inf,
+                ctx.vocab_masks[inherited], ctx.vocab_putils[inherited], len(prefix) + 1,
+            )
+            # the survivors are bound to no local here, so neither a kernel
+            # batch nor a finished sibling's survivors stay alive below
+            _grow(ctx, prefix, [
+                (inherited[lo + i], rows[matched[i]], batch[i][matched[i]], float(umaxes[i]))
+                for lo, matched, batch, umaxes, full, rest in batches
+                for i in _survivors(ctx, stats, matched.any(axis=1), umaxes, full, rest)
+            ], out, stats)
         prefix.pop()
 
 
-def _mine_root(ctx: _Context, root: _Candidate, out: list[Pattern], stats: MiningStats) -> None:
-    bound = _bound(ctx, root.umax, root.full, root.rest)
-    if _promising(ctx, bound):
-        _visit(ctx, [root.coincidence], root.rows, root.scores, root.umax, bound,
-               np.arange(len(ctx.vocab)), out, stats)
-    else:
-        stats.candidates_pruned += 1
+def _mine_root(ctx: _Context, out: list[Pattern], stats: MiningStats) -> None:
+    """Grow every pattern from the empty prefix (phase 2).
+
+    Its children, the roots, are the vocabulary coincidences, scored in
+    phase 1. The roots whose own bound clears the threshold are grown like
+    any other child, and each inherits only them.
+    """
+    vocab = ctx.vocab
+    umax, full, rest = np.array([(v.umax, v.full, v.rest) for v in vocab]).reshape(-1, 3).T
+    roots = _survivors(ctx, stats, np.ones(len(vocab), dtype=bool), umax, full, rest)
+    _grow(ctx, [], [(i, vocab[i].rows, vocab[i].scores, vocab[i].umax) for i in roots], out, stats)
 
 
 def _vocabulary_key(ctx: _Context) -> tuple:
@@ -387,8 +372,7 @@ def mine(
     )
 
     patterns: list[Pattern] = []
-    for root in ctx.vocab:
-        _mine_root(ctx, root, patterns, stats)
+    _mine_root(ctx, patterns, stats)
 
     patterns.sort(key=lambda p: lsequence_sort_key(p.lsequence))
     stats.patterns_found = len(patterns)

@@ -83,10 +83,12 @@ def evaluate(ctx, l):
     rows, scores, base = np.arange(enc.n_sequences), empty_prefix_scores(enc), 0.0
     for length, coin in enumerate(l.coincidences, start=1):
         mask, putil = encode_coincidence(coin, enc)
-        ((rows, scores, umax, full, rest),) = miner._evaluate(
+        # a batch of one candidate
+        ((_, matched, batch, umax, full, rest),) = miner._evaluate(
             ctx, rows, scores, base, mask, putil, length
         )
-        base = float("-inf")
+        rows, scores, base = rows[matched[0]], batch[0][matched[0]], float("-inf")
+    umax, full, rest = (float(x[0]) for x in (umax, full, rest))
     every = np.full((enc.n_sequences, enc.capacity), -np.inf)
     every[rows] = scores
     matched = np.zeros(enc.n_sequences, dtype=bool)

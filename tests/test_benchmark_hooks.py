@@ -41,6 +41,8 @@ def test_traced_cli_run_counts_each_layer(tmp_path):
     with tracing.installed(tracing.Tracer()) as tracer:
         assert cli.main(argv) == 0
     counts = tracer.summary()["counts"]
+    # one strategy, one growth phase: `_mine_root` grows every root
+    assert [span[0] for span in tracer.spans].count("miner.grow") == 1
     # the array ingest sums the total utility itself: no object-model walk
     assert counts.get("utility.dataset_utility_calls", 0) == 0
     assert counts["miner.vocab_candidates"] == 12

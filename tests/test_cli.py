@@ -63,6 +63,29 @@ def test_multiple_strategies_require_benchmark(capsys, data_file, utility_file):
     assert "--benchmark" in err
 
 
+def test_a_strategy_named_twice_is_usage_error(capsys, tmp_path, utility_file):
+    """Names are compared case-insensitively, and the error comes before
+    any input is read: the data file does not exist."""
+    missing = str(tmp_path / "absent.tsv")
+    for names in ("pdc,pdc", "pdc,PDC", "none, ldc,Ldc"):
+        code, out, err = run(
+            capsys, *mine_args(missing, utility_file, "--strategy", names, "--benchmark")
+        )
+        assert (code, out) == (USAGE_ERROR, ""), names
+        assert "named twice" in err
+
+
+def test_strategies_are_reported_by_their_canonical_names(capsys, data_file, utility_file):
+    code, out, _ = run(
+        capsys,
+        *mine_args(data_file, utility_file, "--strategy", "PDC, Ldc", "--benchmark"),
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["strategies"] == ["pdc", "ldc"]
+    assert list(report["stats"]) == ["pdc", "ldc"]
+
+
 def test_invalid_threshold_is_usage_error(capsys, data_file, utility_file):
     code, _, err = run(
         capsys, "mine", "--data", data_file, "--utilities", utility_file,

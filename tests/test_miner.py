@@ -174,10 +174,14 @@ def test_mine_example_candidate_accounting(example_cdata):
     assert counts[UpperBound.PROJECTED] == (554, 415)
 
 
-def test_a_root_its_bound_prunes_is_counted():
-    """Every candidate tried is pruned or grown, roots included. Here pdc's
-    bound drops the root <{D}> (umax 16 + rest 40 < threshold 58), so of
-    its 6 candidates only <{A}> survives."""
+def test_a_root_its_bound_prunes_is_counted(monkeypatch):
+    """Every candidate tried is pruned or grown, roots included. The
+    vocabulary phase tries the 4 labels and keeps the roots <{A}> and
+    <{D}> (generated 4, pruned 2). Under pdc the bound of <{D}> (umax 16 +
+    rest 40 < threshold 58) prunes it (pruned 3). A root inherits only the
+    roots that survived their own bound, as any prefix inherits its
+    surviving siblings, so <{A}> tries <{A}> alone (generated 5), and the
+    bound prunes <{A},{A}> (pruned 4)."""
     es, table = random_dataset(
         GeneratorParams(seed=3, num_sequences=4, max_intervals_per_seq=5, alphabet_size=4)
     )
@@ -187,16 +191,30 @@ def test_a_root_its_bound_prunes_is_counted():
     assert resolve_threshold(cfg, enc) == 58.0
     roots, _ = vocabulary(d, cfg, 58.0)
     assert roots == [Coincidence.of(["A"]), Coincidence.of(["D"])]
-    counts = {}
+    counts, appended = {}, {}
     for strategy in UpperBound:
-        patterns, stats = mine(enc, cfg.with_strategy(strategy))
+        # the masks of the coincidences the growth phase appends
+        masks = appended[strategy] = set()
+
+        def recording(*args, masks=masks, kernel=miner.extend_scores):
+            if args[4] != 0.0:  # prev_base of a non-empty prefix
+                masks.update(int(words[0]) for words in args[5])
+            return kernel(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(miner, "extend_scores", recording)
+            patterns, stats = mine(enc, cfg.with_strategy(strategy))
         assert patterns == []
         counts[strategy] = stats.candidates_generated, stats.candidates_pruned
     assert counts == {
         UpperBound.NONE: (20, 8),
         UpperBound.LWU: (8, 6),
-        UpperBound.PROJECTED: (6, 5),
+        UpperBound.PROJECTED: (5, 4),
     }
+    # the root its bound pruned is never scored as an extension
+    a_mask, d_mask = (1 << enc.label_bit[label] for label in "AD")
+    assert appended[UpperBound.LWU] == {a_mask, d_mask}
+    assert appended[UpperBound.PROJECTED] == {a_mask}
 
 
 def test_mine_single_windows_without_pruning(example_cdata):

@@ -230,8 +230,11 @@ def random_pattern(labels, rng, max_len=3, max_size=2):
 
 def test_bound_inequalities_on_random_instances():
     """projected <= weighted at the same budget, u_max <= weighted at |l|,
-    and u_max <= projected, with u_max found by brute force."""
+    and u_max <= projected, with u_max found by brute force. On all the
+    values as one batch, `miner._bound` equals its value on each candidate
+    alone, bit for bit, under every strategy."""
     rng = random.Random(99)
+    values = []
     for seed in range(60):
         d = random_cdata(seed, rng)
         labels = d.labels()
@@ -248,6 +251,13 @@ def test_bound_inequalities_on_random_instances():
             assert p <= e.full + 1e-9
             assert exact <= evaluate(pruning_context(enc, len(l)), l).full + 1e-9
             assert exact <= p + 1e-9
+            values.append((e.umax, e.full, e.rest))
+    umax, full, rest = np.array(values).T
+    for strategy in UpperBound:
+        ctx = pruning_context(enc, 2, strategy)
+        batch = np.broadcast_to(miner._bound(ctx, umax, full, rest), umax.shape)
+        alone = [miner._bound(ctx, *v) for v in values]
+        assert [float(b).hex() for b in batch] == [float(a).hex() for a in alone], strategy
 
 
 def test_lwu_monotone_in_budget_and_pattern():

@@ -11,7 +11,6 @@ the first offending line of malformed input for both.
 from __future__ import annotations
 
 import io as _io
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,33 +120,44 @@ class IntervalColumns:
         return self.alphabet
 
 
+# `read_intervals` splits about this many characters at a time into Python
+# strings: split whole, a large file's tokens outweigh every array of a run.
+READ_CHUNK_CHARS = 2**13
+
+
 def read_intervals(source) -> IntervalColumns:
     """The dataset in `source` as columns, with every check of
     `parse_dataset` run on whole columns.
 
+    Lines, ended by "\n" only, are split and converted about
+    `READ_CHUNK_CHARS` characters at a time, whole lines to a chunk.
     Integers are converted with `int()`, as `parse_dataset` does. When any
     check fails, `parse_dataset` reparses the text to raise the error of
     the first offending line.
     """
     text = _read_text(source)
-    rows = [p for p in map(str.split, _io.StringIO(text)) if p and not p[0].startswith("#")]
-    if any(map((4).__ne__, map(len, rows))):
-        _raise_first_error(text)
-    # each list goes as soon as the next one holds its strings, which
-    # lowers the peak memory of a large file
-    tokens = list(itertools.chain.from_iterable(rows))
-    del rows
-    sid_s, label_s, begin_s, finish_s = (tokens[k::4] for k in range(4))
-    del tokens
-    try:
-        sid, begin, finish = (
-            np.array(list(map(int, col)), dtype=np.int64) for col in (sid_s, begin_s, finish_s)
-        )
-    except (ValueError, OverflowError):
-        _raise_first_error(text)
-    alphabet = tuple(sorted(set(label_s)))
-    index = {lab: i for i, lab in enumerate(alphabet)}
-    label = np.fromiter(map(index.__getitem__, label_s), dtype=np.int64, count=len(label_s))
+    index: dict[str, int] = {}  # label -> code, in order of first appearance
+    chunks = [(np.empty(0, dtype=np.int64),) * 4]  # the columns of an empty file
+    end = 0
+    while end < len(text):
+        start, end = end, text.find("\n", end + READ_CHUNK_CHARS) + 1 or len(text)
+        rows = [p for p in map(str.split, text[start:end].split("\n")) if p and p[0][0] != "#"]
+        if any(map((4).__ne__, map(len, rows))):
+            _raise_first_error(text)
+        sid_s, label_s, begin_s, finish_s = zip(*rows) if rows else ((),) * 4
+        try:
+            sid, begin, finish = (
+                np.array(list(map(int, col)), dtype=np.int64) for col in (sid_s, begin_s, finish_s)
+            )
+        except (ValueError, OverflowError):
+            _raise_first_error(text)
+        label = np.array([index.setdefault(lab, len(index)) for lab in label_s], dtype=np.int64)
+        chunks.append((sid, label, begin, finish))
+    sid, label, begin, finish = map(np.concatenate, zip(*chunks))
+    del chunks
+    alphabet = tuple(sorted(index))
+    # each label's place in `alphabet`: a permutation's argsort is its inverse
+    label = np.argsort([index[lab] for lab in alphabet])[label]
     if (sid < 1).any() or (begin < 0).any() or (begin >= finish).any():
         _raise_first_error(text)
     order = np.lexsort((finish, begin, label, sid))

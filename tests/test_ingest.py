@@ -4,8 +4,10 @@ encoder), bit for bit, and the same error for malformed input."""
 import io
 import random
 
+import numpy as np
 import pytest
 
+from intervalmine import io as intervalmine_io
 from intervalmine.encoding import (
     _interval_windows,
     encode_dataset,
@@ -169,6 +171,28 @@ def test_malformed_input_gets_the_same_error_from_both_parsers(text):
     expected = outcome(parse_dataset, text)
     assert expected is not None and expected.startswith("line ")
     assert outcome(read_intervals, text) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 9, 30])
+def test_reading_in_chunks_changes_nothing(monkeypatch, chunk):
+    """Columns and errors are those of reading the file as one chunk,
+    also when labels first appear and faults sit in a later chunk."""
+    rng = random.Random(chunk)
+    texts = [shuffled_text(rng, rng.randint(2, 9), list("DCBA")) for _ in range(20)]
+    texts += [EXAMPLE_DATA, "# nothing here\n\n", *MALFORMED]
+    texts += ["1 A 0 3\n# c\n" + text for text in MALFORMED]
+    monkeypatch.setattr(intervalmine_io, "READ_CHUNK_CHARS", 2**30)
+    whole = [outcome(read_intervals, text) or read_intervals(io.StringIO(text)) for text in texts]
+    monkeypatch.setattr(intervalmine_io, "READ_CHUNK_CHARS", chunk)
+    for text, expected in zip(texts, whole):
+        got = outcome(read_intervals, text) or read_intervals(io.StringIO(text))
+        if isinstance(expected, str):
+            assert got == expected
+            continue
+        assert got.alphabet == expected.alphabet
+        for name in ("ids", "sequence", "label", "begin", "finish"):
+            assert getattr(got, name).dtype == np.int64
+            assert getattr(got, name).tolist() == getattr(expected, name).tolist()
 
 
 @pytest.mark.parametrize("token", ["+3", "1_0", "٣", "0x1", "1e3"])

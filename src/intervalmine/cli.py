@@ -24,8 +24,8 @@ from .io import (
     write_dataset,
     write_utilities,
 )
-from .miner import MiningConfig, Pattern, mine, resolve_threshold
-from .model import DataError, ESequenceDataset, UtilityTable
+from .miner import MiningConfig, mine, resolve_threshold
+from .model import DataError, ESequenceDataset, UtilityTable, lsequence_sort_key
 from .transform import transform_dataset
 from .utility import UpperBound, dataset_utility
 
@@ -107,10 +107,6 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--instances", type=int, default=25)
 
     return parser
-
-
-def _pattern_key(p: Pattern):
-    return tuple(tuple(c.labels) for c in p.lsequence.coincidences)
 
 
 def _stats_dict(stats, timings: bool) -> dict:
@@ -210,7 +206,7 @@ def _cmd_mine(args) -> int:
     del vocabularies
 
     pattern_sets = {
-        name: {(_pattern_key(p), p.umax) for p in res[0]}
+        name: {(lsequence_sort_key(p.lsequence), p.umax) for p in res[0]}
         for name, res in results.items()
     }
     reference = next(iter(pattern_sets.values()))
@@ -287,14 +283,14 @@ def _running_example() -> tuple[ESequenceDataset, UtilityTable]:
 def _check_instance(dataset, table, cfg: MiningConfig, label: str) -> bool:
     cdata = transform_dataset(dataset, table)
     expected = {
-        (_pattern_key(p), p.umax) for p in oracle.brute_force_mine(cdata, cfg)
+        (lsequence_sort_key(p.lsequence), p.umax) for p in oracle.brute_force_mine(cdata, cfg)
     }
     ok = True
     enc = encode_dataset(cdata)
     vocabularies: dict = {}
     for bound in UpperBound:
         got_patterns, _ = mine(enc, cfg.with_strategy(bound), vocabularies)
-        got = {(_pattern_key(p), p.umax) for p in got_patterns}
+        got = {(lsequence_sort_key(p.lsequence), p.umax) for p in got_patterns}
         if got != expected:
             print(
                 f"check {label}: strategy {bound.value} disagrees with brute force "

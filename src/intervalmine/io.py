@@ -28,14 +28,15 @@ from .model import (
 
 
 def _read_text(source) -> str:
-    """The whole text of a path or an open text handle.
+    """The whole text of a path or an open text handle, without a leading
+    byte-order mark.
 
     A file is decoded as UTF-8, and a byte that is not UTF-8 is a data
     error on the line it sits on. Its line ends are read as a file opened
     as text reads them: "\r\n" and a lone "\r" end a line too.
     """
     if not isinstance(source, (str, Path)):
-        return source.read()
+        return source.read().removeprefix("\ufeff")
     data = Path(source).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -44,7 +45,7 @@ def _read_text(source) -> str:
         raise DataError(
             f"line {lineno}: not UTF-8 text (byte 0x{data[e.start]:02x} at offset {e.start})"
         ) from None
-    return _newlines(text)
+    return _newlines(text).removeprefix("\ufeff")
 
 
 def _newlines(text: str) -> str:

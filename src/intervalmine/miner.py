@@ -219,7 +219,8 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
     """Level-wise promising coincidence generation (phase 1).
 
     Each level adds one label, taken above the last one, to the previous
-    level's survivors, starting from the empty coincidence. All joins of a
+    level's survivors in order, starting from the empty coincidence, so the
+    vocabulary comes out ordered by size, then by labels. All joins of a
     survivor are scored together, and only on the sequences the survivor
     occurs in, since a larger label set fits no window the smaller one
     misses. Candidates that never occur in a single window are dead ends
@@ -263,8 +264,6 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
             [enc.label_bit[v.coincidence.labels[0]] for v in ctx.vocab if len(v.coincidence) == 1],
             dtype=np.int64,
         )
-
-    ctx.vocab.sort(key=lambda v: (len(v.coincidence), v.coincidence.labels))
     ctx.vocab_masks = np.array([v.mask for v in ctx.vocab], dtype=np.uint64).reshape(-1, enc.words)
     ctx.vocab_putils = np.array([v.putil for v in ctx.vocab], dtype=np.float64)
 

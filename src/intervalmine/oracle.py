@@ -2,13 +2,15 @@
 
 Everything here favors obviousness over speed: pattern utilities are found
 by enumerating every match, and mining enumerates every pattern up to the
-length/size caps. This module deliberately avoids the optimized utility
-code so it can catch its bugs; it shares only the domain types and the
-transform.
+length/size caps. This module shares the domain types, the transform and
+`utility`'s object walks (window prices and the dataset total), and
+nothing of the mining path (encoded arrays, kernel, bounds), so it can
+catch that path's bugs.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -24,6 +26,7 @@ from .model import (
     left_sum,
     lsequence_sort_key,
 )
+from .utility import dataset_utility, eventset_utility
 
 ORACLE_BUDGET = 200_000
 
@@ -99,17 +102,10 @@ def enumerate_lsequences(alphabet: tuple[str, ...], max_length: int, max_size: i
 
 def count_lsequences(alphabet_size: int, max_length: int, max_size: int) -> int:
     v = sum(
-        _comb(alphabet_size, size)
+        math.comb(alphabet_size, size)
         for size in range(1, min(max_size, alphabet_size) + 1)
     )
     return sum(v**length for length in range(1, max_length + 1))
-
-
-def _comb(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def match_utilities(l: LSequence, c: CSequence, table: UtilityTable) -> list[float]:
@@ -152,23 +148,12 @@ def pattern_max_utility(l: LSequence, d: CSequenceDataset) -> tuple[float, bool]
 
 def top_k_eventsets_utility(c: CSequence, k: int, table: UtilityTable) -> float:
     """Exhaustive max over all subsets of at most k eventsets of c."""
-    utils = [
-        left_sum(table.utility(lab) for lab in es.coincidence) * es.duration
-        for es in c.eventsets
-    ]
+    utils = [eventset_utility(es, table) for es in c.eventsets]
     best = 0.0
     for size in range(0, min(k, len(utils)) + 1):
         for combo in itertools.combinations(utils, size):
             best = max(best, left_sum(combo))
     return best
-
-
-def exhaustive_dataset_utility(d: CSequenceDataset) -> float:
-    total = 0.0
-    for c in d.csequences:
-        for es in c.eventsets:
-            total += left_sum(d.utilities.utility(lab) for lab in es.coincidence) * es.duration
-    return total
 
 
 def brute_force_mine(d: CSequenceDataset, cfg) -> list:
@@ -180,7 +165,7 @@ def brute_force_mine(d: CSequenceDataset, cfg) -> list:
     """
     from .miner import Pattern
 
-    xi_abs = cfg.xi if cfg.xi_mode == "absolute" else cfg.xi * exhaustive_dataset_utility(d)
+    xi_abs = cfg.xi if cfg.xi_mode == "absolute" else cfg.xi * dataset_utility(d)
     alphabet = d.labels()
     total = count_lsequences(len(alphabet), cfg.max_length, cfg.max_size)
     if total > ORACLE_BUDGET:

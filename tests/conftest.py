@@ -22,11 +22,10 @@ from intervalmine.model import (
     ESequenceDataset,
     EventInterval,
     UtilityTable,
-    left_sum,
 )
 from intervalmine.oracle import EXAMPLE_DATA, EXAMPLE_UTILITIES
 from intervalmine.transform import transform_dataset
-from intervalmine.utility import UpperBound, dataset_utility
+from intervalmine.utility import UpperBound, dataset_utility, eventset_utility
 
 
 @pytest.fixture(scope="session")
@@ -114,7 +113,8 @@ def vocabulary(d, cfg, xi_abs):
 
 def reference_encoding(d):
     """The encoding of d built window by window from the object model, with
-    the total from `dataset_utility`."""
+    each window priced by `eventset_utility` and the total from
+    `dataset_utility`."""
     labels = d.labels()
     label_bit = {lab: i for i, lab in enumerate(labels)}
     words = max(1, (len(labels) + 63) // 64)
@@ -133,9 +133,7 @@ def reference_encoding(d):
                 bit = label_bit[lab]
                 masks[s, j, bit // 64] |= np.uint64(1) << np.uint64(bit % 64)
             durations[s, j] = es.duration
-            es_utils.append(
-                left_sum(d.utilities.utility(lab) for lab in es.coincidence) * es.duration
-            )
+            es_utils.append(eventset_utility(es, d.utilities))
         es_utils.sort(reverse=True)
         acc = 0.0
         for k, u in enumerate(es_utils, start=1):

@@ -22,6 +22,7 @@ from intervalmine.transform import transform_dataset
 from conftest import reference_encoding, wide_intervals
 
 FRACTIONS = (0.1, 0.2, 0.3, 0.7, 1 / 3, 2.9)
+BYTE_ORDER_MARK = "\ufeff".encode()
 
 
 def assert_matches_object_path(text, table):
@@ -224,19 +225,32 @@ def test_missing_file_fails_in_both_parsers(tmp_path):
 @pytest.mark.parametrize("parse", [parse_dataset, read_intervals, parse_utilities])
 def test_a_byte_that_is_not_utf8_is_a_data_error_on_its_line(tmp_path, parse):
     """Lines end at "\n", "\r\n" and a lone "\r", as in a file read as
-    text, so the bad byte on the fourth line is reported there."""
+    text, so the bad byte on the fourth line is reported there. Its offset
+    counts the bytes of a leading byte-order mark too."""
     path = tmp_path / "bad.tsv"
-    path.write_bytes(b"# header\r\n1 A 0 2\r1 B 1 3\n1 \xff 2 4\n")
-    with pytest.raises(DataError, match=r"line 4: not UTF-8 text \(byte 0xff at offset 28\)"):
-        parse(path)
+    for mark, offset in ((b"", 28), (BYTE_ORDER_MARK, 31)):
+        path.write_bytes(mark + b"# header\r\n1 A 0 2\r1 B 1 3\n1 \xff 2 4\n")
+        with pytest.raises(
+            DataError, match=rf"line 4: not UTF-8 text \(byte 0xff at offset {offset}\)"
+        ):
+            parse(path)
 
 
 def test_files_read_their_line_ends_as_text_files_do(tmp_path):
     """"\r\n" and a lone "\r" end a line in a file, as in one opened as
-    text; a multi-byte UTF-8 label is one label."""
+    text; a multi-byte UTF-8 label is one label. A file or a handle that
+    starts with a byte-order mark reads as the one without it."""
     path = tmp_path / "data.tsv"
-    path.write_bytes("1 A 0 2\r\n1 B 1 3\r2 é 0 1\n".encode())
+    utilities = tmp_path / "utilities.tsv"
+    content = "1 A 0 2\r\n1 B 1 3\r2 é 0 1\n".encode()
+    path.write_bytes(content)
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    assert parse_dataset(path) == parse_dataset(io.StringIO(text))
-    assert read_intervals(path).alphabet == ("A", "B", "é")
+    expected = parse_dataset(io.StringIO(text))
+    for mark in (b"", BYTE_ORDER_MARK):
+        path.write_bytes(mark + content)
+        utilities.write_bytes(mark + b"A\t5\r\nB\t1\n")
+        assert parse_dataset(path) == expected
+        assert parse_dataset(io.StringIO(mark.decode() + text)) == expected
+        assert read_intervals(path).alphabet == ("A", "B", "é")
+        assert parse_utilities(utilities).entries == {"A": 5.0, "B": 1.0}

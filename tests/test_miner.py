@@ -29,7 +29,7 @@ from intervalmine.oracle import (
     top_k_eventsets_utility,
 )
 from intervalmine.transform import transform_dataset
-from intervalmine.utility import UpperBound
+from intervalmine.utility import UpperBound, dataset_utility
 
 from conftest import vocabulary, wide_dataset
 
@@ -276,7 +276,9 @@ def test_all_strategies_match_the_oracle_with_fractional_utilities():
 
     A bound and the utility it covers then add inexact terms in different
     orders, so a bound that equals a pattern's utility can land an ulp
-    below it; pruning must still keep every pattern the oracle emits.
+    below it; pruning must still keep every pattern the oracle emits. The
+    threshold is also given relative to the dataset's total, which the
+    oracle and the miner must scale to the same float.
     """
     values = (0.1, 0.2, 0.3, 0.7, 1 / 3, 2.9)
     rng = random.Random(3)
@@ -295,11 +297,14 @@ def test_all_strategies_match_the_oracle_with_fractional_utilities():
         if not every:
             continue
         xi = rng.choice(every).umax
-        cfg = cfg_at(xi, k, z)
-        expected = pattern_set(brute_force_mine(d, cfg))
-        for strategy in UpperBound:
-            got, _ = mine(d, cfg.with_strategy(strategy))
-            assert pattern_set(got) == expected, (i, xi, strategy)
+        for cfg in (
+            cfg_at(xi, k, z),
+            cfg_at(min(1.0, xi / dataset_utility(d)), k, z, mode="relative"),
+        ):
+            expected = pattern_set(brute_force_mine(d, cfg))
+            for strategy in UpperBound:
+                got, _ = mine(d, cfg.with_strategy(strategy))
+                assert pattern_set(got) == expected, (i, cfg.xi_mode, cfg.xi, strategy)
 
 
 def test_fractional_utilities_sum_like_the_oracle_over_many_sequences():

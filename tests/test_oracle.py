@@ -1,12 +1,14 @@
 """The brute-force reference: enumeration, exhaustive utilities, generator."""
+import io
 import itertools
 import random
 
 import pytest
 
 from intervalmine.encoding import encode_dataset
+from intervalmine.io import parse_dataset
 from intervalmine.miner import MiningConfig, mine
-from intervalmine.model import LSequence
+from intervalmine.model import LSequence, UtilityTable
 from intervalmine.oracle import (
     GeneratorParams,
     ORACLE_BUDGET,
@@ -14,7 +16,6 @@ from intervalmine.oracle import (
     count_lsequences,
     enumerate_coincidences,
     enumerate_lsequences,
-    exhaustive_dataset_utility,
     match_utilities,
     pattern_max_utility,
     random_dataset,
@@ -68,11 +69,6 @@ def test_brute_force_above_total_utility(example_cdata):
     assert brute_force_mine(
         example_cdata, MiningConfig(xi=135.0, max_length=2, max_size=2)
     ) == []
-
-
-def test_exhaustive_dataset_utility_matches_fast_path(example_cdata):
-    assert exhaustive_dataset_utility(example_cdata) == 134.0
-    assert exhaustive_dataset_utility(example_cdata) == dataset_utility(example_cdata)
 
 
 def utility_set(l, c, table):
@@ -150,7 +146,7 @@ def test_generator_seed_one_snapshot():
     cdata = transform_dataset(es, table)
     assert len(es.sequences) == 4
     assert sum(len(s.intervals) for s in es.sequences) == 15
-    assert exhaustive_dataset_utility(cdata) == 130.0
+    assert dataset_utility(cdata) == 130.0
 
 
 def test_generator_respects_bounds():
@@ -170,9 +166,21 @@ def test_generator_respects_bounds():
 
 
 def test_oracle_equals_miner_on_one_fixed_instance():
+    """A generated instance, and one where <{A}{B}> holds all of the
+    dataset's utility, 0.7 as one left-to-right sum of window utilities, so
+    the relative threshold 1.0 sits on its value."""
     es, table = random_dataset(GeneratorParams(seed=5))
-    d = transform_dataset(es, table)
-    cfg = MiningConfig(xi=7.5, max_length=2, max_size=2)
-    expected = {(str(p.lsequence), p.umax) for p in brute_force_mine(d, cfg)}
-    got, _ = mine(d, cfg)
-    assert {(str(p.lsequence), p.umax) for p in got} == expected
+    on_the_total = parse_dataset(io.StringIO("1 A 0 1\n1 B 1 2\n2 A 0 2\n2 B 2 5\n"))
+    instances = [
+        (transform_dataset(es, table), MiningConfig(xi=7.5, max_length=2, max_size=2)),
+        (
+            transform_dataset(on_the_total, UtilityTable({"A": 0.1, "B": 0.1})),
+            MiningConfig(xi=1.0, max_length=2, max_size=1, xi_mode="relative"),
+        ),
+    ]
+    for d, cfg in instances:
+        expected = {(str(p.lsequence), p.umax) for p in brute_force_mine(d, cfg)}
+        got, _ = mine(d, cfg)
+        assert {(str(p.lsequence), p.umax) for p in got} == expected
+    # the second instance keeps the pattern that sits on its threshold
+    assert expected == {("<{A}{B}>", 0.7)}

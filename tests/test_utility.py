@@ -26,7 +26,6 @@ from intervalmine.model import (
 )
 from intervalmine.oracle import (
     GeneratorParams,
-    exhaustive_dataset_utility,
     match_utilities,
     pattern_max_utility,
     random_dataset,
@@ -293,7 +292,6 @@ def test_reference_sums_add_left_to_right():
     d = CSequenceDataset((c,), table)
     assert csequence_utility(c, table) == 0.9999999999999999
     assert dataset_utility(d) == 0.9999999999999999
-    assert exhaustive_dataset_utility(d) == 0.9999999999999999
     assert top_k_eventsets_utility(c, 10, table) == 0.9999999999999999
     assert encode_dataset(d).total_utility == 0.9999999999999999
     # ten labels of one window

@@ -200,10 +200,6 @@ def _cmd_mine(args) -> int:
     results = {}
     for b in bounds:
         results[b.value] = mine(enc, cfg.with_strategy(b), vocabularies)
-    # free the vocabularies' score rows before the report is built, as an
-    # unshared run frees them: held longer, they raise the peak resident
-    # memory of the ingest-20k benchmark by a fifth
-    del vocabularies
 
     pattern_sets = {
         name: {(lsequence_sort_key(p.lsequence), p.umax) for p in res[0]}

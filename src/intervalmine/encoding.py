@@ -5,7 +5,7 @@ words when the alphabet exceeds 64 labels), sequences become padded rows of
 a 3-d mask array, and the per-sequence top-k eventset utility sums are
 precomputed with one row per budget k, so that the weighted utilization of
 a whole batch of candidates is one contiguous gather and one row sum per
-budget.
+budget. Each label lists the sequences holding it, and its longest window.
 
 `encode_intervals` builds the arrays straight from interval columns;
 `encode_dataset` encodes the object model's windowed form. Both hand the
@@ -40,6 +40,9 @@ class EncodedDataset:
     topk: np.ndarray        # float64 [cap+1, n]; row k = top-k eventset mass
     label_utility: np.ndarray  # float64 [len(labels)]
     total_utility: float    # summed eventset utility of the dataset
+    label_rows: np.ndarray       # int64; the sequences holding each label, ascending
+    label_longest: np.ndarray    # float64; the label's longest window in each
+    label_row_start: np.ndarray  # int64 [len(labels)+1]; label b's rows start here
 
     @property
     def n_sequences(self) -> int:
@@ -113,14 +116,12 @@ def encode_dataset(d: CSequenceDataset) -> EncodedDataset:
     label_bit = {lab: i for i, lab in enumerate(labels)}
     lengths = np.array([len(c.eventsets) for c in d.csequences], dtype=np.int64)
     durations = [es.duration for c in d.csequences for es in c.eventsets]
-    pairs = [
+    pairs = sorted(
         (label_bit[lab], w)
         for w, es in enumerate(es for c in d.csequences for es in c.eventsets)
         for lab in es.coincidence
-    ]
-    pairs.sort()
-    pair_label = np.array([b for b, _ in pairs], dtype=np.int64)
-    pair_window = np.array([w for _, w in pairs], dtype=np.int64)
+    )
+    pair_label, pair_window = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     label_start = np.searchsorted(pair_label, np.arange(len(labels) + 1))
     return _assemble(labels, d.utilities, lengths, durations, pair_window, label_start)
 
@@ -129,7 +130,8 @@ def _assemble(labels, table, lengths, durations, pair_window, label_start) -> En
     """The encoding of windows given per sequence `lengths`, the windows'
     `durations` in sequence order, and the covered (window, label) pairs as
     window indices grouped by label: label b covers the windows
-    `pair_window[label_start[b]:label_start[b + 1]]`, each once.
+    `pair_window[label_start[b]:label_start[b + 1]]`, each once and in
+    ascending order.
     """
     n = len(lengths)
     cap = int(lengths.max()) if n else 0
@@ -150,10 +152,18 @@ def _assemble(labels, table, lengths, durations, pair_window, label_start) -> En
     flat_durations[cell] = durations
     # label utilities of each window, added in ascending label order
     mass = np.zeros(n * cap, dtype=np.float64)
+    # each label's sequences and longest window in each, one per run of its
+    # cells in one sequence; the empty first entries make the offsets
+    rows, longest = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for bit in range(len(labels)):
         covered = cell[pair_window[label_start[bit] : label_start[bit + 1]]]
         cell_masks[covered, bit >> 6] |= np.uint64(1 << (bit & 63))
         mass[covered] += label_utility[bit]
+        head = np.flatnonzero(np.diff(covered // cap, prepend=-1))
+        rows.append(covered[head] // cap)
+        longest.append(np.maximum.reduceat(flat_durations[covered], head))
+    occurrence_start = np.cumsum([r.size for r in rows])
+    rows, longest = np.concatenate(rows), np.concatenate(longest)
     # the sums below write into buffers already allocated
     eventset_utility = np.multiply(mass, flat_durations, out=mass).reshape(n, cap)
 
@@ -172,13 +182,15 @@ def _assemble(labels, table, lengths, durations, pair_window, label_start) -> En
         topk=topk,
         label_utility=label_utility,
         total_utility=total,
+        label_rows=rows, label_longest=longest, label_row_start=occurrence_start,
     )
 
 
 def same_encoding(a: EncodedDataset, b: EncodedDataset) -> bool:
     """Whether two encodings have the same labels and bit-identical arrays
     and total utility."""
-    arrays = ("masks", "durations", "lengths", "topk", "label_utility")
+    arrays = ("masks", "durations", "lengths", "topk", "label_utility", "label_rows",
+              "label_longest", "label_row_start")
     return (
         a.labels == b.labels
         and float(a.total_utility).hex() == float(b.total_utility).hex()
@@ -189,9 +201,10 @@ def same_encoding(a: EncodedDataset, b: EncodedDataset) -> bool:
     )
 
 
-def empty_prefix_scores(enc: EncodedDataset) -> np.ndarray:
-    """Score rows for the zero-length prefix: matched everywhere at 0."""
-    return np.zeros((enc.n_sequences, enc.capacity), dtype=np.float64)
+def empty_prefix_scores(enc: EncodedDataset, rows=None) -> np.ndarray:
+    """Score rows for the zero-length prefix on the sequences `rows`, all of
+    them by default: matched everywhere at 0."""
+    return np.zeros((enc.n_sequences if rows is None else len(rows), enc.capacity))
 
 
 def summarize_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,6 +220,21 @@ def summarize_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     last = scores[..., -1]
     matched = np.isfinite(last)
     return matched, np.where(matched, last, 0.0)
+
+
+def label_summary(enc: EncodedDataset, putils: np.ndarray, lo: int):
+    """`summarize_scores` of the labels from lo on alone, with utility masses
+    `putils`, from the label rows: a label's best match in a sequence is its
+    mass times its longest window there, the kernel's running maximum of
+    `putil * duration + 0.0` bit for bit, as rounding is monotone for a
+    nonnegative `putil`."""
+    start = enc.label_row_start[lo : lo + len(putils) + 1]
+    at = slice(start[0], start[-1])
+    cells = np.repeat(np.arange(len(putils)), np.diff(start)), enc.label_rows[at]
+    matched = np.zeros((len(putils), enc.n_sequences), dtype=bool)
+    best = np.zeros(matched.shape)
+    matched[cells], best[cells] = True, putils[cells[0]] * enc.label_longest[at]
+    return matched, best
 
 
 def weighted_utilization(

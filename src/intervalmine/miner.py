@@ -11,7 +11,7 @@ can only shrink the set of sequences a coincidence occurs in, and the
 weighted bound sums over that set, so every superset of a dropped label
 fails both tests too (the Apriori property). Phase 2 grows patterns
 depth-first by appending whole vocabulary coincidences, starting from the
-empty prefix, whose children, the roots, phase 1 already scored. A prefix
+empty prefix, whose children, the roots, phase 1 already bounded. A prefix
 carries only the sequences it occurs in and its score rows on them, so the
 kernel never scans a sequence the prefix misses, and a child tries only
 the coincidences that survived beside it (see `_grow`).
@@ -41,6 +41,7 @@ from .encoding import (
     EncodedDataset,
     empty_prefix_scores,
     encode_dataset,
+    label_summary,
     summarize_scores,
     weighted_utilization,
 )
@@ -111,18 +112,13 @@ def _promising(ctx: _Context, bound):
 
 @dataclass(frozen=True)
 class _Candidate:
-    """A vocabulary coincidence evaluated as a one-coincidence pattern.
-
-    `rows` are the sequences it occurs in and `scores` its score rows on
-    those sequences only; `umax`, `full` and `rest` are the inputs of
-    `_bound`, the same for both bounding strategies.
-    """
+    """A vocabulary coincidence as a one-coincidence pattern: the sequences
+    it occurs in and the inputs of `_bound`, the same for both strategies."""
 
     coincidence: Coincidence
     mask: np.ndarray
     putil: float
     rows: np.ndarray
-    scores: np.ndarray
     umax: float
     full: float
     rest: float
@@ -159,7 +155,9 @@ BATCH_CELLS = 2**16
 def _evaluate(ctx: _Context, rows, prev_scores, prev_base, masks, putils, length: int):
     """Score the prefix extended by each candidate, one kernel batch at a
     time, given the candidates' `masks` [C, words] and `putils` [C] and the
-    prefix's score rows on the sequences `rows`.
+    prefix's score rows on the sequences `rows`. With None for those, the
+    candidates are all labels alone on every sequence, read from the label
+    rows (`label_summary`) without the kernel, and yield no score rows.
 
     Yields, per batch of c candidates in order: the position of its first
     candidate, matched flags [c, n] over `rows`, score rows [c, n, cap],
@@ -169,20 +167,22 @@ def _evaluate(ctx: _Context, rows, prev_scores, prev_base, masks, putils, length
 
     A batch holds at most `BATCH_CELLS` cells, and its masses are one
     `weighted_utilization` call. umax adds the per-sequence values left to
-    right, as the oracle does. A pairwise sum (`ndarray.sum`) groups
-    fractional values differently, can land an ulp off, and then flips a
-    pattern whose value is exactly the threshold.
+    right, as the oracle does: a pairwise sum (`ndarray.sum`) can land an
+    ulp off and then flip a pattern whose value is exactly the threshold.
     """
     arrays = _project(ctx.enc, rows)
     # `none` never bounds, so it sums nothing: full and rest read 0
     k = 0 if ctx.cfg.strategy is UpperBound.NONE else ctx.cfg.max_length
     budgets = (k, k - length)
-    step = max(1, BATCH_CELLS // max(1, prev_scores.size))
+    step = max(1, BATCH_CELLS // max(1, rows.size if prev_scores is None else prev_scores.size))
     for lo in range(0, len(masks), step):
-        scores = extend_scores(
-            *arrays, prev_scores, prev_base, masks[lo : lo + step], putils[lo : lo + step]
-        )
-        matched, best = summarize_scores(scores)
+        if prev_scores is None:
+            scores, (matched, best) = None, label_summary(ctx.enc, putils[lo : lo + step], lo)
+        else:
+            scores = extend_scores(
+                *arrays, prev_scores, prev_base, masks[lo : lo + step], putils[lo : lo + step]
+            )
+            matched, best = summarize_scores(scores)
         umax = np.cumsum(best, axis=1)[:, -1] if best.shape[1] else np.zeros(len(best))
         yield lo, matched, scores, umax, *weighted_utilization(ctx.enc, rows, matched, budgets)
 
@@ -223,13 +223,10 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
     vocabulary comes out ordered by size, then by labels. All joins of a
     survivor are scored together, and only on the sequences the survivor
     occurs in, since a larger label set fits no window the smaller one
-    misses. Candidates that never occur in a single window are dead ends
-    for every strategy and are dropped alongside the unpromising ones.
+    misses; the labels alone need no kernel. Candidates that never occur in
+    a single window are dead ends for every strategy and are dropped too.
     """
     enc = ctx.enc
-    # the empty prefix scores 0 everywhere, so any leading block of its
-    # rows stands for it on any set of sequences
-    base = empty_prefix_scores(enc)
     # the mask of each label alone; a label's bit is its index in enc.labels
     bits = np.arange(len(enc.labels))
     label_masks = np.zeros((bits.size, enc.words), dtype=np.uint64)
@@ -237,7 +234,7 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
     # level 0 is the empty coincidence, which occurs everywhere
     empty = np.zeros(enc.words, dtype=np.uint64)
     everywhere = np.arange(enc.n_sequences)
-    level = [_Candidate(Coincidence(), empty, 0.0, everywhere, base, 0.0, math.inf, math.inf)]
+    level = [_Candidate(Coincidence(), empty, 0.0, everywhere, 0.0, math.inf, math.inf)]
     while level and len(level[0].coincidence) < ctx.cfg.max_size:
         survivors: list[_Candidate] = []
         for c in level:
@@ -247,14 +244,15 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
             # a child's utility mass adds its label utilities in ascending
             # label order
             masks, putils = c.mask | label_masks[joins], c.putil + enc.label_utility[joins]
-            batches = _evaluate(ctx, c.rows, base[: c.rows.size], 0.0, masks, putils, 1)
+            prev = empty_prefix_scores(enc, c.rows) if labels else None
+            batches = _evaluate(ctx, c.rows, prev, 0.0, masks, putils, 1)
             # a coincidence that can still gain labels has no match value to
             # project from, so only the weighted part holds
-            for lo, matched, scores, umax, full, rest in batches:
+            for lo, matched, _, umax, full, rest in batches:
                 for i in _survivors(ctx, stats, matched.any(axis=1), math.inf, full, rest):
                     survivors.append(_Candidate(
                         c.coincidence.union(enc.labels[joins[lo + i]]), masks[lo + i],
-                        float(putils[lo + i]), c.rows[matched[i]], scores[i][matched[i]],
+                        float(putils[lo + i]), c.rows[matched[i]],
                         float(umax[i]), float(full[i]), float(rest[i]),
                     ))
         ctx.vocab.extend(survivors)
@@ -275,15 +273,16 @@ def _grow(
 
     `children` are the extensions of the prefix that survived, in
     vocabulary order: (vocabulary index, the sequences the child occurs
-    in, its score rows on them, umax). A child is emitted when its umax
-    meets the threshold. Below the length cap the kernel then scores it
-    extended by every coincidence of `children`, on its own rows only, and
-    the survivors are grown in turn. A pattern grown from prefix+x that
-    appends c is a supersequence of prefix+c, so it occurs in no sequence
-    prefix+c misses, and the weighted bound only shrinks with the set of
-    sequences it sums over. Under `pdc` prefix+c's own bound covers it
-    too: each of the at most K - |prefix+c| coincidences such a pattern
-    has beyond prefix+c matches its own window, worth at most that
+    in, its score rows on them, umax); rows and scores are None at the
+    length cap, and scores for a root until it is grown. A child is emitted
+    when its umax meets the threshold. Below the length cap the kernel then
+    scores it extended by every coincidence of `children`, on its own rows
+    only, and the survivors are grown in turn. A pattern grown from
+    prefix+x that appends c is a supersequence of prefix+c, so it occurs in
+    no sequence prefix+c misses, and the weighted bound only shrinks with
+    the set of sequences it sums over. Under `pdc` prefix+c's own bound
+    covers it too: each of the at most K - |prefix+c| coincidences such a
+    pattern has beyond prefix+c matches its own window, worth at most that
     window's eventset mass. So a coincidence pruned beside a child is
     never appended below it, at the roots as at any depth.
     """
@@ -293,15 +292,22 @@ def _grow(
         if umax >= ctx.xi_abs:
             out.append(Pattern(LSequence(tuple(prefix)), umax))
         if len(prefix) < ctx.cfg.max_length:
+            if scores is None:
+                scores = extend_scores(
+                    *_project(ctx.enc, rows), empty_prefix_scores(ctx.enc, rows), 0.0,
+                    ctx.vocab_masks[index : index + 1], ctx.vocab_putils[index : index + 1],
+                )[0]
             stats.candidates_generated += inherited.size
             batches = _evaluate(
                 ctx, rows, scores, -math.inf,
                 ctx.vocab_masks[inherited], ctx.vocab_putils[inherited], len(prefix) + 1,
             )
+            leaf = len(prefix) + 1 == ctx.cfg.max_length
             # the survivors are bound to no local here, so neither a kernel
             # batch nor a finished sibling's survivors stay alive below
             _grow(ctx, prefix, [
-                (inherited[lo + i], rows[matched[i]], batch[i][matched[i]], float(umaxes[i]))
+                (inherited[lo + i], None if leaf else rows[matched[i]],
+                 None if leaf else batch[i][matched[i]], float(umaxes[i]))
                 for lo, matched, batch, umaxes, full, rest in batches
                 for i in _survivors(ctx, stats, matched.any(axis=1), umaxes, full, rest)
             ], out, stats)
@@ -311,14 +317,14 @@ def _grow(
 def _mine_root(ctx: _Context, out: list[Pattern], stats: MiningStats) -> None:
     """Grow every pattern from the empty prefix (phase 2).
 
-    Its children, the roots, are the vocabulary coincidences, scored in
+    Its children, the roots, are the vocabulary coincidences, bounded in
     phase 1. The roots whose own bound clears the threshold are grown like
-    any other child, and each inherits only them.
+    any other child, and each inherits only them. Phase 1 keeps no score rows.
     """
     vocab = ctx.vocab
     umax, full, rest = np.array([(v.umax, v.full, v.rest) for v in vocab]).reshape(-1, 3).T
     roots = _survivors(ctx, stats, np.ones(len(vocab), dtype=bool), umax, full, rest)
-    _grow(ctx, [], [(i, vocab[i].rows, vocab[i].scores, vocab[i].umax) for i in roots], out, stats)
+    _grow(ctx, [], [(i, vocab[i].rows, None, vocab[i].umax) for i in roots], out, stats)
 
 
 def _vocabulary_key(ctx: _Context) -> tuple:

@@ -113,8 +113,9 @@ def vocabulary(d, cfg, xi_abs):
 
 def reference_encoding(d):
     """The encoding of d built window by window from the object model, with
-    each window priced by `eventset_utility` and the total from
-    `dataset_utility`."""
+    each window priced by `eventset_utility`, the total from
+    `dataset_utility`, and each label's longest window per sequence taken
+    with `max`."""
     labels = d.labels()
     label_bit = {lab: i for i, lab in enumerate(labels)}
     words = max(1, (len(labels) + 63) // 64)
@@ -125,6 +126,7 @@ def reference_encoding(d):
     durations = np.zeros((n, cap), dtype=np.float64)
     lengths = np.zeros(n, dtype=np.int64)
     topk = np.zeros((n, cap + 1), dtype=np.float64)
+    longest = {}  # (label bit, sequence) -> longest window holding the label
     for s, cseq in enumerate(d.csequences):
         lengths[s] = len(cseq.eventsets)
         es_utils = []
@@ -132,6 +134,7 @@ def reference_encoding(d):
             for lab in es.coincidence:
                 bit = label_bit[lab]
                 masks[s, j, bit // 64] |= np.uint64(1) << np.uint64(bit % 64)
+                longest[bit, s] = max(longest.get((bit, s), 0.0), float(es.duration))
             durations[s, j] = es.duration
             es_utils.append(eventset_utility(es, d.utilities))
         es_utils.sort(reverse=True)
@@ -142,6 +145,7 @@ def reference_encoding(d):
         topk[s, len(es_utils) + 1 :] = acc  # budgets beyond |C| take everything
 
     label_utility = np.array([d.utilities.utility(lab) for lab in labels], dtype=np.float64)
+    occurrences = sorted(longest)
     return EncodedDataset(
         labels=labels,
         label_bit=label_bit,
@@ -151,6 +155,11 @@ def reference_encoding(d):
         topk=np.ascontiguousarray(topk.T),
         label_utility=label_utility,
         total_utility=float(dataset_utility(d)),
+        label_rows=np.array([s for _, s in occurrences], dtype=np.int64),
+        label_longest=np.array([longest[o] for o in occurrences], dtype=np.float64),
+        label_row_start=np.searchsorted(
+            np.array([bit for bit, _ in occurrences], dtype=np.int64), np.arange(len(labels) + 1)
+        ),
     )
 
 

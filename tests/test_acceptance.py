@@ -348,9 +348,10 @@ def test_criterion_8_speed_trend():
     )
 
     # alternate the strategies round by round, so a burst of load from
-    # other processes slows both rather than only the one running then
+    # other processes slows both rather than only the one running then; with
+    # 5 rounds a loaded machine failed about one run in 100
     best = {s: float("inf") for s in strategies}
-    for _ in range(5):
+    for _ in range(9):
         for s in strategies:
             best[s] = min(best[s], mine(d, configs[s])[1].elapsed_ms)
     assert best[UpperBound.PROJECTED] <= best[UpperBound.LWU]

@@ -52,6 +52,10 @@ def test_traced_cli_run_counts_each_layer(tmp_path):
     # 115 of them over 25 prefixes; the matched rows still count every
     # candidate's
     assert counts["kernels.extend_calls.grow"] == 25
+    # the labels alone run no kernel: the vocabulary's 3 join batches and
+    # the 6 roots, each scored on its own rows when growth reaches it
+    assert counts["kernels.extend_calls.vocab"] == 9
+    assert counts["kernels.rows_scanned.vocab"] == 33
     assert counts["kernels.matched_rows.grow"] == 169
     # growth scores only the sequences a prefix matched, never all four
     assert counts["kernels.rows_scanned.grow"] < 4 * counts["kernels.extend_calls.grow"]

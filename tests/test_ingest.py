@@ -16,7 +16,7 @@ from intervalmine.encoding import (
 )
 from intervalmine.io import dataset_to_string, parse_dataset, parse_utilities, read_intervals
 from intervalmine.model import DataError, UtilityTable
-from intervalmine.oracle import EXAMPLE_DATA, GeneratorParams, random_dataset
+from intervalmine.oracle import EXAMPLE_DATA, EXAMPLE_UTILITIES, GeneratorParams, random_dataset
 from intervalmine.transform import transform_dataset
 
 from conftest import reference_encoding, wide_intervals
@@ -31,7 +31,11 @@ def assert_matches_object_path(text, table):
     cdata = transform_dataset(parse_dataset(io.StringIO(text)), table)
     got = encode_intervals(read_intervals(io.StringIO(text)), table)
     assert same_encoding(got, reference_encoding(cdata))
-    assert same_encoding(encode_dataset(cdata), got)
+    windowed = encode_dataset(cdata)
+    assert same_encoding(windowed, got)
+    # the label rows that price a label alone, named so a mismatch says so
+    for name in ("label_rows", "label_longest", "label_row_start"):
+        assert getattr(got, name).tobytes() == getattr(windowed, name).tobytes(), name
     return got
 
 
@@ -101,6 +105,31 @@ def test_edge_cases_match_the_object_path(text):
     labels = parse_dataset(io.StringIO(text)).labels()
     assert_matches_object_path(text, fractional_table(labels, random.Random(1)))
     assert_matches_object_path(text, UtilityTable(dict.fromkeys(labels, 2.0)))
+
+
+def test_label_rows_of_the_running_example():
+    """Each label's sequences and its longest window in each, worked out by
+    hand from the example's windows: A spans [6, 10) and [10, 12) in the
+    first sequence, [2, 5) and [5, 7) in the second, and so on."""
+    enc = assert_matches_object_path(EXAMPLE_DATA, UtilityTable(EXAMPLE_UTILITIES))
+    assert enc.labels == ("A", "B", "C", "D", "E", "F")
+    assert enc.label_row_start.tolist() == [0, 3, 7, 11, 12, 16, 17]
+    assert enc.label_rows.tolist() == [
+        0, 1, 2,  # A
+        0, 1, 2, 3,  # B
+        0, 1, 2, 3,  # C
+        1,  # D
+        0, 1, 2, 3,  # E
+        3,  # F
+    ]
+    assert enc.label_longest.tolist() == [
+        4.0, 3.0, 4.0,  # A
+        5.0, 3.0, 4.0, 4.0,  # B
+        2.0, 2.0, 2.0, 3.0,  # C
+        3.0,  # D
+        2.0, 2.0, 2.0, 3.0,  # E
+        3.0,  # F
+    ]
 
 
 def test_overlapping_intervals_of_one_label_list_each_window_once():

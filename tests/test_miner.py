@@ -4,6 +4,7 @@ import itertools
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from intervalmine import miner
@@ -31,7 +32,7 @@ from intervalmine.oracle import (
 from intervalmine.transform import transform_dataset
 from intervalmine.utility import UpperBound, dataset_utility
 
-from conftest import vocabulary, wide_dataset
+from conftest import evaluate, vocabulary, wide_dataset
 
 
 def pattern_set(patterns):
@@ -135,6 +136,83 @@ def test_vocabulary_joins_only_surviving_labels(example_cdata):
     assert stats.candidates_generated == 12
     _, stats = vocabulary(example_cdata, cfg_at(22.0, 3, 2), 22.0)
     assert stats.candidates_generated == 21
+
+
+def lean_vocabulary_contexts(seed, count):
+    """Mining contexts over random instances with integer or fractional
+    utilities, coincidences of up to three labels and K of 2 or 3, at the
+    value of one of their patterns, under every strategy."""
+    values = (1.0, 2.0, 5.0, 0.1, 0.3, 1 / 3, 2.9)
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = GeneratorParams(
+            seed=rng.randrange(2**31),
+            num_sequences=rng.randint(1, 14),
+            max_intervals_per_seq=rng.randint(2, 7),
+            alphabet_size=rng.randint(2, 5),
+        )
+        es, _ = random_dataset(p)
+        table = UtilityTable({lab: rng.choice(values) for lab in es.labels()})
+        enc = encode_dataset(transform_dataset(es, table))
+        k, z = rng.randint(2, 3), rng.randint(1, 3)
+        every, _ = mine(enc, cfg_at(0.0, k, z))
+        xi = rng.choice(every).umax if every else 0.0
+        for s in UpperBound:
+            yield miner._Context(enc=enc, cfg=cfg_at(xi, k, z, s), xi_abs=xi)
+
+
+def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
+    """The labels alone are read from the encoder's label rows and their
+    joins scored on their parent's rows, yet each entry's rows and umax
+    equal those of its one-coincidence pattern scored by the kernel from
+    the empty prefix on every sequence, bit for bit, and so do the score
+    rows of each root, computed only when growth reaches it. A label's
+    full and rest are bit-identical too; a join's sum its parent's rows,
+    which a pairwise sum can group differently, so they agree to rounding.
+    """
+    checked = 0
+    for ctx in lean_vocabulary_contexts(5, 120):
+        miner._build_vocabulary(ctx, miner.MiningStats())
+        expected = [evaluate(ctx, LSequence((v.coincidence,))) for v in ctx.vocab]
+        for v, e in zip(ctx.vocab, expected):
+            assert v.rows.tolist() == np.flatnonzero(e.matched).tolist()
+            assert v.umax.hex() == e.umax.hex(), v.coincidence
+            if len(v.coincidence) == 1:
+                assert (v.full.hex(), v.rest.hex()) == (e.full.hex(), e.rest.hex())
+            else:
+                assert (v.full, v.rest) == (pytest.approx(e.full), pytest.approx(e.rest))
+        # a root is scored alone from the empty prefix; the vocabulary's own
+        # joins ran before the hook
+        roots = []
+        extend = miner.extend_scores
+
+        def recording(*args):
+            scores = extend(*args)
+            if args[4] == 0.0:
+                index = ctx.vocab_masks.tolist().index(args[5][0].tolist())
+                roots.append((index, scores[0]))
+            return scores
+
+        with monkeypatch.context() as m:
+            m.setattr(miner, "extend_scores", recording)
+            miner._mine_root(ctx, [], miner.MiningStats())
+        for index, scores in roots:
+            e = expected[index]
+            assert scores.tobytes() == e.scores[e.matched].tobytes(), ctx.vocab[index].coincidence
+        checked += len(roots)
+    assert checked > 500
+
+
+def test_the_vocabulary_keeps_no_score_rows(example_cdata):
+    """Entries hold their rows and bound inputs only: no float array with
+    a row per sequence, so the vocabulary costs no n x cap memory."""
+    enc = encode_dataset(example_cdata)
+    ctx = miner._Context(enc=enc, cfg=cfg_at(0.0, 3, 2), xi_abs=0.0)
+    miner._build_vocabulary(ctx, miner.MiningStats())
+    assert len(ctx.vocab) == 12
+    for v in ctx.vocab:
+        for name, value in vars(v).items():
+            assert not (isinstance(value, np.ndarray) and value.dtype.kind == "f"), name
 
 
 def test_promising_coincidences_above_total_utility_is_empty(example_cdata):

@@ -245,13 +245,14 @@ def weighted_utilization(
 
     `matched` holds one row of flags [C, n] per candidate over the
     ascending sequence indices `rows`. Each candidate's row is reduced on
-    its own and contiguously, so its sums do not depend on the other
-    candidates of the batch. A budget of 0 or less sums nothing.
+    its own and left to right, as umax is, so its sums depend neither on
+    the other candidates of the batch nor on the unmatched sequences among
+    `rows`: adding 0.0 changes no sum. A budget of 0 or less sums nothing.
     """
     out = np.zeros((len(budgets), len(matched)))
     for total, k in zip(out, budgets):
-        if k > 0:
+        if k > 0 and len(rows):
             # a flag times a mass is the mass or 0; faster than np.where
-            mass = enc.topk[min(k, enc.capacity)][rows]
-            np.multiply(matched, mass).sum(axis=1, out=total)
+            mass = np.multiply(matched, enc.topk[min(k, enc.capacity)][rows])
+            total[:] = np.cumsum(mass, axis=1, out=mass)[:, -1]
     return out

@@ -1,22 +1,26 @@
 """Reading and writing interval datasets and utility tables.
 
-Dataset lines are `sequence_id  label  begin  finish`, tab or space
-separated, one interval per line; `#` starts a comment and blank lines are
-skipped. Utility lines are `label  value`.
+Dataset lines are `sequence_id  label  begin  finish`, one interval per
+line, separated by any whitespace `str.split()` splits at; `#` starts a
+comment and blank lines are skipped. Utility lines are `label  value`.
 
-`read_intervals` reads a dataset into columns for the mining path;
-`parse_dataset` builds the object model and is the reference that names
-the first offending line of malformed input for both.
+`read_intervals` reads a dataset into columns for the mining path: it
+tokenizes the file's UTF-8 bytes and converts plain decimal numbers in
+numpy. `parse_dataset` builds the object model with `str.split()` and
+`int()`; it is the reference that names the first offending line of
+malformed input for both.
 """
 from __future__ import annotations
 
 import io as _io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     DataError,
@@ -121,52 +125,158 @@ class IntervalColumns:
         return self.alphabet
 
 
-# `read_intervals` splits about this many characters at a time into Python
-# strings: split whole, a large file's tokens outweigh every array of a run.
-READ_CHUNK_CHARS = 2**13
+# The characters `str.split()` and `str.strip()` split at: the ASCII ones
+# as a `bytes.translate` table that maps them to 1 and every other byte to
+# 0, the others as the string of them that `read_intervals` turns into
+# spaces before it reads any bytes.
+_ASCII_SPACE = bytes(c in b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f " for c in range(256))
+_UNICODE_SPACES = (
+    "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u2028\u2029\u202f\u205f\u3000"
+)
+_UNICODE_SPACE = re.compile(f"[{_UNICODE_SPACES}]")
+
+# `read_intervals` tokenizes about this many bytes at a time, whole lines
+# to a chunk, so that its per-byte and per-token arrays stay small.
+READ_CHUNK_CHARS = 2**15
 
 
 def read_intervals(source) -> IntervalColumns:
     """The dataset in `source` as columns, with every check of
     `parse_dataset` run on whole columns.
 
-    Lines, ended by "\n" only, are split and converted about
-    `READ_CHUNK_CHARS` characters at a time, whole lines to a chunk.
-    Integers are converted with `int()`, as `parse_dataset` does. When any
+    The text is read as UTF-8 bytes (a lone surrogate from a text handle
+    passes through, as in `parse_dataset`), about `READ_CHUNK_CHARS` bytes
+    at a time, whole lines to a chunk. Lines end at "\n" only. Tokens are
+    the runs of bytes between the whitespace `str.split()` splits at. An
+    id or time of at most 18 ASCII digits is converted in numpy; any other
+    is converted with `int()`, as `parse_dataset` does. Labels are coded
+    from their bytes, a group of tokens of one width at a time. When any
     check fails, `parse_dataset` reparses the text to raise the error of
     the first offending line.
     """
     text = _read_text(source)
-    index: dict[str, int] = {}  # label -> code, in order of first appearance
-    chunks = [(np.empty(0, dtype=np.int64),) * 4]  # the columns of an empty file
-    end = 0
-    while end < len(text):
-        start, end = end, text.find("\n", end + READ_CHUNK_CHARS) + 1 or len(text)
-        rows = [p for p in map(str.split, text[start:end].split("\n")) if p and p[0][0] != "#"]
-        if any(map((4).__ne__, map(len, rows))):
-            _raise_first_error(text)
-        sid_s, label_s, begin_s, finish_s = zip(*rows) if rows else ((),) * 4
-        try:
-            sid, begin, finish = (
-                np.array(list(map(int, col)), dtype=np.int64) for col in (sid_s, begin_s, finish_s)
-            )
-        except (ValueError, OverflowError):
-            _raise_first_error(text)
-        label = np.array([index.setdefault(lab, len(index)) for lab in label_s], dtype=np.int64)
-        chunks.append((sid, label, begin, finish))
-    sid, label, begin, finish = map(np.concatenate, zip(*chunks))
-    del chunks
-    alphabet = tuple(sorted(index))
+    spaced = text if text.isascii() else _UNICODE_SPACE.sub(" ", text)
+    # 18 leading spaces: every number's 18-byte window lies in the buffer
+    raw = b" " * 18 + spaced.encode("utf-8", "surrogatepass") + b"\n"
+    del spaced
+    data = np.frombuffer(raw, dtype=np.uint8)
+    spaces = np.frombuffer(raw.translate(_ASCII_SPACE), dtype=bool)
+    out = np.empty((4, raw.count(b"\n")), dtype=np.int64)  # sid, label, begin, finish
+    index: dict[bytes, int] = {}  # a label's bytes -> its code
+    rows = 0
+    for starts, ends in _data_tokens(raw, data, spaces, text):
+        numbers, m = [0, 2, 3], starts.shape[1]
+        out[numbers, rows : rows + m] = _integers(data, starts[numbers], ends[numbers], text)
+        out[1, rows : rows + m] = _label_codes(data, starts[1], ends[1], index)
+        rows += m
+    del raw, data, spaces
+    sid, label, begin, finish = out[:, :rows]
+    labels = [key.decode("utf-8", "surrogatepass") for key in index]
+    alphabet = tuple(sorted(labels))
     # each label's place in `alphabet`: a permutation's argsort is its inverse
-    label = np.argsort([index[lab] for lab in alphabet])[label]
+    label[:] = np.argsort(sorted(range(len(labels)), key=labels.__getitem__))[label]
     if (sid < 1).any() or (begin < 0).any() or (begin >= finish).any():
         _raise_first_error(text)
     order = np.lexsort((finish, begin, label, sid))
-    keys = np.stack((sid, label, begin, finish))[:, order]
-    if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
+    repeated = np.ones(max(rows - 1, 0), dtype=bool)  # equal to the next in order
+    for column in (sid, label, begin, finish):
+        ranked = column[order]
+        repeated &= ranked[1:] == ranked[:-1]
+    if repeated.any():
         _raise_first_error(text)
+    del order, repeated, ranked
     ids, sequence = np.unique(sid, return_inverse=True)
-    return IntervalColumns(alphabet, ids, sequence.astype(np.int64), label, begin, finish)
+    sid[:] = sequence
+    return IntervalColumns(alphabet, ids, sid, label, begin, finish)
+
+
+def _data_tokens(raw: bytes, data: np.ndarray, spaces: np.ndarray, text: str):
+    """The tokens of the data lines of each chunk of `READ_CHUNK_CHARS`
+    bytes or more, whole lines to a chunk, as [4, lines] arrays of start and
+    end offsets; chunks without data lines are skipped.
+
+    A line of tokens other than a comment must have four, or the text goes
+    to `_raise_first_error`. `data` views `raw`, which starts with a space
+    and ends with a line end, and `spaces` flags its whitespace bytes.
+    """
+    lo = 0  # each chunk starts on a space: the first byte or a line end
+    while lo < len(raw) - 1:
+        hi = raw.find(b"\n", lo + READ_CHUNK_CHARS) + 1 or len(raw)
+        # tokens start and end where a run of spaces does
+        edges = np.flatnonzero(spaces[lo + 1 : hi] != spaces[lo : hi - 1]) + (lo + 1)
+        starts, ends = edges[0::2], edges[1::2]
+        line_ends = np.flatnonzero(data[lo + 1 : hi] == 10) + (lo + 1)
+        lo = hi - 1
+        if not len(starts):
+            continue
+        # the tokens of a line are starts[cut - count : cut]
+        cut = np.searchsorted(starts, line_ends)
+        count = np.diff(cut, prepend=0)
+        kept = (count > 0) & (np.take(data, np.take(starts, cut - count, mode="clip")) != ord("#"))
+        if (kept & (count != 4)).any():
+            _raise_first_error(text)
+        if not kept.all():
+            fields = np.repeat(kept, count)
+            starts, ends = starts[fields], ends[fields]
+        if len(starts):
+            yield starts.reshape(-1, 4).T, ends.reshape(-1, 4).T
+
+
+def _integers(data: np.ndarray, starts, ends, text: str) -> np.ndarray:
+    """The integers of the tokens [starts, ends) of `data`, as int64.
+
+    A token of at most 18 ASCII digits (10**18 - 1 < 2**63) is converted
+    digit by digit, a column of its last 18 bytes at a time; any other goes
+    through `int()`, and one that `int()` rejects or int64 cannot hold
+    sends the text to `_raise_first_error`.
+    """
+    width = ends - starts
+    value = np.zeros(width.shape, dtype=np.int64)
+    worst = np.zeros(width.shape, dtype=np.uint8)  # the largest digit
+    for back in range(min(int(width.max()), 18), 0, -1):
+        digit = np.take(data, ends - back) - np.uint8(ord("0"))
+        digit *= back <= width  # a byte before the token counts 0
+        np.maximum(worst, digit, out=worst)
+        value *= 10
+        value += digit
+    for i in zip(*np.nonzero((worst > 9) | (width > 18))):
+        try:
+            number = int(data[starts[i] : ends[i]].tobytes().decode("utf-8", "surrogatepass"))
+        except ValueError:
+            _raise_first_error(text)
+        if not -(2**63) <= number <= INT64_MAX:
+            _raise_first_error(text)
+        value[i] = number
+    return value
+
+
+def _label_codes(data: np.ndarray, starts, ends, index: dict[bytes, int]) -> np.ndarray:
+    """The code of each label token [starts, ends) of `data`, given new
+    labels the next codes in `index`.
+
+    Tokens of one width are gathered and sorted together, as big-endian
+    integers up to 8 bytes and as byte strings above, so the bytes
+    gathered are those of the labels themselves.
+    """
+    width = ends - starts
+    codes = np.empty(len(starts), dtype=np.int64)
+    for w in np.unique(width).tolist():
+        at = np.flatnonzero(width == w)
+        if w <= 8:
+            packed = np.zeros(len(at), dtype=np.uint64)
+            for j in range(w):
+                packed <<= np.uint64(8)
+                packed |= np.take(data, starts[at] + j)
+            distinct, inverse = np.unique(packed, return_inverse=True)
+            names = [key.to_bytes(w, "big") for key in distinct.tolist()]
+        else:
+            keys = sliding_window_view(data, w)[starts[at]].view(np.dtype((np.void, w)))
+            distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+            names = distinct.tolist()
+        known = [index.setdefault(name, len(index)) for name in names]
+        codes[at] = np.array(known, dtype=np.int64)[inverse]
+    return codes
 
 
 def _raise_first_error(text: str):

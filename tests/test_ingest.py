@@ -3,6 +3,8 @@ path (`parse_dataset`, `transform_dataset` and the per-window reference
 encoder), bit for bit, and the same error for malformed input."""
 import io
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,7 +93,11 @@ def test_wide_alphabet_matches_the_object_path():
     assert got.words == 3
 
 
-@pytest.mark.parametrize("text", [
+# whitespace other than space, tab and line end that `str.split()` splits at
+ODD_SPACES = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000"
+ZEROS = "0" * 20
+
+EDGE_CASES = [
     # overlapping, nested and touching intervals of one label
     "1 A 0 5\n1 A 3 8\n1 A 1 2\n1 A 8 9\n1 B 2 4\n2 A 0 4\n2 A 0 9\n",
     # a NUL-terminated label is a label of its own
@@ -100,7 +106,23 @@ def test_wide_alphabet_matches_the_object_path():
     "3 C 5 6\n1 A 0 1\n2 B 7 100\n",
     "1 A 0 1\n",
     EXAMPLE_DATA,
-])
+    # each odd space as a separator, as leading whitespace and as a blank line
+    *(f"1{c}A{c}{c}0\t{c}3\n{c}\n{c}2 B{c}1 4{c}\n{c}{c}1 A 2 5\n" for c in ODD_SPACES),
+    # a comment that starts with a wide space, and "#" in and before a label
+    "\u3000# no data\n1 #A 0 3\n1 A#B# 1 2\n2 # 0 1\n",
+    # labels of digits, labels that are byte prefixes of each other, and
+    # labels whose UTF-8 bytes share a lead byte
+    "1 42 0 3\n1 4 0 2\n2 A 0 1\n2 AB 1 2\n2 ABA 2 3\n1 é 1 2\n1 è 2 3\n2 è 0 1\n",
+    # labels of more than 8 bytes, two of them equal in their first 9
+    "1 ABCDEFGHIJ 0 3\n1 ABCDEFGHIK 1 2\n2 ABCDEFGHIJ 0 1\n2 ABCDEFGH 2 3\n1 éèéèé 0 2\n",
+    # zero-padded numbers of 19 to 25 digits
+    f"{ZEROS}1 A {ZEROS}00000 {ZEROS[:18]}3\n{ZEROS[:19]}2 A {ZEROS}1 {ZEROS}12\n",
+    # no line end after the last line
+    "1 A 0 3\n2 B 1 4",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_CASES)
 def test_edge_cases_match_the_object_path(text):
     labels = parse_dataset(io.StringIO(text)).labels()
     assert_matches_object_path(text, fractional_table(labels, random.Random(1)))
@@ -185,6 +207,14 @@ MALFORMED = [
     f"{INT64_OVER} A 0 3\n",
     f"1 A -{INT64_OVER}0 3\n",
     f"1 A 5 3\n1 A 0 {INT64_OVER}\n",
+    f"1 A 0 {ZEROS}{INT64_OVER}\n",
+    # odd spaces that make a line of three or five fields
+    *(f"1 A 0 3\n1{c}A 0\n" for c in ODD_SPACES),
+    *(f"1 A 0 3\n1 A 0 3{c}x\n" for c in ODD_SPACES),
+    # a comment mark after a field is a label, not a comment
+    "1 A 0 3\n1 # 0\n",
+    # no line end after a bad last line
+    "1 A 0 3\n1 A 0 3",
 ]
 
 
@@ -209,7 +239,7 @@ def test_reading_in_chunks_changes_nothing(monkeypatch, chunk):
     also when labels first appear and faults sit in a later chunk."""
     rng = random.Random(chunk)
     texts = [shuffled_text(rng, rng.randint(2, 9), list("DCBA")) for _ in range(20)]
-    texts += [EXAMPLE_DATA, "# nothing here\n\n", *MALFORMED]
+    texts += [*EDGE_CASES, "# nothing here\n\n", *MALFORMED]
     texts += ["1 A 0 3\n# c\n" + text for text in MALFORMED]
     monkeypatch.setattr(intervalmine_io, "READ_CHUNK_CHARS", 2**30)
     whole = [outcome(read_intervals, text) or read_intervals(io.StringIO(text)) for text in texts]
@@ -235,6 +265,51 @@ def test_integer_tokens_parse_as_int_does(token, field):
     assert outcome(read_intervals, text) == expected
     if expected is None:
         assert_matches_object_path(text, UtilityTable({"A": 0.7, "B": 1 / 3}))
+
+
+def test_a_lone_surrogate_label_reads_as_parse_dataset_reads_it():
+    """A text handle can hold code points that UTF-8 cannot encode; each
+    is a label, or part of one, as `str.split()` cuts it."""
+    text = "1 \ud800 0 3\n1 A\udfff 1 4\n2 \udc00\ud800 0 2\n2 \ud800 1 5\n"
+    assert read_intervals(io.StringIO(text)).alphabet == parse_dataset(io.StringIO(text)).labels()
+    table = UtilityTable({"\ud800": 0.7, "A\udfff": 2.0, "\udc00\ud800": 1 / 3})
+    assert_matches_object_path(text, table)
+
+
+def test_a_label_longer_than_a_chunk_reads_in_memory_of_the_file_size(tmp_path):
+    """Labels are gathered a width at a time, so one long label among
+    thousands of short ones costs its own bytes, not its width for every
+    label of its chunk."""
+    lines = [f"{k // 5 + 1} {'AB'[k % 2]} {k % 7} {k % 7 + 2}" for k in range(5000)]
+    lines[2500] = f"9999 {'L' * (intervalmine_io.READ_CHUNK_CHARS + 1)} 0 1"
+    path = tmp_path / "long.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    read_intervals(io.StringIO("1 A 0 1\n1 AB 0 1\n1 ABCDEFGHI 0 1\n"))  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        cols = read_intervals(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cols.alphabet) == 3 and len(cols.label) == 5000
+    assert peak < 16 * path.stat().st_size
+
+
+def test_the_whitespace_tables_are_what_str_split_splits_at():
+    """The reader's byte table and its class of wider characters hold
+    exactly the code points `str.isspace()` accepts, which are those
+    `str.split()` splits at. A Python whose Unicode tables differ fails here
+    rather than reading files that `parse_dataset` splits otherwise."""
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = {c for c in everything if c.isspace()}
+    table = {chr(b) for b in range(256) if intervalmine_io._ASCII_SPACE[b]}
+    wide = set(intervalmine_io._UNICODE_SPACES)
+    assert max(table) < "\x80" <= min(wide)
+    differ = sorted(spaces ^ (table | wide))
+    assert not differ, f"this Python's Unicode whitespace differs in {differ}"
+    assert len(wide) == len(intervalmine_io._UNICODE_SPACES) == 19
+    assert set(intervalmine_io._UNICODE_SPACE.findall(everything)) == wide
+    assert "".join(everything.split()) == "".join(c for c in everything if c not in spaces)
 
 
 def test_int64_overflow_names_its_line():

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from dataclasses import asdict
 from io import StringIO
@@ -68,12 +69,8 @@ def _build_parser() -> _Parser:
     p_mine.add_argument(
         "--strategy",
         default="pdc",
-        help="pruning strategy: none, ldc or pdc; distinct ones comma-separated with --benchmark",
-    )
-    p_mine.add_argument(
-        "--benchmark",
-        action="store_true",
-        help="run every listed strategy and report per-strategy statistics",
+        help="pruning strategy: none, ldc or pdc; a comma-separated list of distinct "
+        "ones runs each and reports per-strategy statistics",
     )
     p_mine.add_argument("--output", help="write the report here instead of stdout")
     p_mine.add_argument("--format", choices=("json", "table"), default="json")
@@ -88,6 +85,7 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="include wall-clock times in the report (breaks byte-for-byte reproducibility)",
     )
+    p_mine.set_defaults(run=_cmd_mine)
 
     p_gen = sub.add_parser("gen", help="emit a random interval dataset")
     p_gen.add_argument("--seed", type=int, default=0)
@@ -99,12 +97,14 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--max-utility", type=int, default=5)
     p_gen.add_argument("--output", help="dataset file (default: stdout)")
     p_gen.add_argument("--utilities-out", help="also write the generated utility table here")
+    p_gen.set_defaults(run=_cmd_gen)
 
     p_check = sub.add_parser(
         "check", help="verify the miner against brute force on small instances"
     )
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--instances", type=int, default=25)
+    p_check.set_defaults(run=_cmd_check)
 
     return parser
 
@@ -162,6 +162,30 @@ def _load_inputs(args) -> tuple[IntervalColumns, UtilityTable]:
     return dataset, fill_utilities(dataset, table, args.default_utility)
 
 
+def _pattern_set(patterns) -> set:
+    return {(lsequence_sort_key(p.lsequence), p.umax) for p in patterns}
+
+
+def _mine_strategies(enc, cfg: MiningConfig, bounds, expected: set | None = None):
+    """Mine `enc` under each bound in turn, ldc and pdc sharing the one
+    vocabulary they both build.
+
+    Returns each strategy's (patterns, stats) by name, and the size of the
+    pattern set of each strategy whose set differs from `expected`, by
+    default the first strategy's.
+    """
+    vocabularies: dict = {}
+    results, wrong = {}, {}
+    for b in bounds:
+        results[b.value] = mine(enc, cfg.with_strategy(b), vocabularies)
+        got = _pattern_set(results[b.value][0])
+        if expected is None:
+            expected = got
+        elif got != expected:
+            wrong[b.value] = len(got)
+    return results, wrong
+
+
 def _cmd_mine(args) -> int:
     if args.threads < 1:
         print(f"intervalmine: error: --threads must be >= 1: {args.threads}", file=sys.stderr)
@@ -169,12 +193,6 @@ def _cmd_mine(args) -> int:
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
     if not strategies:
         print("intervalmine: error: no strategy given", file=sys.stderr)
-        return USAGE_ERROR
-    if len(strategies) > 1 and not args.benchmark:
-        print(
-            "intervalmine: error: multiple strategies require --benchmark",
-            file=sys.stderr,
-        )
         return USAGE_ERROR
     try:
         bounds = [UpperBound.from_name(s) for s in strategies]
@@ -194,26 +212,15 @@ def _cmd_mine(args) -> int:
     enc = encode_intervals(dataset, table)
     threshold = resolve_threshold(cfg, enc)
 
-    # ldc and pdc build the same vocabulary: the first builds it, the
-    # second reuses it
-    vocabularies: dict = {}
-    results = {}
-    for b in bounds:
-        results[b.value] = mine(enc, cfg.with_strategy(b), vocabularies)
-
-    pattern_sets = {
-        name: {(lsequence_sort_key(p.lsequence), p.umax) for p in res[0]}
-        for name, res in results.items()
-    }
-    reference = next(iter(pattern_sets.values()))
-    for name, got in pattern_sets.items():
-        if got != reference:
-            print(
-                f"intervalmine: internal error: strategy {name!r} "
-                "produced a different pattern set",
-                file=sys.stderr,
-            )
-            return INTERNAL_ERROR
+    results, wrong = _mine_strategies(enc, cfg, bounds)
+    for name in wrong:
+        print(
+            f"intervalmine: internal error: strategy {name!r} "
+            "produced a different pattern set",
+            file=sys.stderr,
+        )
+    if wrong:
+        return INTERNAL_ERROR
 
     patterns = results[strategies[0]][0]
     report = {
@@ -272,28 +279,27 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _running_example() -> tuple[ESequenceDataset, UtilityTable]:
-    return parse_dataset(StringIO(oracle.EXAMPLE_DATA)), UtilityTable(oracle.EXAMPLE_UTILITIES)
-
-
-def _check_instance(dataset, table, cfg: MiningConfig, label: str) -> bool:
-    cdata = transform_dataset(dataset, table)
-    expected = {
-        (lsequence_sort_key(p.lsequence), p.umax) for p in oracle.brute_force_mine(cdata, cfg)
-    }
-    ok = True
-    enc = encode_dataset(cdata)
-    vocabularies: dict = {}
-    for bound in UpperBound:
-        got_patterns, _ = mine(enc, cfg.with_strategy(bound), vocabularies)
-        got = {(lsequence_sort_key(p.lsequence), p.umax) for p in got_patterns}
-        if got != expected:
-            print(
-                f"check {label}: strategy {bound.value} disagrees with brute force "
-                f"({len(got)} vs {len(expected)} patterns)",
-                file=sys.stderr,
-            )
-            ok = False
+def _check_instance(
+    ds: ESequenceDataset, table: UtilityTable, cfg: MiningConfig, seed: int, label: str
+) -> bool:
+    """Whether every strategy, mining `ds` written out with mixed
+    whitespace (laid out by `seed`) as `mine` reads and encodes a file,
+    finds the patterns brute force finds on the object model, and the
+    arrays equal the object model's encoding."""
+    cdata = transform_dataset(ds, table)
+    columns = read_intervals(StringIO(_laid_out(ds, random.Random(seed))))
+    enc = encode_intervals(columns, table)
+    ok = same_encoding(enc, encode_dataset(cdata))
+    if not ok:
+        print(f"check {label}: array ingest differs from the object encoding", file=sys.stderr)
+    expected = _pattern_set(oracle.brute_force_mine(cdata, cfg))
+    for name, size in _mine_strategies(enc, cfg, UpperBound, expected)[1].items():
+        print(
+            f"check {label}: strategy {name} disagrees with brute force "
+            f"({size} vs {len(expected)} patterns)",
+            file=sys.stderr,
+        )
+        ok = False
     return ok
 
 
@@ -314,17 +320,13 @@ def _laid_out(ds: ESequenceDataset, rng) -> str:
 
 
 def _cmd_check(args) -> int:
-    import random
-
-    dataset, table = _running_example()
-    failures = 0
-    checks = 0
+    dataset = parse_dataset(StringIO(oracle.EXAMPLE_DATA))
+    table = UtilityTable(oracle.EXAMPLE_UTILITIES)
+    agree = []
     for xi, k, z in ((22.0, 3, 2), (0.25, 3, 2), (0.0, 2, 2)):
         mode = "relative" if xi < 1 and xi > 0 else "absolute"
         cfg = MiningConfig(xi=xi, max_length=k, max_size=z, xi_mode=mode)
-        checks += 1
-        if not _check_instance(dataset, table, cfg, f"example xi={xi}"):
-            failures += 1
+        agree.append(_check_instance(dataset, table, cfg, args.seed, f"example xi={xi}"))
 
     rng = random.Random(args.seed)
     for i in range(args.instances):
@@ -335,24 +337,14 @@ def _cmd_check(args) -> int:
             alphabet_size=rng.randint(1, 4),
         )
         ds, tab = oracle.random_dataset(params)
-        cdata = transform_dataset(ds, tab)
-        xi_abs = rng.uniform(0.0, dataset_utility(cdata))
+        xi_abs = rng.uniform(0.0, dataset_utility(transform_dataset(ds, tab)))
         cfg = MiningConfig(xi=xi_abs, max_length=rng.randint(1, 3), max_size=rng.randint(1, 2))
-        checks += 1
-        # the mining path's array ingest must encode the written file as
-        # the object model does, whatever whitespace lays it out
-        columns = read_intervals(StringIO(_laid_out(ds, random.Random(params.seed))))
-        ingested = same_encoding(encode_intervals(columns, tab), encode_dataset(cdata))
-        if not ingested:
-            print(f"check random #{i}: array ingest differs from the object encoding",
-                  file=sys.stderr)
-        if not (_check_instance(ds, tab, cfg, f"random #{i}") and ingested):
-            failures += 1
+        agree.append(_check_instance(ds, tab, cfg, params.seed, f"random #{i}"))
 
-    if failures:
-        print(f"check: {failures}/{checks} instances disagreed", file=sys.stderr)
+    if not all(agree):
+        print(f"check: {agree.count(False)}/{len(agree)} instances disagreed", file=sys.stderr)
         return INTERNAL_ERROR
-    print(f"check: {checks} instances agree with brute force")
+    print(f"check: {len(agree)} instances agree with brute force")
     return 0
 
 
@@ -363,16 +355,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.command == "mine":
-            return _cmd_mine(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "check":
-            return _cmd_check(args)
+        return args.run(args)
     except (DataError, OSError) as e:
         print(f"intervalmine: error: {e}", file=sys.stderr)
         return DATA_ERROR
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

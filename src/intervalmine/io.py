@@ -138,7 +138,7 @@ _UNICODE_SPACE = re.compile(f"[{_UNICODE_SPACES}]")
 
 # `read_intervals` tokenizes about this many bytes at a time, whole lines
 # to a chunk, so that its per-byte and per-token arrays stay small.
-READ_CHUNK_CHARS = 2**15
+READ_CHUNK_BYTES = 2**15
 
 
 def read_intervals(source) -> IntervalColumns:
@@ -146,7 +146,7 @@ def read_intervals(source) -> IntervalColumns:
     `parse_dataset` run on whole columns.
 
     The text is read as UTF-8 bytes (a lone surrogate from a text handle
-    passes through, as in `parse_dataset`), about `READ_CHUNK_CHARS` bytes
+    passes through, as in `parse_dataset`), about `READ_CHUNK_BYTES` bytes
     at a time, whole lines to a chunk. Lines end at "\n" only. Tokens are
     the runs of bytes between the whitespace `str.split()` splits at. An
     id or time of at most 18 ASCII digits is converted in numpy; any other
@@ -192,7 +192,7 @@ def read_intervals(source) -> IntervalColumns:
 
 
 def _data_tokens(raw: bytes, data: np.ndarray, spaces: np.ndarray, text: str):
-    """The tokens of the data lines of each chunk of `READ_CHUNK_CHARS`
+    """The tokens of the data lines of each chunk of `READ_CHUNK_BYTES`
     bytes or more, whole lines to a chunk, as [4, lines] arrays of start and
     end offsets; chunks without data lines are skipped.
 
@@ -202,7 +202,7 @@ def _data_tokens(raw: bytes, data: np.ndarray, spaces: np.ndarray, text: str):
     """
     lo = 0  # each chunk starts on a space: the first byte or a line end
     while lo < len(raw) - 1:
-        hi = raw.find(b"\n", lo + READ_CHUNK_CHARS) + 1 or len(raw)
+        hi = raw.find(b"\n", lo + READ_CHUNK_BYTES) + 1 or len(raw)
         # tokens start and end where a run of spaces does
         edges = np.flatnonzero(spaces[lo + 1 : hi] != spaces[lo : hi - 1]) + (lo + 1)
         starts, ends = edges[0::2], edges[1::2]
@@ -308,13 +308,21 @@ def parse_utilities(source) -> UtilityTable:
 def fill_utilities(
     d: ESequenceDataset | IntervalColumns, table: UtilityTable | None, default: float | None
 ) -> UtilityTable:
-    """Complete the table over the dataset's alphabet, or fail loudly."""
+    """Complete the table over the dataset's alphabet, or fail loudly. With
+    a table, a label that starts with "#" is an error even when a default
+    is given: a utility file cannot list it."""
     if default is not None and not math.isfinite(default):
         raise DataError(f"default utility must be finite: {default}")
     if default is not None and default < 0:
         raise DataError(f"default utility must be nonnegative: {default}")
     entries = dict(table.entries) if table is not None else {}
     missing = [lab for lab in d.labels() if lab not in entries]
+    commented = [lab for lab in missing if lab.startswith("#")] if table is not None else []
+    if commented:
+        raise DataError(
+            f"no external utility for label {commented[0]!r}: a utility file line "
+            "that starts with '#' is a comment, so the file cannot list it"
+        )
     if missing:
         if default is None:
             raise DataError(

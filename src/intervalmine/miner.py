@@ -104,12 +104,6 @@ def resolve_threshold(cfg: MiningConfig, enc: EncodedDataset) -> float:
 PRUNE_SLACK = 1e-9
 
 
-def _promising(ctx: _Context, bound):
-    """Whether a bound, or each bound of a batch, keeps its candidate's
-    subtree from being pruned."""
-    return bound >= ctx.xi_abs * (1.0 - PRUNE_SLACK)
-
-
 @dataclass(frozen=True)
 class _Candidate:
     """A vocabulary coincidence as a one-coincidence pattern: the sequences
@@ -209,8 +203,10 @@ def _bound(ctx: _Context, umax, full, rest):
 
 def _survivors(ctx: _Context, stats: MiningStats, occurred, umax, full, rest) -> list[int]:
     """Positions of the candidates of a batch that occurred and whose bound
-    clears the threshold, in order; the others are counted as pruned."""
-    keep = np.flatnonzero(occurred & _promising(ctx, _bound(ctx, umax, full, rest)))
+    clears the threshold, less its slack, in order; the others are counted
+    as pruned."""
+    promising = _bound(ctx, umax, full, rest) >= ctx.xi_abs * (1.0 - PRUNE_SLACK)
+    keep = np.flatnonzero(occurred & promising)
     stats.candidates_pruned += len(occurred) - keep.size
     return keep.tolist()
 

@@ -63,3 +63,15 @@ def test_traced_cli_run_counts_each_layer(tmp_path):
     # one per candidate
     batches = counts["kernels.extend_calls.vocab"] + counts["kernels.extend_calls.grow"]
     assert 0 < counts["encoding.wu_calls"] <= batches
+
+
+def test_traced_check_run_opens_the_object_path_spans(capsys):
+    """`check` mines what `mine` mines, and still feeds its reference, the
+    brute-force oracle, from the object model through the names the
+    tracer hooks on `cli`."""
+    tracing = load_tracing()
+    with tracing.installed(tracing.Tracer()) as tracer:
+        assert cli.main(["check", "--instances", "2"]) == 0
+    assert "5 instances agree" in capsys.readouterr().out
+    names = {span[0] for span in tracer.spans}
+    assert {"io.parse", "transform", "utility.dataset_utility", "miner.mine"} <= names

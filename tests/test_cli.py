@@ -1,5 +1,7 @@
 """End-to-end command line behavior and exit codes."""
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -55,11 +57,12 @@ def test_unknown_strategy_is_usage_error(capsys, data_file, utility_file):
     assert "twu" in err
 
 
-def test_multiple_strategies_require_benchmark(capsys, data_file, utility_file):
-    code, _, err = run(
-        capsys, *mine_args(data_file, utility_file, "--strategy", "ldc,pdc")
+def test_the_benchmark_flag_is_gone(capsys, data_file, utility_file):
+    """A strategy list runs each strategy without it."""
+    code, out, err = run(
+        capsys, *mine_args(data_file, utility_file, "--strategy", "ldc,pdc", "--benchmark")
     )
-    assert code == USAGE_ERROR
+    assert (code, out) == (USAGE_ERROR, "")
     assert "--benchmark" in err
 
 
@@ -69,7 +72,7 @@ def test_a_strategy_named_twice_is_usage_error(capsys, tmp_path, utility_file):
     missing = str(tmp_path / "absent.tsv")
     for names in ("pdc,pdc", "pdc,PDC", "none, ldc,Ldc"):
         code, out, err = run(
-            capsys, *mine_args(missing, utility_file, "--strategy", names, "--benchmark")
+            capsys, *mine_args(missing, utility_file, "--strategy", names)
         )
         assert (code, out) == (USAGE_ERROR, ""), names
         assert "named twice" in err
@@ -78,7 +81,7 @@ def test_a_strategy_named_twice_is_usage_error(capsys, tmp_path, utility_file):
 def test_strategies_are_reported_by_their_canonical_names(capsys, data_file, utility_file):
     code, out, _ = run(
         capsys,
-        *mine_args(data_file, utility_file, "--strategy", "PDC, Ldc", "--benchmark"),
+        *mine_args(data_file, utility_file, "--strategy", "PDC, Ldc"),
     )
     assert code == 0
     report = json.loads(out)
@@ -187,6 +190,23 @@ def test_missing_utilities_without_default_is_data_error(capsys, data_file, tmp_
     assert code == DATA_ERROR
 
 
+def test_a_label_no_utility_file_can_list_is_data_error(capsys, tmp_path):
+    """In a utility file "#A 3" is a comment: the default does not price
+    "#A" for a table that seems to list it."""
+    data, table = tmp_path / "events.tsv", tmp_path / "utilities.tsv"
+    data.write_text("1 #A 0 5\n")
+    table.write_text("#A 3\n")
+    mine = (
+        "mine", "--data", str(data), "--default-utility", "7", "--xi", "1", "-K", "1", "-Z", "1",
+    )
+    code, out, err = run(capsys, *mine, "--utilities", str(table))
+    assert (code, out) == (DATA_ERROR, "")
+    assert "'#A': a utility file line that starts with '#' is a comment" in err
+    code, out, _ = run(capsys, *mine)
+    assert code == 0
+    assert json.loads(out)["patterns"] == [{"pattern": [["#A"]], "umax": 35.0}]
+
+
 def test_incomplete_utility_table_is_data_error(capsys, data_file, tmp_path):
     partial = tmp_path / "partial.tsv"
     partial.write_text("A\t2\n")
@@ -293,8 +313,7 @@ def test_default_utility_with_absent_table_path(capsys, data_file, tmp_path):
 def test_benchmark_compares_strategies(capsys, data_file, utility_file):
     code, out, _ = run(
         capsys,
-        *mine_args(data_file, utility_file, "--strategy", "none,ldc,pdc",
-                   "--benchmark"),
+        *mine_args(data_file, utility_file, "--strategy", "none,ldc,pdc"),
     )
     assert code == 0
     report = json.loads(out)
@@ -316,7 +335,7 @@ def test_benchmark_encodes_the_input_once(capsys, monkeypatch, data_file, utilit
     monkeypatch.setattr(miner, "encode_dataset", counting(miner.encode_dataset))
     code, _, _ = run(
         capsys,
-        *mine_args(data_file, utility_file, "--strategy", "none,ldc,pdc", "--benchmark"),
+        *mine_args(data_file, utility_file, "--strategy", "none,ldc,pdc"),
     )
     assert code == 0
     assert calls == ["encode_intervals"]
@@ -341,7 +360,7 @@ def test_benchmark_builds_each_vocabulary_once(capsys, monkeypatch, data_file, u
     monkeypatch.setattr(miner, "_build_vocabulary", counting)
     code, out, _ = run(
         capsys,
-        *mine_args(data_file, utility_file, "--strategy", "none,ldc,pdc", "--benchmark"),
+        *mine_args(data_file, utility_file, "--strategy", "none,ldc,pdc"),
     )
     assert code == 0
     assert builds == ["none", "ldc"]
@@ -393,7 +412,32 @@ def test_gen_rejects_bad_params(capsys):
     assert code == USAGE_ERROR
 
 
-def test_check_small_run(capsys):
+def test_check_small_run(capsys, monkeypatch):
+    """Every instance, the running example's three included, is mined as
+    `mine` mines a file: from one `encode_intervals` call."""
+    calls = []
+    encode = cli.encode_intervals
+    monkeypatch.setattr(cli, "encode_intervals", lambda *a: calls.append(1) or encode(*a))
     code, out, _ = run(capsys, "check", "--seed", "3", "--instances", "4")
     assert code == 0
-    assert "agree with brute force" in out
+    assert "7 instances agree with brute force" in out
+    assert len(calls) == 7
+
+
+# --- docs -----------------------------------------------------------------------
+
+
+def test_every_readme_command_parses():
+    """Each `intervalmine` command of README's sh blocks, its continuation
+    lines joined, parses, so a removed flag cannot linger in the docs."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in readme.split("```sh\n")[1:]:
+        text = block.split("```")[0].replace("\\\n", " ")
+        for line in text.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["intervalmine"]:
+                commands.append(words[1:])
+    assert len(commands) >= 5
+    for words in commands:
+        cli._build_parser().parse_args(words)

@@ -241,9 +241,9 @@ def test_reading_in_chunks_changes_nothing(monkeypatch, chunk):
     texts = [shuffled_text(rng, rng.randint(2, 9), list("DCBA")) for _ in range(20)]
     texts += [*EDGE_CASES, "# nothing here\n\n", *MALFORMED]
     texts += ["1 A 0 3\n# c\n" + text for text in MALFORMED]
-    monkeypatch.setattr(intervalmine_io, "READ_CHUNK_CHARS", 2**30)
+    monkeypatch.setattr(intervalmine_io, "READ_CHUNK_BYTES", 2**30)
     whole = [outcome(read_intervals, text) or read_intervals(io.StringIO(text)) for text in texts]
-    monkeypatch.setattr(intervalmine_io, "READ_CHUNK_CHARS", chunk)
+    monkeypatch.setattr(intervalmine_io, "READ_CHUNK_BYTES", chunk)
     for text, expected in zip(texts, whole):
         got = outcome(read_intervals, text) or read_intervals(io.StringIO(text))
         if isinstance(expected, str):
@@ -281,7 +281,7 @@ def test_a_label_longer_than_a_chunk_reads_in_memory_of_the_file_size(tmp_path):
     thousands of short ones costs its own bytes, not its width for every
     label of its chunk."""
     lines = [f"{k // 5 + 1} {'AB'[k % 2]} {k % 7} {k % 7 + 2}" for k in range(5000)]
-    lines[2500] = f"9999 {'L' * (intervalmine_io.READ_CHUNK_CHARS + 1)} 0 1"
+    lines[2500] = f"9999 {'L' * (intervalmine_io.READ_CHUNK_BYTES + 1)} 0 1"
     path = tmp_path / "long.tsv"
     path.write_text("\n".join(lines) + "\n")
     read_intervals(io.StringIO("1 A 0 1\n1 AB 0 1\n1 ABCDEFGHI 0 1\n"))  # numpy's first-call caches

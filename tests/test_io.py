@@ -8,6 +8,7 @@ from intervalmine.io import (
     fill_utilities,
     parse_dataset,
     parse_utilities,
+    read_intervals,
     utility_lines,
     write_dataset,
     write_utilities,
@@ -107,6 +108,20 @@ def test_fill_utilities_without_default_names_the_label(example_dataset):
 def test_fill_utilities_covers_all_labels_when_no_table(example_dataset):
     full = fill_utilities(example_dataset, None, default=1.0)
     assert set(full.entries) == set("ABCDEF")
+
+
+def test_fill_utilities_rejects_a_label_no_utility_file_can_list():
+    """In a utility file "#A 3" is a comment, so a table read from one never
+    lists "#A": with a table, the label is an error whether or not a
+    default is given, and without one the default fills it."""
+    text = "1 #A 0 5\n1 B 0 5\n"
+    table = parse_utilities(io.StringIO("#A 3\nB 1\n"))
+    assert "#A" not in table
+    for d in (parse_dataset(io.StringIO(text)), read_intervals(io.StringIO(text))):
+        for default in (None, 7.0):
+            with pytest.raises(DataError, match="'#A': a utility file line .* is a comment"):
+                fill_utilities(d, table, default)
+        assert fill_utilities(d, None, 7.0).entries == {"#A": 7.0, "B": 7.0}
 
 
 def test_dataset_round_trip(example_dataset):

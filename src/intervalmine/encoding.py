@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import IntervalColumns
+from .io import IntervalColumns, lex_order
 from .model import CSequenceDataset, DataError, UtilityTable
 
 # Ceiling on the bytes of `masks`, `durations` and `topk`, checked before
@@ -73,12 +73,15 @@ def _interval_windows(cols: IntervalColumns):
     s being its sequence's index, as every sequence has one point more than
     windows. An interval covers the windows from its begin point up to its
     finish point. Overlapping intervals of one label are merged first, so
-    every covered (window, label) pair is listed once.
+    every covered (window, label) pair is listed once. Both sorts, of the
+    endpoints by (sequence, time) and of the intervals by (label, window),
+    are `lex_order`'s: one packed key, with `np.lexsort` only when the
+    ranges need more than 63 bits.
     """
     m = len(cols.label)
     seq = np.concatenate((cols.sequence, cols.sequence))
     time = np.concatenate((cols.begin, cols.finish))
-    order = np.lexsort((time, seq))
+    order = lex_order((seq, time))
     seq, time = seq[order], time[order]
     new = np.ones(2 * m, dtype=bool)
     new[1:] = (seq[1:] != seq[:-1]) | (time[1:] != time[:-1])
@@ -92,7 +95,7 @@ def _interval_windows(cols: IntervalColumns):
     stop = point[m:] - cols.sequence
     # sorted by label, then window: a label's intervals in different
     # sequences cover disjoint window ranges, in sequence order
-    order = np.lexsort((first, cols.label))
+    order = lex_order((cols.label, first))
     label, first, stop = cols.label[order], first[order], stop[order]
     # a running maximum of the stops that restarts at each label: offset
     # every label's windows past the previous label's

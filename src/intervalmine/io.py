@@ -151,9 +151,11 @@ def read_intervals(source) -> IntervalColumns:
     the runs of bytes between the whitespace `str.split()` splits at. An
     id or time of at most 18 ASCII digits is converted in numpy; any other
     is converted with `int()`, as `parse_dataset` does. Labels are coded
-    from their bytes, a group of tokens of one width at a time. When any
-    check fails, `parse_dataset` reparses the text to raise the error of
-    the first offending line.
+    from their bytes, a group of tokens of one width at a time. Ids are
+    ranked before the duplicate check, which sorts the intervals on one
+    packed key (`lex_order`), with `np.lexsort` only when the ranges need
+    more than 63 bits. When any check fails, `parse_dataset` reparses the
+    text to raise the error of the first offending line.
     """
     text = _read_text(source)
     spaced = text if text.isascii() else _UNICODE_SPACE.sub(" ", text)
@@ -178,17 +180,43 @@ def read_intervals(source) -> IntervalColumns:
     label[:] = np.argsort(sorted(range(len(labels)), key=labels.__getitem__))[label]
     if (sid < 1).any() or (begin < 0).any() or (begin >= finish).any():
         _raise_first_error(text)
-    order = np.lexsort((finish, begin, label, sid))
+    # ranked first: ranks span the number of sequences, raw ids can span
+    # up to 2**63 and would leave no bits of the sort key to the others
+    ids, sequence = np.unique(sid, return_inverse=True)
+    sid[:] = sequence
+    order = lex_order((sid, label, begin, finish))
     repeated = np.ones(max(rows - 1, 0), dtype=bool)  # equal to the next in order
     for column in (sid, label, begin, finish):
         ranked = column[order]
         repeated &= ranked[1:] == ranked[:-1]
     if repeated.any():
         _raise_first_error(text)
-    del order, repeated, ranked
-    ids, sequence = np.unique(sid, return_inverse=True)
-    sid[:] = sequence
     return IntervalColumns(alphabet, ids, sid, label, begin, finish)
+
+
+def lex_order(columns) -> np.ndarray:
+    """The row order `np.lexsort(columns[::-1])` gives nonnegative int64
+    `columns`, the most significant first, except that rows equal in every
+    column may come out in any order.
+
+    When the product of the columns' ranges (max - min + 1) is below
+    2**63, the rows are sorted with one `np.argsort` of an int64 key that
+    packs each row's offsets from the minima, most significant first;
+    otherwise with `np.lexsort`.
+    """
+    if not len(columns[0]):
+        return np.zeros(0, dtype=np.intp)
+    lows = [int(column.min()) for column in columns]
+    spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
+    if math.prod(spans) >= 2**63:
+        return np.lexsort(columns[::-1])
+    key = columns[0] - lows[0]
+    for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
+        # in this order every partial sum lies in [-low, product of spans)
+        key *= span
+        key -= low
+        key += column
+    return np.argsort(key)
 
 
 def _data_tokens(raw: bytes, data: np.ndarray, spaces: np.ndarray, text: str):

@@ -146,12 +146,13 @@ def _project(enc: EncodedDataset, rows: np.ndarray):
 BATCH_CELLS = 2**16
 
 
-def _evaluate(ctx: _Context, rows, prev_scores, prev_base, masks, putils, length: int):
+def _evaluate(ctx: _Context, rows, arrays, prev_scores, prev_base, masks, putils, length: int):
     """Score the prefix extended by each candidate, one kernel batch at a
-    time, given the candidates' `masks` [C, words] and `putils` [C] and the
-    prefix's score rows on the sequences `rows`. With None for those, the
-    candidates are all labels alone on every sequence, read from the label
-    rows (`label_summary`) without the kernel, and yield no score rows.
+    time, given the candidates' `masks` [C, words] and `putils` [C], and
+    the kernel's inputs `arrays` (`_project`) and the prefix's score rows
+    on the sequences `rows`. With None for the score rows, the candidates
+    are all labels alone on every sequence, read from the label rows
+    (`label_summary`) without the kernel, and yield no score rows.
 
     Yields, per batch of c candidates in order: the position of its first
     candidate, matched flags [c, n] over `rows`, score rows [c, n, cap],
@@ -164,7 +165,6 @@ def _evaluate(ctx: _Context, rows, prev_scores, prev_base, masks, putils, length
     right, as the oracle does: a pairwise sum (`ndarray.sum`) can land an
     ulp off and then flip a pattern whose value is exactly the threshold.
     """
-    arrays = _project(ctx.enc, rows)
     # `none` never bounds, so it sums nothing: full and rest read 0
     k = 0 if ctx.cfg.strategy is UpperBound.NONE else ctx.cfg.max_length
     budgets = (k, k - length)
@@ -240,8 +240,9 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
             # a child's utility mass adds its label utilities in ascending
             # label order
             masks, putils = c.mask | label_masks[joins], c.putil + enc.label_utility[joins]
+            arrays = _project(enc, c.rows)
             prev = empty_prefix_scores(enc, c.rows) if labels else None
-            batches = _evaluate(ctx, c.rows, prev, 0.0, masks, putils, 1)
+            batches = _evaluate(ctx, c.rows, arrays, prev, 0.0, masks, putils, 1)
             # a coincidence that can still gain labels has no match value to
             # project from, so only the weighted part holds
             for lo, matched, _, umax, full, rest in batches:
@@ -288,14 +289,15 @@ def _grow(
         if umax >= ctx.xi_abs:
             out.append(Pattern(LSequence(tuple(prefix)), umax))
         if len(prefix) < ctx.cfg.max_length:
+            arrays = _project(ctx.enc, rows)
             if scores is None:
                 scores = extend_scores(
-                    *_project(ctx.enc, rows), empty_prefix_scores(ctx.enc, rows), 0.0,
+                    *arrays, empty_prefix_scores(ctx.enc, rows), 0.0,
                     ctx.vocab_masks[index : index + 1], ctx.vocab_putils[index : index + 1],
                 )[0]
             stats.candidates_generated += inherited.size
             batches = _evaluate(
-                ctx, rows, scores, -math.inf,
+                ctx, rows, arrays, scores, -math.inf,
                 ctx.vocab_masks[inherited], ctx.vocab_putils[inherited], len(prefix) + 1,
             )
             leaf = len(prefix) + 1 == ctx.cfg.max_length

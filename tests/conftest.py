@@ -84,7 +84,7 @@ def evaluate(ctx, l):
         mask, putil = encode_coincidence(coin, enc)
         # a batch of one candidate
         ((_, matched, batch, umax, full, rest),) = miner._evaluate(
-            ctx, rows, scores, base, mask, putil, length
+            ctx, rows, miner._project(enc, rows), scores, base, mask, putil, length
         )
         rows, scores, base = rows[matched[0]], batch[0][matched[0]], float("-inf")
     umax, full, rest = (float(x[0]) for x in (umax, full, rest))

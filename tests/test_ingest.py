@@ -2,6 +2,7 @@
 path (`parse_dataset`, `transform_dataset` and the per-window reference
 encoder), bit for bit, and the same error for malformed input."""
 import io
+import math
 import random
 import sys
 import tracemalloc
@@ -16,7 +17,13 @@ from intervalmine.encoding import (
     encode_intervals,
     same_encoding,
 )
-from intervalmine.io import dataset_to_string, parse_dataset, parse_utilities, read_intervals
+from intervalmine.io import (
+    dataset_to_string,
+    lex_order,
+    parse_dataset,
+    parse_utilities,
+    read_intervals,
+)
 from intervalmine.model import DataError, UtilityTable
 from intervalmine.oracle import EXAMPLE_DATA, EXAMPLE_UTILITIES, GeneratorParams, random_dataset
 from intervalmine.transform import transform_dataset
@@ -45,11 +52,11 @@ def fractional_table(labels, rng):
     return UtilityTable({lab: rng.choice(FRACTIONS) for lab in labels})
 
 
-def shuffled_text(rng, sequences, labels):
-    """Intervals in random line order under scattered sequence ids, with
-    comments and blank lines between them."""
+def shuffled_text(rng, sequences, labels, ids=range(1, 10**6)):
+    """Intervals in random line order under sequence ids scattered over
+    `ids`, with comments and blank lines between them."""
     lines, seen = [], set()
-    for sid in rng.sample(range(1, 10**6), sequences):
+    for sid in rng.sample(ids, sequences):
         for _ in range(rng.randint(1, 8)):
             begin = rng.randrange(0, 30)
             row = (sid, rng.choice(labels), begin, begin + rng.randint(1, 8))
@@ -119,6 +126,9 @@ EDGE_CASES = [
     f"{ZEROS}1 A {ZEROS}00000 {ZEROS[:18]}3\n{ZEROS[:19]}2 A {ZEROS}1 {ZEROS}12\n",
     # no line end after the last line
     "1 A 0 3\n2 B 1 4",
+    # times that span more than 2**62 in two sequences: the reader's
+    # duplicate check and the windower's endpoint sort need `np.lexsort`
+    f"1 A {2**62} {2**62 + 5}\n1 B {2**62 + 2} {2**62 + 9}\n2 A 0 {2**62}\n2 A 3 7\n1 A 0 1\n",
 ]
 
 
@@ -171,6 +181,58 @@ def test_empty_file_matches_the_object_path(text):
     assert got.n_sequences == 0 and got.total_utility == 0.0
 
 
+def test_ordinary_files_sort_on_one_packed_key(monkeypatch):
+    """The reader and the windower sort without `np.lexsort` when ids are
+    spread up to 2**62 and times span little: ids are ranked before the
+    duplicate check, so their values take no bits of the key."""
+    rng = random.Random(14)
+    texts = [
+        EXAMPLE_DATA,
+        shuffled_text(rng, 40, list("DCBA")),
+        shuffled_text(rng, 40, list("DCBA"), ids=range(1, 2**62, 2**40)),
+    ]
+
+    def no_lexsort(keys):
+        raise AssertionError("np.lexsort called")
+
+    monkeypatch.setattr(np, "lexsort", no_lexsort)
+    for text in texts:
+        labels = parse_dataset(io.StringIO(text)).labels()
+        assert_matches_object_path(text, fractional_table(labels, rng))
+
+
+def test_lex_order_sorts_rows_as_lexsort_does(monkeypatch):
+    """Rows in `np.lexsort`'s order, equal rows in any order; one packed
+    key while the ranges' product is below 2**63, `np.lexsort` from there."""
+    lexsort, fallbacks = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: fallbacks.append(1) or lexsort(keys))
+    rng = np.random.default_rng(14)
+
+    def column(low, span, m):
+        """m values from [low, low + span), both ends included."""
+        values = np.append([low, low + span - 1], rng.integers(low, low + span, m - 2))
+        return rng.permutation(values)
+
+    cases = [
+        (np.zeros((3, 0), dtype=np.int64), False),
+        (np.array([[5], [0], [2**63 - 1]]), False),
+        (np.full((2, 40), 7), False),
+        (np.array([column(0, 3, 50), column(9, (2**63 - 1) // 3, 50)]), False),
+        (np.array([column(0, 2, 50), column(2**62, 2**62, 50)]), True),
+        (np.array([column(5, 2**31, 50), column(0, 2**32, 50)]), True),
+    ]
+    for _ in range(200):
+        spans = rng.choice([1, 2, 5, 100, 2**20, 2**40, 2**62], size=rng.integers(1, 5))
+        m = int(rng.integers(2, 60))
+        columns = np.array([column(int(rng.integers(0, 2**62)), int(s), m) for s in spans])
+        cases.append((columns, math.prod(map(int, spans)) >= 2**63))
+    for columns, falls_back in cases:
+        fallbacks.clear()
+        order = lex_order(columns)
+        assert bool(fallbacks) == falls_back
+        assert (columns[:, order] == columns[:, lexsort(columns[::-1])]).all()
+
+
 def test_columns_keep_file_order_and_sorted_ids():
     cols = read_intervals(io.StringIO("9 B 1 3\n2 A\x00 0 4\n9 A 2 5\n"))
     assert cols.alphabet == ("A", "A\x00", "B")
@@ -215,6 +277,8 @@ MALFORMED = [
     "1 A 0 3\n1 # 0\n",
     # no line end after a bad last line
     "1 A 0 3\n1 A 0 3",
+    # a duplicate among times that span more than 2**62
+    f"1 A 0 {2**62}\n2 B {2**62} {2**62 + 1}\n1 A 0 {2**62}\n",
 ]
 
 

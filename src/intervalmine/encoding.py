@@ -1,11 +1,14 @@
 """Array encoding of a dataset for the match kernels.
 
 Coincidences become bitmasks over the dataset alphabet (multiple uint64
-words when the alphabet exceeds 64 labels), sequences become padded rows of
-a 3-d mask array, and the per-sequence top-k eventset utility sums are
-precomputed with one row per budget k, so that the weighted utilization of
-a whole batch of candidates is one contiguous gather and one row sum per
-budget. Each label lists the sequences holding it, and its longest window.
+words when the alphabet exceeds 64 labels), and sequences become padded
+rows of a 3-d mask array. The masks and durations are stored window-major
+(`by_window`), because the kernel reads window j of every sequence at
+once; `take_sequences` cuts them to some of the sequences in that layout.
+The per-sequence top-k eventset utility sums are precomputed with one row
+per budget k, so that the weighted utilization of a whole batch of
+candidates is one contiguous gather and one row sum per budget. Each label
+lists the sequences holding it, and its longest window.
 
 `encode_intervals` builds the arrays straight from interval columns;
 `encode_dataset` encodes the object model's windowed form. Both hand the
@@ -34,8 +37,8 @@ MAX_ARRAY_BYTES = 4 * 2**30
 class EncodedDataset:
     labels: tuple[str, ...]
     label_bit: dict[str, int]
-    masks: np.ndarray       # uint64 [n, cap, words]
-    durations: np.ndarray   # float64 [n, cap], 0 in padding
+    masks: np.ndarray       # uint64 [n, cap, words], window-major (`by_window`)
+    durations: np.ndarray   # float64 [n, cap], window-major, 0 in padding
     lengths: np.ndarray     # int64 [n]
     topk: np.ndarray        # float64 [cap+1, n]; row k = top-k eventset mass
     label_utility: np.ndarray  # float64 [len(labels)]
@@ -146,41 +149,47 @@ def _assemble(labels, table, lengths, durations, pair_window, label_start) -> En
             f"x {cap} windows x {words} mask words), over the limit of {MAX_ARRAY_BYTES} bytes"
         )
     label_utility = np.array([table.utility(lab) for lab in labels], dtype=np.float64)
-    row_start = np.cumsum(lengths) - lengths
-    cell = np.arange(len(durations)) + np.repeat(np.arange(n) * cap - row_start, lengths)
+    # window j of sequence s is cell j * n + s of the window-major buffers:
+    # for the dataset's window w = row_start[s] + j that is
+    # w * n - (row_start[s] * n - s), computed in place in one array
+    cell = np.arange(len(durations), dtype=np.int64)
+    cell *= n
+    cell -= np.repeat((np.cumsum(lengths) - lengths) * n - np.arange(n), lengths)
 
-    masks = np.zeros((n, cap, words), dtype=np.uint64)
-    cell_masks = masks.reshape(n * cap, words)
-    flat_durations = np.zeros(n * cap, dtype=np.float64)
+    masks = np.zeros((cap, n, words), dtype=np.uint64)
+    cell_masks = masks.reshape(cap * n, words)
+    flat_durations = np.zeros(cap * n, dtype=np.float64)
     flat_durations[cell] = durations
     # label utilities of each window, added in ascending label order
-    mass = np.zeros(n * cap, dtype=np.float64)
+    mass = np.zeros(cap * n, dtype=np.float64)
     # each label's sequences and longest window in each, one per run of its
-    # cells in one sequence; the empty first entries make the offsets
+    # cells in one sequence: its windows ascend in sequence order, so the
+    # runs need no sort; the empty first entries make the offsets
     rows, longest = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for bit in range(len(labels)):
         covered = cell[pair_window[label_start[bit] : label_start[bit + 1]]]
         cell_masks[covered, bit >> 6] |= np.uint64(1 << (bit & 63))
         mass[covered] += label_utility[bit]
-        head = np.flatnonzero(np.diff(covered // cap, prepend=-1))
-        rows.append(covered[head] // cap)
+        sequence = covered % n
+        head = np.flatnonzero(np.diff(sequence, prepend=-1))
+        rows.append(sequence[head])
         longest.append(np.maximum.reduceat(flat_durations[covered], head))
     occurrence_start = np.cumsum([r.size for r in rows])
     rows, longest = np.concatenate(rows), np.concatenate(longest)
     # the sums below write into buffers already allocated
-    eventset_utility = np.multiply(mass, flat_durations, out=mass).reshape(n, cap)
+    eventset_utility = np.multiply(mass, flat_durations, out=mass).reshape(cap, n)
 
     # budgets beyond a sequence's length take everything: its padding adds 0
     topk = np.zeros((cap + 1, n), dtype=np.float64)
-    ranked = np.sort(eventset_utility, axis=1)
-    np.cumsum(ranked[:, ::-1], axis=1, out=topk[1:].T)
-    per_sequence = np.cumsum(eventset_utility, axis=1, out=ranked)[:, -1] if cap else np.zeros(n)
+    ranked = np.sort(eventset_utility, axis=0)
+    np.cumsum(ranked[::-1], axis=0, out=topk[1:])
+    per_sequence = np.cumsum(eventset_utility, axis=0, out=ranked)[-1] if cap else np.zeros(n)
     total = float(np.cumsum(per_sequence)[-1]) if n else 0.0
     return EncodedDataset(
         labels=tuple(labels),
         label_bit={lab: i for i, lab in enumerate(labels)},
-        masks=masks,
-        durations=flat_durations.reshape(n, cap),
+        masks=masks.transpose(1, 0, 2),
+        durations=flat_durations.reshape(cap, n).T,
         lengths=np.asarray(lengths, dtype=np.int64),
         topk=topk,
         label_utility=label_utility,
@@ -204,10 +213,28 @@ def same_encoding(a: EncodedDataset, b: EncodedDataset) -> bool:
     )
 
 
+def by_window(a: np.ndarray) -> np.ndarray:
+    """The view [cap, n(, words)] of an array [n, cap(, words)]; C-contiguous
+    when the array is window-major, so that window j of every sequence is
+    one block of memory."""
+    return a.swapaxes(0, 1)
+
+
+def take_sequences(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The sequences `rows` (indices, or flags over every sequence) of a
+    window-major array [n, cap(, words)], still window-major: gathered
+    along the sequence axis of the `by_window` view, as `a[rows]` would
+    hand back a sequence-major copy."""
+    windows = by_window(a)
+    if rows.dtype == bool:
+        return by_window(windows.compress(rows, axis=1))
+    return by_window(windows.take(rows, axis=1))
+
+
 def empty_prefix_scores(enc: EncodedDataset, rows=None) -> np.ndarray:
-    """Score rows for the zero-length prefix on the sequences `rows`, all of
-    them by default: matched everywhere at 0."""
-    return np.zeros((enc.n_sequences if rows is None else len(rows), enc.capacity))
+    """Window-major score rows for the zero-length prefix on the sequences
+    `rows`, all of them by default: matched everywhere at 0."""
+    return by_window(np.zeros((enc.capacity, enc.n_sequences if rows is None else len(rows))))
 
 
 def summarize_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

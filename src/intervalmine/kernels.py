@@ -11,6 +11,13 @@ score strictly before that window, and takes the running maximum along
 the row. One call scores every candidate of a batch against the same
 prefix rows, so the per-call overhead is paid once per batch (the
 vertical-bitmap layout of SPAM, Ayres et al., KDD 2002).
+
+Every step reads window j of all sequences at once, so the miner hands the
+kernel window-major arrays: masks [n, cap, words], durations and prefix
+score rows [n, cap] that are views of C-contiguous [cap, n(, words)]
+buffers (`encoding.by_window`), and the kernel's output [C, n, cap] is a
+view of a C-contiguous [cap, C, n] buffer. Inputs in sequence-major order
+give the same scores, only more slowly.
 """
 from __future__ import annotations
 
@@ -52,6 +59,9 @@ def extend_scores(
     have all-zero masks, which no candidate with a label fits, so padding
     carries the last real value forward. A candidate without labels would
     fit the padding too, so it is rejected.
+
+    The inputs may be laid out in either memory order; the scores are the
+    same bytes, and window-major inputs are read contiguously.
     """
     n, cap, words = masks.shape
     c = len(cand_masks)

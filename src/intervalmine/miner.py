@@ -43,6 +43,7 @@ from .encoding import (
     encode_dataset,
     label_summary,
     summarize_scores,
+    take_sequences,
     weighted_utilization,
 )
 from .kernels import extend_scores
@@ -134,10 +135,11 @@ class _Context:
 
 def _project(enc: EncodedDataset, rows: np.ndarray):
     """The kernel's inputs restricted to the ascending sequence indices
-    `rows`; the arrays themselves when that is every sequence."""
+    `rows`, window-major as the encoding's; the arrays themselves when that
+    is every sequence."""
     if rows.size == enc.n_sequences:
         return enc.masks, enc.durations, enc.lengths
-    return enc.masks[rows], enc.durations[rows], enc.lengths[rows]
+    return take_sequences(enc.masks, rows), take_sequences(enc.durations, rows), enc.lengths[rows]
 
 
 # Largest (candidate, sequence, window) cell count of one kernel call: the
@@ -305,7 +307,7 @@ def _grow(
             # batch nor a finished sibling's survivors stay alive below
             _grow(ctx, prefix, [
                 (inherited[lo + i], None if leaf else rows[matched[i]],
-                 None if leaf else batch[i][matched[i]], float(umaxes[i]))
+                 None if leaf else take_sequences(batch[i], matched[i]), float(umaxes[i]))
                 for lo, matched, batch, umaxes, full, rest in batches
                 for i in _survivors(ctx, stats, matched.any(axis=1), umaxes, full, rest)
             ], out, stats)

@@ -13,6 +13,7 @@ from intervalmine.encoding import (
     EncodedDataset,
     empty_prefix_scores,
     encode_dataset,
+    take_sequences,
     weighted_utilization,
 )
 from intervalmine.io import parse_dataset
@@ -86,7 +87,7 @@ def evaluate(ctx, l):
         ((_, matched, batch, umax, full, rest),) = miner._evaluate(
             ctx, rows, miner._project(enc, rows), scores, base, mask, putil, length
         )
-        rows, scores, base = rows[matched[0]], batch[0][matched[0]], float("-inf")
+        rows, scores, base = rows[matched[0]], take_sequences(batch[0], matched[0]), float("-inf")
     umax, full, rest = (float(x[0]) for x in (umax, full, rest))
     every = np.full((enc.n_sequences, enc.capacity), -np.inf)
     every[rows] = scores

@@ -1,17 +1,22 @@
 """The encoding and the scoring kernel, checked against the brute-force oracle."""
+import io
 import random
 
 import numpy as np
 import pytest
 
-from intervalmine import kernels
+from intervalmine import kernels, miner
 from intervalmine.encoding import (
     empty_prefix_scores,
     encode_dataset,
+    encode_intervals,
+    same_encoding,
     summarize_scores,
     weighted_utilization,
 )
+from intervalmine.io import dataset_to_string, read_intervals
 from intervalmine.kernels import active_backend, extend_scores
+from intervalmine.miner import MiningConfig, mine
 from intervalmine.model import Coincidence, LSequence, UtilityTable
 from intervalmine.oracle import (
     GeneratorParams,
@@ -20,8 +25,9 @@ from intervalmine.oracle import (
     top_k_eventsets_utility,
 )
 from intervalmine.transform import transform_dataset
+from intervalmine.utility import UpperBound
 
-from conftest import encode_coincidence, wide_dataset
+from conftest import encode_coincidence, wide_dataset, wide_intervals
 
 
 def test_backend_selection():
@@ -161,6 +167,47 @@ def test_empty_dataset_encoding():
     assert list(best) == [0.0] * 3
 
 
+def test_kernel_inputs_and_score_rows_are_window_major(monkeypatch, example_dataset, example_table):
+    """Both encoders store masks and durations window by window, and every
+    kernel call of the miner, under every strategy, reads masks, durations
+    and prefix score rows whose window-major views are C-contiguous: each
+    window of every sequence is one block of memory."""
+    calls = []
+
+    def checked(masks, durations, lengths, prev, *rest):
+        calls.append((
+            masks.transpose(1, 0, 2).flags.c_contiguous,
+            durations.T.flags.c_contiguous,
+            prev.T.flags.c_contiguous,
+        ))
+        return extend_scores(masks, durations, lengths, prev, *rest)
+
+    monkeypatch.setattr(miner, "extend_scores", checked)
+    rng = random.Random(15)
+    instances = [(example_dataset, example_table), wide_intervals(3, 100)] + [
+        random_dataset(GeneratorParams(
+            seed=rng.randrange(10**6),
+            num_sequences=rng.randint(2, 12),
+            max_intervals_per_seq=rng.randint(2, 8),
+            alphabet_size=rng.randint(2, 6),
+        ))
+        for _ in range(12)
+    ]
+    cfg = MiningConfig(xi=0.05, xi_mode="relative", max_length=3, max_size=2)
+    for es, table in instances:
+        enc = encode_intervals(read_intervals(io.StringIO(dataset_to_string(es))), table)
+        windowed = encode_dataset(transform_dataset(es, table))
+        assert same_encoding(enc, windowed)
+        for e in (enc, windowed):
+            assert e.masks.transpose(1, 0, 2).flags.c_contiguous
+            assert e.durations.T.flags.c_contiguous
+        for strategy in UpperBound:
+            calls.clear()
+            mine(enc, cfg.with_strategy(strategy))
+            assert calls, (strategy, es.sequences[0].id)
+            assert all(all(flags) for flags in calls), (strategy, calls)
+
+
 # --- the batched kernel against one candidate at a time ------------------------
 
 
@@ -216,14 +263,23 @@ def random_candidates(rng, masks, count):
     return cands, rng.random(count) * rng.choice([1.0, 7.0])
 
 
+def window_major(a):
+    """A copy of `a` [n, cap(, words)] with the same logical shape, laid out
+    window by window as the encoding stores its arrays."""
+    return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+
+
 @pytest.mark.parametrize("running_max_rows", [0, 10**9])
 def test_batched_kernel_matches_the_reference_bit_for_bit(monkeypatch, running_max_rows):
     """Every batch size from 1 to C, over random encodings with one to
     three mask words, no windows, no rows, and both prefix bases; once with
-    the per-window running maximum and once with `ufunc.accumulate`."""
+    the per-window running maximum and once with `ufunc.accumulate`, so
+    that every c * n lies on one side of `RUNNING_MAX_ROWS` and then on the
+    other. Each input is scored as laid out sequence by sequence and again
+    as a window-major copy, and both give the reference's bytes."""
     monkeypatch.setattr(kernels, "RUNNING_MAX_ROWS", running_max_rows)
     rng = np.random.default_rng(running_max_rows % 97)
-    shapes = [(0, 4, 1), (3, 0, 2), (0, 0, 1)] + [
+    shapes = [(0, 4, 1), (3, 0, 2), (0, 0, 1), (9, 7, 1), (9, 7, 2)] + [
         (rng.integers(1, 9), rng.integers(1, 12), rng.integers(1, 4)) for _ in range(60)
     ]
     for n, cap, words in shapes:
@@ -234,15 +290,23 @@ def test_batched_kernel_matches_the_reference_bit_for_bit(monkeypatch, running_m
                 reference_extend_scores(masks, durations, lengths, prev, base, m, float(u))
                 for m, u in zip(cands, putils)
             ]
-            for size in range(1, len(cands) + 1):
-                for lo in range(0, len(cands), size):
-                    got = extend_scores(
-                        masks, durations, lengths, prev, base,
-                        cands[lo : lo + size], putils[lo : lo + size],
+            for order in ("sequence-major", "window-major"):
+                inputs = (masks, durations, lengths, prev)
+                if order == "window-major":
+                    inputs = tuple(
+                        a if a is lengths else window_major(a) for a in inputs
                     )
-                    assert got.shape == (len(cands[lo : lo + size]), n, cap)
-                    for k, scores in enumerate(got, start=lo):
-                        assert scores.tobytes() == expected[k].tobytes(), (n, cap, words, k)
+                    assert inputs[0].transpose(1, 0, 2).flags.c_contiguous
+                for size in range(1, len(cands) + 1):
+                    for lo in range(0, len(cands), size):
+                        got = extend_scores(
+                            *inputs, base, cands[lo : lo + size], putils[lo : lo + size],
+                        )
+                        assert got.shape == (len(cands[lo : lo + size]), n, cap)
+                        for k, scores in enumerate(got, start=lo):
+                            assert scores.tobytes() == expected[k].tobytes(), (
+                                order, n, cap, words, k,
+                            )
 
 
 def test_batched_kernel_rejects_an_empty_candidate():

@@ -209,7 +209,15 @@ def _cmd_mine(args) -> int:
         return USAGE_ERROR
 
     dataset, table = _load_inputs(args)
+    # the report needs three figures of the interval columns, and mining
+    # only their encoding: the columns are freed before mining starts
+    described = {
+        "sequences": len(dataset.ids),
+        "intervals": len(dataset.label),
+        "alphabet": list(dataset.labels()),
+    }
     enc = encode_intervals(dataset, table)
+    del dataset, table
     threshold = resolve_threshold(cfg, enc)
 
     results, wrong = _mine_strategies(enc, cfg, bounds)
@@ -235,12 +243,7 @@ def _cmd_mine(args) -> int:
             "strategies": strategies,
             "threads": args.threads,
         },
-        "dataset": {
-            "sequences": len(dataset.ids),
-            "intervals": len(dataset.label),
-            "alphabet": list(dataset.labels()),
-            "total_utility": enc.total_utility,
-        },
+        "dataset": {**described, "total_utility": enc.total_utility},
         "threshold": threshold,
         "patterns": [
             {"pattern": [list(c.labels) for c in p.lsequence.coincidences], "umax": p.umax}

@@ -8,7 +8,10 @@ once; `take_sequences` cuts them to some of the sequences in that layout.
 The per-sequence top-k eventset utility sums are precomputed with one row
 per budget k, so that the weighted utilization of a whole batch of
 candidates is one contiguous gather and one row sum per budget. Each label
-lists the sequences holding it, and its longest window.
+lists the sequences holding it, and its longest window, and keeps its
+covered cells (`label_cells`): the window-major ids of the windows that
+hold it, from which the miner scores candidates at the length cap where
+they fit rather than over every cell of a prefix (see `miner`).
 
 `encode_intervals` builds the arrays straight from interval columns;
 `encode_dataset` encodes the object model's windowed form. Both hand the
@@ -28,8 +31,10 @@ import numpy as np
 from .io import IntervalColumns, lex_order
 from .model import CSequenceDataset, DataError, UtilityTable
 
-# Ceiling on the bytes of `masks`, `durations` and `topk`, checked before
-# they are allocated.
+# Ceiling on the bytes of `masks`, `durations`, `topk` and `label_cells`,
+# checked before they are allocated. It keeps n * cap below 2**31 (masks
+# and durations alone take 16 bytes a cell), so a window-major cell id fits
+# in int32, and so does the count of label cells (4 bytes each).
 MAX_ARRAY_BYTES = 4 * 2**30
 
 
@@ -46,6 +51,8 @@ class EncodedDataset:
     label_rows: np.ndarray       # int64; the sequences holding each label, ascending
     label_longest: np.ndarray    # float64; the label's longest window in each
     label_row_start: np.ndarray  # int64 [len(labels)+1]; label b's rows start here
+    label_cells: np.ndarray       # int32; cells j * n + s holding each label, by (s, j)
+    label_cell_start: np.ndarray  # int32 [len(labels)+1]; label b's cells start here
 
     @property
     def n_sequences(self) -> int:
@@ -142,11 +149,14 @@ def _assemble(labels, table, lengths, durations, pair_window, label_start) -> En
     n = len(lengths)
     cap = int(lengths.max()) if n else 0
     words = max(1, (len(labels) + 63) // 64)
-    need = 8 * n * (cap * words + cap + cap + 1)  # masks, durations, topk
+    pairs = len(pair_window)
+    # masks, durations, topk, and 4 bytes a kept label cell
+    need = 8 * n * (cap * words + cap + cap + 1) + 4 * pairs
     if need > MAX_ARRAY_BYTES:
         raise DataError(
             f"the encoded dataset needs {need / 1e6:.1f} MB ({need} bytes for {n} sequences "
-            f"x {cap} windows x {words} mask words), over the limit of {MAX_ARRAY_BYTES} bytes"
+            f"x {cap} windows x {words} mask words and {pairs} label cells), over the limit "
+            f"of {MAX_ARRAY_BYTES} bytes"
         )
     label_utility = np.array([table.utility(lab) for lab in labels], dtype=np.float64)
     # window j of sequence s is cell j * n + s of the window-major buffers:
@@ -166,14 +176,19 @@ def _assemble(labels, table, lengths, durations, pair_window, label_start) -> En
     # cells in one sequence: its windows ascend in sequence order, so the
     # runs need no sort; the empty first entries make the offsets
     rows, longest = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    # every label's covered cells in one preallocated array, as label b's
+    # pairs sit at label_start[b]:label_start[b + 1]
+    label_cells = np.empty(pairs, dtype=np.int32)
     for bit in range(len(labels)):
-        covered = cell[pair_window[label_start[bit] : label_start[bit + 1]]]
+        at = slice(label_start[bit], label_start[bit + 1])
+        covered = label_cells[at] = cell[pair_window[at]]
         cell_masks[covered, bit >> 6] |= np.uint64(1 << (bit & 63))
         mass[covered] += label_utility[bit]
         sequence = covered % n
         head = np.flatnonzero(np.diff(sequence, prepend=-1))
         rows.append(sequence[head])
         longest.append(np.maximum.reduceat(flat_durations[covered], head))
+    del cell  # freed before the sort below allocates its copy
     occurrence_start = np.cumsum([r.size for r in rows])
     rows, longest = np.concatenate(rows), np.concatenate(longest)
     # the sums below write into buffers already allocated
@@ -195,6 +210,8 @@ def _assemble(labels, table, lengths, durations, pair_window, label_start) -> En
         label_utility=label_utility,
         total_utility=total,
         label_rows=rows, label_longest=longest, label_row_start=occurrence_start,
+        label_cells=label_cells,
+        label_cell_start=np.asarray(label_start, dtype=np.int32),
     )
 
 
@@ -202,7 +219,7 @@ def same_encoding(a: EncodedDataset, b: EncodedDataset) -> bool:
     """Whether two encodings have the same labels and bit-identical arrays
     and total utility."""
     arrays = ("masks", "durations", "lengths", "topk", "label_utility", "label_rows",
-              "label_longest", "label_row_start")
+              "label_longest", "label_row_start", "label_cells", "label_cell_start")
     return (
         a.labels == b.labels
         and float(a.total_utility).hex() == float(b.total_utility).hex()
@@ -229,6 +246,16 @@ def take_sequences(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if rows.dtype == bool:
         return by_window(windows.compress(rows, axis=1))
     return by_window(windows.take(rows, axis=1))
+
+
+def take_candidate(batch: np.ndarray, i: int, rows: np.ndarray) -> np.ndarray:
+    """Candidate i's score rows of a kernel batch [C, n, cap] on the
+    sequences `rows` (flags over all n), window-major: gathered from the
+    batch's [cap, C * n] view at offsets i * n + rows, so that the
+    candidate's strided [cap, n] block is never copied whole first."""
+    c, n, cap = batch.shape
+    windows = batch.transpose(2, 0, 1).reshape(cap, c * n)
+    return by_window(windows.take(i * n + np.flatnonzero(rows), axis=1))
 
 
 def empty_prefix_scores(enc: EncodedDataset, rows=None) -> np.ndarray:

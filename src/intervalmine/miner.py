@@ -16,6 +16,16 @@ carries only the sequences it occurs in and its score rows on them, so the
 kernel never scans a sequence the prefix misses, and a child tries only
 the coincidences that survived beside it (see `_grow`).
 
+A candidate at the length cap, a leaf, needs only its best match per
+sequence, and it fits only a few of the cells the kernel scores. So once
+per vocabulary the miner lays out every entry's fit cells, from the
+encoder's label cells, in runs per sequence (`_LeafLayout`), and a leaf
+evaluation is scored from them when its kernel cells outnumber
+`LAYOUT_CELL_WEIGHT` times the layout's cells plus the slots of its score
+buffer (`_leaves_from_layout`): a gather, an add and a maximum per layout
+cell, with the kernel's values bit for bit. Roots, interior prefixes and the vocabulary always take the
+kernel.
+
 Every bound is one formula, `_bound`, over three numbers that come with a
 candidate's scores: its umax, its weighted bound `full` (the top-K
 eventset mass of the sequences it occurs in) and `rest` (their top-(K -
@@ -39,10 +49,12 @@ import numpy as np
 
 from .encoding import (
     EncodedDataset,
+    by_window,
     empty_prefix_scores,
     encode_dataset,
     label_summary,
     summarize_scores,
+    take_candidate,
     take_sequences,
     weighted_utilization,
 )
@@ -119,11 +131,32 @@ class _Candidate:
     rest: float
 
 
+@dataclass(frozen=True)
+class _LeafLayout:
+    """Every vocabulary entry's fit cells, laid out so that a prefix's
+    candidates at the length cap are scored without the kernel.
+
+    A run is one entry's cells in one sequence. The runs are sorted longest
+    first, and their cells stored rank by rank: layer k holds the k-th cell
+    of every run longer than k, which are the first runs in that order, so
+    each layer is one contiguous block that lines up with the layer before.
+    A cell holds its entry's utility mass times its window's duration, and
+    the window's id j * n + s in the window-major order of the encoding.
+    """
+
+    value: np.ndarray     # float64 [cells], putil * duration
+    cell: np.ndarray      # int32 [cells], window j of sequence s as j * n + s
+    layers: np.ndarray    # int64 [ranks + 1]; layer k is cells layers[k]:layers[k+1]
+    entry: np.ndarray     # int32 [runs], the vocabulary index of each run
+    sequence: np.ndarray  # int32 [runs], the sequence of each run
+
+
 @dataclass
 class _Context:
     """A mining run's inputs and its vocabulary: the candidates in mining
-    order, and their masks [V, words] and utility masses [V] stacked, so
-    that a batch of candidates is one index gather."""
+    order, their masks [V, words] and utility masses [V] stacked, so that a
+    batch of candidates is one index gather, and the leaf layout, when
+    patterns can be longer than one coincidence."""
 
     enc: EncodedDataset
     cfg: MiningConfig
@@ -131,6 +164,7 @@ class _Context:
     vocab: list[_Candidate] = field(default_factory=list)
     vocab_masks: np.ndarray | None = None
     vocab_putils: np.ndarray | None = None
+    leaf_layout: _LeafLayout | None = None
 
 
 def _project(enc: EncodedDataset, rows: np.ndarray):
@@ -167,9 +201,6 @@ def _evaluate(ctx: _Context, rows, arrays, prev_scores, prev_base, masks, putils
     right, as the oracle does: a pairwise sum (`ndarray.sum`) can land an
     ulp off and then flip a pattern whose value is exactly the threshold.
     """
-    # `none` never bounds, so it sums nothing: full and rest read 0
-    k = 0 if ctx.cfg.strategy is UpperBound.NONE else ctx.cfg.max_length
-    budgets = (k, k - length)
     step = max(1, BATCH_CELLS // max(1, rows.size if prev_scores is None else prev_scores.size))
     for lo in range(0, len(masks), step):
         if prev_scores is None:
@@ -179,8 +210,123 @@ def _evaluate(ctx: _Context, rows, arrays, prev_scores, prev_base, masks, putils
                 *arrays, prev_scores, prev_base, masks[lo : lo + step], putils[lo : lo + step]
             )
             matched, best = summarize_scores(scores)
-        umax = np.cumsum(best, axis=1)[:, -1] if best.shape[1] else np.zeros(len(best))
-        yield lo, matched, scores, umax, *weighted_utilization(ctx.enc, rows, matched, budgets)
+        yield lo, matched, scores, *_masses(ctx, rows, matched, best, length)
+
+
+def _masses(ctx: _Context, rows, matched, best, length: int):
+    """umax, full and rest [C] of a batch, from its matched flags and best
+    values [C, n] over the sequences `rows` (see `_evaluate`)."""
+    # `none` never bounds, so it sums nothing: full and rest read 0
+    k = 0 if ctx.cfg.strategy is UpperBound.NONE else ctx.cfg.max_length
+    umax = np.cumsum(best, axis=1)[:, -1] if best.shape[1] else np.zeros(len(best))
+    return umax, *weighted_utilization(ctx.enc, rows, matched, (k, k - length))
+
+
+# A leaf evaluation takes the layout when its C x r x cap kernel cells
+# outnumber this many times the layout's cells plus the cap * n slots of its
+# score buffer. A layout cell costs a gather, an add and a maximum, a
+# buffer slot a fill and at most one scatter; a kernel cell costs a mask
+# test, a multiply, an add, a masked store and a running maximum, and each
+# kernel call about 80 us more. Timing every leaf evaluation both ways on
+# the benchmark's workloads at K = 2 to 4, and on ingest-20k prefixes cut
+# to 50 to 10,000 rows, 0.15 kept the total within 1.2% of picking the
+# faster path per leaf, and no leaf more than 1.25x slower than its faster
+# path (numpy 2.4, x86-64).
+LAYOUT_CELL_WEIGHT = 0.15
+
+
+def _leaves_from_layout(ctx: _Context, candidates: int, rows: int) -> bool:
+    """Whether a prefix on `rows` sequences scores its `candidates` at the
+    length cap from the leaf layout rather than with the kernel."""
+    enc = ctx.enc
+    layout_cells = ctx.leaf_layout.value.size + enc.capacity * enc.n_sequences
+    return LAYOUT_CELL_WEIGHT * layout_cells < candidates * rows * enc.capacity
+
+
+def _leaf_layout(ctx: _Context) -> _LeafLayout:
+    """The layout of every vocabulary entry's fit cells (`_LeafLayout`).
+
+    An entry's cells are the cells of its rarest label (`label_cells`), kept
+    where the window holds all of the entry's labels. They come by
+    sequence, then window, so each run is contiguous in their
+    concatenation: the k-th cell of a run that starts at position `head`
+    sits at head + k.
+    """
+    enc = ctx.enc
+    n, cap = enc.n_sequences, enc.capacity
+    flat_masks = by_window(enc.masks).reshape(cap * n, enc.words)
+    start = enc.label_cell_start.tolist()
+    parts = []
+    for v in ctx.vocab:
+        bit = min((enc.label_bit[label] for label in v.coincidence.labels),
+                  key=lambda b: start[b + 1] - start[b])
+        cells = enc.label_cells[start[bit] : start[bit + 1]]
+        if len(v.coincidence) > 1:
+            cells = cells[((flat_masks[cells] & v.mask) == v.mask).all(axis=1)]
+        parts.append(cells)
+    cells = np.concatenate([enc.label_cells[:0], *parts])
+    entry = np.repeat(np.arange(len(parts)), [p.size for p in parts])
+    run = entry * n + cells % n  # one run per (entry, sequence)
+    new = np.ones(cells.size, dtype=bool)
+    np.not_equal(run[1:], run[:-1], out=new[1:])
+    head = np.flatnonzero(new)
+    length = np.diff(head, append=cells.size)
+    # longest first; runs of one length may come in any order
+    head = head[np.argsort(-length)]
+    longer = head.size - np.cumsum(np.bincount(length))[:-1]  # runs longer than k
+    at = np.concatenate([head[:0]] + [head[:count] + k for k, count in enumerate(longer)])
+    cells, entry, run = cells[at], entry[at], run[head]
+    return _LeafLayout(
+        value=ctx.vocab_putils[entry] * by_window(enc.durations).reshape(-1)[cells],
+        cell=cells,
+        layers=np.concatenate(([0], np.cumsum(longer))),
+        entry=(run // n).astype(np.int32),
+        sequence=(run % n).astype(np.int32),
+    )
+
+
+def _summarize_leaves(ctx: _Context, rows, scores, candidates):
+    """`summarize_scores` of the prefix with score rows `scores` on the
+    sequences `rows` extended by each vocabulary entry `candidates`, from
+    the leaf layout: matched flags and best values [C, r].
+
+    The prefix's score rows go one window later into a -inf buffer of
+    every cell, so that slot j * n + s holds the prefix's best score before
+    window j of sequence s: -inf at window 0, where no non-empty prefix has
+    matched, and outside `rows`. A layout cell's value is its putil *
+    duration plus its own slot, the kernel's product and sum. The maximum
+    over a run is the kernel's running maximum at its last window, so the
+    flags and values are bit-identical to the kernel's.
+    """
+    layout, enc = ctx.leaf_layout, ctx.enc
+    n, cap = enc.n_sequences, enc.capacity
+    buffer = np.full(cap * n, -np.inf)
+    buffer.reshape(cap, n)[1:, rows] = by_window(scores)[:-1]
+    values = buffer.take(layout.cell)
+    del buffer  # freed before the runs are mapped
+    values += layout.value
+    best = values[: layout.entry.size]  # layer 0: each run's first cell
+    for lo, hi in zip(layout.layers[1:-1], layout.layers[2:]):
+        np.maximum(best[: hi - lo], values[lo:hi], out=best[: hi - lo])
+    # each run of a candidate that matched lands in its [C, r] slot
+    column = np.full(len(ctx.vocab), -1)
+    column[candidates] = np.arange(len(candidates))
+    row = np.zeros(n, dtype=np.int64)
+    row[rows] = np.arange(rows.size)
+    c = column[layout.entry]
+    hit = np.flatnonzero((c >= 0) & (best > -np.inf))
+    slot = c[hit] * rows.size + row[layout.sequence[hit]]
+    matched = np.zeros((len(candidates), rows.size), dtype=bool)
+    out = np.zeros(matched.shape)
+    matched.reshape(-1)[slot], out.reshape(-1)[slot] = True, best[hit]
+    return matched, out
+
+
+def _leaf_batches(ctx: _Context, rows, scores, candidates, length: int):
+    """`_evaluate`'s batches for the vocabulary entries `candidates` at the
+    length cap, scored from the leaf layout: one batch, without score rows."""
+    matched, best = _summarize_leaves(ctx, rows, scores, candidates)
+    yield 0, matched, None, *_masses(ctx, rows, matched, best, length)
 
 
 def _bound(ctx: _Context, umax, full, rest):
@@ -263,6 +409,9 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
         )
     ctx.vocab_masks = np.array([v.mask for v in ctx.vocab], dtype=np.uint64).reshape(-1, enc.words)
     ctx.vocab_putils = np.array([v.putil for v in ctx.vocab], dtype=np.float64)
+    # built before growth, so that growth's arrays never overlap its build
+    if ctx.cfg.max_length > 1:
+        ctx.leaf_layout = _leaf_layout(ctx)
 
 
 def _grow(
@@ -276,7 +425,8 @@ def _grow(
     length cap, and scores for a root until it is grown. A child is emitted
     when its umax meets the threshold. Below the length cap the kernel then
     scores it extended by every coincidence of `children`, on its own rows
-    only, and the survivors are grown in turn. A pattern grown from
+    only, or the leaf layout does when those extensions reach the cap, and
+    the survivors are grown in turn. A pattern grown from
     prefix+x that appends c is a supersequence of prefix+c, so it occurs in
     no sequence prefix+c misses, and the weighted bound only shrinks with
     the set of sequences it sums over. Under `pdc` prefix+c's own bound
@@ -291,23 +441,30 @@ def _grow(
         if umax >= ctx.xi_abs:
             out.append(Pattern(LSequence(tuple(prefix)), umax))
         if len(prefix) < ctx.cfg.max_length:
-            arrays = _project(ctx.enc, rows)
+            arrays = None
             if scores is None:
+                arrays = _project(ctx.enc, rows)
                 scores = extend_scores(
                     *arrays, empty_prefix_scores(ctx.enc, rows), 0.0,
                     ctx.vocab_masks[index : index + 1], ctx.vocab_putils[index : index + 1],
                 )[0]
             stats.candidates_generated += inherited.size
-            batches = _evaluate(
-                ctx, rows, arrays, scores, -math.inf,
-                ctx.vocab_masks[inherited], ctx.vocab_putils[inherited], len(prefix) + 1,
-            )
-            leaf = len(prefix) + 1 == ctx.cfg.max_length
+            length = len(prefix) + 1
+            leaf = length == ctx.cfg.max_length
+            if leaf and _leaves_from_layout(ctx, inherited.size, rows.size):
+                # the layout reads no projected arrays: a root's go first
+                arrays = None
+                batches = _leaf_batches(ctx, rows, scores, inherited, length)
+            else:
+                batches = _evaluate(
+                    ctx, rows, _project(ctx.enc, rows) if arrays is None else arrays, scores,
+                    -math.inf, ctx.vocab_masks[inherited], ctx.vocab_putils[inherited], length,
+                )
             # the survivors are bound to no local here, so neither a kernel
             # batch nor a finished sibling's survivors stay alive below
             _grow(ctx, prefix, [
                 (inherited[lo + i], None if leaf else rows[matched[i]],
-                 None if leaf else take_sequences(batch[i], matched[i]), float(umaxes[i]))
+                 None if leaf else take_candidate(batch, i, matched[i]), float(umaxes[i]))
                 for lo, matched, batch, umaxes, full, rest in batches
                 for i in _survivors(ctx, stats, matched.any(axis=1), umaxes, full, rest)
             ], out, stats)

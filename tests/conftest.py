@@ -116,7 +116,7 @@ def reference_encoding(d):
     """The encoding of d built window by window from the object model, with
     each window priced by `eventset_utility`, the total from
     `dataset_utility`, and each label's longest window per sequence taken
-    with `max`."""
+    with `max`, and its cells listed by sequence, then window."""
     labels = d.labels()
     label_bit = {lab: i for i, lab in enumerate(labels)}
     words = max(1, (len(labels) + 63) // 64)
@@ -128,6 +128,7 @@ def reference_encoding(d):
     lengths = np.zeros(n, dtype=np.int64)
     topk = np.zeros((n, cap + 1), dtype=np.float64)
     longest = {}  # (label bit, sequence) -> longest window holding the label
+    cells = [[] for _ in labels]  # label bit -> window-major ids j * n + s
     for s, cseq in enumerate(d.csequences):
         lengths[s] = len(cseq.eventsets)
         es_utils = []
@@ -136,6 +137,7 @@ def reference_encoding(d):
                 bit = label_bit[lab]
                 masks[s, j, bit // 64] |= np.uint64(1) << np.uint64(bit % 64)
                 longest[bit, s] = max(longest.get((bit, s), 0.0), float(es.duration))
+                cells[bit].append(j * n + s)
             durations[s, j] = es.duration
             es_utils.append(eventset_utility(es, d.utilities))
         es_utils.sort(reverse=True)
@@ -161,6 +163,8 @@ def reference_encoding(d):
         label_row_start=np.searchsorted(
             np.array([bit for bit, _ in occurrences], dtype=np.int64), np.arange(len(labels) + 1)
         ),
+        label_cells=np.array([c for per_label in cells for c in per_label], dtype=np.int32),
+        label_cell_start=np.cumsum([0] + [len(c) for c in cells]).astype(np.int32),
     )
 
 

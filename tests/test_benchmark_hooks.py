@@ -4,7 +4,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from intervalmine import cli
+from intervalmine import cli, miner
 from intervalmine.oracle import EXAMPLE_DATA, EXAMPLE_UTILITIES
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -25,11 +25,21 @@ def test_every_traced_hook_resolves():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
-def test_traced_cli_run_counts_each_layer(tmp_path):
+def test_traced_cli_run_counts_each_layer(tmp_path, monkeypatch):
     """A traced `mine` run on the running example: the counters the
     benchmark reports come out of the hooked functions, so a hook whose
     signature drifted shows up here as a wrong count."""
     tracing = load_tracing()
+    # the tracer does not hook the leaf layout, so its evaluations are
+    # counted here
+    leaf_batches = []
+    summarize = miner._summarize_leaves
+
+    def counted(ctx, rows, scores, candidates):
+        leaf_batches.append(len(candidates))
+        return summarize(ctx, rows, scores, candidates)
+
+    monkeypatch.setattr(miner, "_summarize_leaves", counted)
     data, utilities = tmp_path / "events.tsv", tmp_path / "utilities.tsv"
     data.write_text(EXAMPLE_DATA)
     utilities.write_text("".join(f"{k}\t{v}\n" for k, v in EXAMPLE_UTILITIES.items()))
@@ -48,20 +58,25 @@ def test_traced_cli_run_counts_each_layer(tmp_path):
     assert counts["miner.vocab_candidates"] == 12
     assert counts["miner.vocab_size"] == 6
     assert counts["miner.patterns"] == 32
-    # one kernel call scores a batch: all candidates of one prefix here,
-    # 115 of them over 25 prefixes; the matched rows still count every
-    # candidate's
-    assert counts["kernels.extend_calls.grow"] == 25
+    # one kernel call scores a batch: all candidates of one prefix here.
+    # The 6 prefixes of length 1 go through the kernel; the 19 of length 2,
+    # whose 79 candidates are leaves at K = 3, are scored from the leaf
+    # layout, and the matched rows count only the kernel's candidates
+    assert counts["kernels.extend_calls.grow"] == 6
+    assert len(leaf_batches) == 19 and sum(leaf_batches) == 79
     # the labels alone run no kernel: the vocabulary's 3 join batches and
     # the 6 roots, each scored on its own rows when growth reaches it
     assert counts["kernels.extend_calls.vocab"] == 9
     assert counts["kernels.rows_scanned.vocab"] == 33
-    assert counts["kernels.matched_rows.grow"] == 169
+    assert counts["kernels.matched_rows.grow"] == 65
     # growth scores only the sequences a prefix matched, never all four
     assert counts["kernels.rows_scanned.grow"] < 4 * counts["kernels.extend_calls.grow"]
     # the bound inputs of a whole batch come from one weighted sum, never
     # one per candidate
-    batches = counts["kernels.extend_calls.vocab"] + counts["kernels.extend_calls.grow"]
+    batches = (
+        counts["kernels.extend_calls.vocab"] + counts["kernels.extend_calls.grow"]
+        + len(leaf_batches)
+    )
     assert 0 < counts["encoding.wu_calls"] <= batches
 
 

@@ -222,12 +222,13 @@ def test_arrays_over_the_memory_ceiling_are_a_data_error(
     capsys, monkeypatch, data_file, utility_file
 ):
     # the running example needs 4 x (8 x 1 + 8 + 9) float64/uint64 cells
-    monkeypatch.setattr(encoding, "MAX_ARRAY_BYTES", 799)
+    # and 33 int32 label cells
+    monkeypatch.setattr(encoding, "MAX_ARRAY_BYTES", 931)
     code, out, err = run(capsys, *mine_args(data_file, utility_file))
     assert code == DATA_ERROR
     assert out == ""
-    assert "800 bytes for 4 sequences x 8 windows x 1 mask words" in err
-    monkeypatch.setattr(encoding, "MAX_ARRAY_BYTES", 800)
+    assert "932 bytes for 4 sequences x 8 windows x 1 mask words and 33 label cells" in err
+    monkeypatch.setattr(encoding, "MAX_ARRAY_BYTES", 932)
     assert run(capsys, *mine_args(data_file, utility_file))[0] == 0
 
 

@@ -1,5 +1,6 @@
 """Miner behavior: correctness against the oracle, pruning accounting,
 and the threshold/vocabulary plumbing."""
+import collections
 import itertools
 import random
 from dataclasses import replace
@@ -276,8 +277,15 @@ def test_a_root_its_bound_prunes_is_counted(monkeypatch):
                 masks.update(int(words[0]) for words in args[5])
             return kernel(*args)
 
+        # leaves scored from the layout are appended without the kernel
+        def recording_leaves(ctx, rows, scores, candidates, masks=masks,
+                             summarize=miner._summarize_leaves):
+            masks.update(int(words[0]) for words in ctx.vocab_masks[candidates])
+            return summarize(ctx, rows, scores, candidates)
+
         with monkeypatch.context() as m:
             m.setattr(miner, "extend_scores", recording)
+            m.setattr(miner, "_summarize_leaves", recording_leaves)
             patterns, stats = mine(enc, cfg.with_strategy(strategy))
         assert patterns == []
         counts[strategy] = stats.candidates_generated, stats.candidates_pruned
@@ -515,6 +523,113 @@ def test_the_batch_budget_changes_nothing(monkeypatch, cells):
             m.setattr(miner, "BATCH_CELLS", cells)
             for s in UpperBound:
                 assert mined(enc, cfg.with_strategy(s)) == expected[s], (cells, s)
+
+
+def leaf_instances(seed, count):
+    """(windowed dataset, config) pairs whose leaves both paths can score:
+    integer or fractional utilities, K from 2 to 4 and Z from 1 to 3 within
+    the oracle's budget, at the value of one of their patterns or, for one
+    in eight, above the total utility, where the vocabulary is empty; then
+    an alphabet of more than 64 labels."""
+    values = (0.1, 0.2, 0.3, 0.7, 1 / 3, 2.9)
+    rng = random.Random(seed)
+    for i in range(count):
+        k, z = rng.randint(2, 4), rng.randint(1, 3)
+        p = GeneratorParams(
+            seed=rng.randrange(2**31),
+            num_sequences=rng.randint(1, 10),
+            max_intervals_per_seq=rng.randint(2, 7),
+            alphabet_size=rng.randint(2, {2: 5, 3: 4, 4: 3}[k]),
+        )
+        es, table = random_dataset(p)
+        if i % 2:
+            table = UtilityTable({lab: rng.choice(values) for lab in es.labels()})
+        d = transform_dataset(es, table)
+        every = brute_force_mine(d, cfg_at(0.0, k, z))
+        xi = dataset_utility(d) + 1.0 if i % 8 == 0 or not every else rng.choice(every).umax
+        yield d, cfg_at(xi, k, z)
+    yield wide_dataset(seed, 70), cfg_at(0.01, 2, 1, mode="relative")
+
+
+def mined_by_leaf_path(monkeypatch, enc, cfg, layout: bool, seen):
+    """The pattern set of mining `enc` with every leaf evaluation forced
+    onto the leaf layout or onto the kernel, and one record per candidate
+    of every batch: the extended pattern's length, the prefix's sequences,
+    the candidate's matched flags over them, and its umax, full and rest
+    as float.hex. `seen` counts the layout evaluations, their candidates
+    that fit a window 0, and those with no cell in the prefix's
+    sequences."""
+    records = []
+    masses, summarize = miner._masses, miner._summarize_leaves
+
+    def recording_masses(ctx, rows, matched, best, length):
+        values = masses(ctx, rows, matched, best, length)
+        records.extend(
+            (length, rows.tolist(), flags.tolist(), *(float(x).hex() for x in v))
+            for flags, *v in zip(matched, *values)
+        )
+        return values
+
+    def counting_summarize(ctx, rows, scores, candidates):
+        layout = ctx.leaf_layout
+        seen["layout evaluations"] += 1
+        # layer k holds the k-th cell of the first runs
+        run = np.concatenate([np.zeros(0, dtype=np.intp)]
+                             + [np.arange(size) for size in np.diff(layout.layers)])
+        for e in candidates.tolist():
+            cells = layout.cell[layout.entry[run] == e]
+            seen["fit window 0"] += bool((cells < ctx.enc.n_sequences).any())
+            own = layout.sequence[layout.entry == e]
+            seen["no cell in the prefix's rows"] += not np.isin(own, rows).any()
+        return summarize(ctx, rows, scores, candidates)
+
+    with monkeypatch.context() as m:
+        m.setattr(miner, "_leaves_from_layout", lambda ctx, candidates, rows: layout)
+        m.setattr(miner, "_masses", recording_masses)
+        m.setattr(miner, "_summarize_leaves", counting_summarize)
+        patterns, _ = mine(enc, cfg)
+    return pattern_set(patterns), records
+
+
+def test_leaves_score_alike_from_the_layout_and_the_kernel(monkeypatch):
+    """Every leaf evaluation forced onto the leaf layout, then onto the
+    kernel: every batch's matched flags, umax, full and rest are
+    bit-identical, and both pattern sets equal the oracle's, under every
+    strategy. Leaves whose candidates fit window 0, and candidates with no
+    cell in the prefix's sequences, are among them, and so is an empty
+    vocabulary."""
+    seen = collections.Counter()
+    empty = 0
+    for d, cfg in leaf_instances(16, 60):
+        enc = encode_dataset(d)
+        expected = pattern_set(brute_force_mine(d, cfg))
+        empty += not expected
+        for s in UpperBound:
+            c = cfg.with_strategy(s)
+            layout = mined_by_leaf_path(monkeypatch, enc, c, True, seen)
+            kernel = mined_by_leaf_path(monkeypatch, enc, c, False, collections.Counter())
+            assert layout[0] == kernel[0] == expected, (c, s)
+            assert layout[1] == kernel[1], (c, s)
+    assert seen["layout evaluations"] > 500
+    assert seen["fit window 0"] > 0
+    assert seen["no cell in the prefix's rows"] > 0
+    assert empty > 0
+
+
+def test_an_empty_vocabulary_has_an_empty_leaf_layout(example_cdata):
+    """Above the total utility no coincidence survives: the layout holds no
+    cell and no run, and scores no candidates on any rows."""
+    enc = encode_dataset(example_cdata)
+    ctx = miner._Context(enc=enc, cfg=cfg_at(135.0, 3, 2), xi_abs=135.0)
+    miner._build_vocabulary(ctx, miner.MiningStats())
+    assert ctx.vocab == []
+    layout = ctx.leaf_layout
+    assert layout.value.size == layout.cell.size == layout.entry.size == 0
+    rows = np.arange(enc.n_sequences)
+    scores = np.zeros((enc.n_sequences, enc.capacity))
+    matched, best = miner._summarize_leaves(ctx, rows, scores, np.zeros(0, dtype=np.intp))
+    assert matched.shape == best.shape == (0, enc.n_sequences)
+    assert mine(enc, ctx.cfg)[0] == []
 
 
 def test_a_shared_vocabulary_changes_nothing():

@@ -167,17 +167,16 @@ def _pattern_set(patterns) -> set:
 
 
 def _mine_strategies(enc, cfg: MiningConfig, bounds, expected: set | None = None):
-    """Mine `enc` under each bound in turn, ldc and pdc sharing the one
-    vocabulary they both build.
+    """Mine `enc` under each bound in turn, each run building its own
+    vocabulary.
 
     Returns each strategy's (patterns, stats) by name, and the size of the
     pattern set of each strategy whose set differs from `expected`, by
     default the first strategy's.
     """
-    vocabularies: dict = {}
     results, wrong = {}, {}
     for b in bounds:
-        results[b.value] = mine(enc, cfg.with_strategy(b), vocabularies)
+        results[b.value] = mine(enc, cfg.with_strategy(b))
         got = _pattern_set(results[b.value][0])
         if expected is None:
             expected = got

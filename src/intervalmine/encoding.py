@@ -8,10 +8,10 @@ once; `take_sequences` cuts them to some of the sequences in that layout.
 The per-sequence top-k eventset utility sums are precomputed with one row
 per budget k, so that the weighted utilization of a whole batch of
 candidates is one contiguous gather and one row sum per budget. Each label
-lists the sequences holding it, and its longest window, and keeps its
-covered cells (`label_cells`): the window-major ids of the windows that
-hold it, from which the miner scores candidates at the length cap where
-they fit rather than over every cell of a prefix (see `miner`).
+keeps its covered cells (`label_cells`): the window-major ids of the
+windows that hold it, by sequence, then window. The miner prices its whole
+vocabulary from them, and scores candidates at the length cap where they
+fit rather than over every cell of a prefix (see `miner`).
 
 `encode_intervals` builds the arrays straight from interval columns;
 `encode_dataset` encodes the object model's windowed form. Both hand the
@@ -48,9 +48,6 @@ class EncodedDataset:
     topk: np.ndarray        # float64 [cap+1, n]; row k = top-k eventset mass
     label_utility: np.ndarray  # float64 [len(labels)]
     total_utility: float    # summed eventset utility of the dataset
-    label_rows: np.ndarray       # int64; the sequences holding each label, ascending
-    label_longest: np.ndarray    # float64; the label's longest window in each
-    label_row_start: np.ndarray  # int64 [len(labels)+1]; label b's rows start here
     label_cells: np.ndarray       # int32; cells j * n + s holding each label, by (s, j)
     label_cell_start: np.ndarray  # int32 [len(labels)+1]; label b's cells start here
 
@@ -172,10 +169,6 @@ def _assemble(labels, table, lengths, durations, pair_window, label_start) -> En
     flat_durations[cell] = durations
     # label utilities of each window, added in ascending label order
     mass = np.zeros(cap * n, dtype=np.float64)
-    # each label's sequences and longest window in each, one per run of its
-    # cells in one sequence: its windows ascend in sequence order, so the
-    # runs need no sort; the empty first entries make the offsets
-    rows, longest = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     # every label's covered cells in one preallocated array, as label b's
     # pairs sit at label_start[b]:label_start[b + 1]
     label_cells = np.empty(pairs, dtype=np.int32)
@@ -184,13 +177,7 @@ def _assemble(labels, table, lengths, durations, pair_window, label_start) -> En
         covered = label_cells[at] = cell[pair_window[at]]
         cell_masks[covered, bit >> 6] |= np.uint64(1 << (bit & 63))
         mass[covered] += label_utility[bit]
-        sequence = covered % n
-        head = np.flatnonzero(np.diff(sequence, prepend=-1))
-        rows.append(sequence[head])
-        longest.append(np.maximum.reduceat(flat_durations[covered], head))
     del cell  # freed before the sort below allocates its copy
-    occurrence_start = np.cumsum([r.size for r in rows])
-    rows, longest = np.concatenate(rows), np.concatenate(longest)
     # the sums below write into buffers already allocated
     eventset_utility = np.multiply(mass, flat_durations, out=mass).reshape(cap, n)
 
@@ -209,7 +196,6 @@ def _assemble(labels, table, lengths, durations, pair_window, label_start) -> En
         topk=topk,
         label_utility=label_utility,
         total_utility=total,
-        label_rows=rows, label_longest=longest, label_row_start=occurrence_start,
         label_cells=label_cells,
         label_cell_start=np.asarray(label_start, dtype=np.int32),
     )
@@ -218,8 +204,8 @@ def _assemble(labels, table, lengths, durations, pair_window, label_start) -> En
 def same_encoding(a: EncodedDataset, b: EncodedDataset) -> bool:
     """Whether two encodings have the same labels and bit-identical arrays
     and total utility."""
-    arrays = ("masks", "durations", "lengths", "topk", "label_utility", "label_rows",
-              "label_longest", "label_row_start", "label_cells", "label_cell_start")
+    arrays = ("masks", "durations", "lengths", "topk", "label_utility", "label_cells",
+              "label_cell_start")
     return (
         a.labels == b.labels
         and float(a.total_utility).hex() == float(b.total_utility).hex()
@@ -277,21 +263,6 @@ def summarize_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     last = scores[..., -1]
     matched = np.isfinite(last)
     return matched, np.where(matched, last, 0.0)
-
-
-def label_summary(enc: EncodedDataset, putils: np.ndarray, lo: int):
-    """`summarize_scores` of the labels from lo on alone, with utility masses
-    `putils`, from the label rows: a label's best match in a sequence is its
-    mass times its longest window there, the kernel's running maximum of
-    `putil * duration + 0.0` bit for bit, as rounding is monotone for a
-    nonnegative `putil`."""
-    start = enc.label_row_start[lo : lo + len(putils) + 1]
-    at = slice(start[0], start[-1])
-    cells = np.repeat(np.arange(len(putils)), np.diff(start)), enc.label_rows[at]
-    matched = np.zeros((len(putils), enc.n_sequences), dtype=bool)
-    best = np.zeros(matched.shape)
-    matched[cells], best[cells] = True, putils[cells[0]] * enc.label_longest[at]
-    return matched, best
 
 
 def weighted_utilization(

@@ -9,7 +9,11 @@ window, which a match-based estimate never anticipates. A level joins its
 survivors only with the labels that survived on their own: adding a label
 can only shrink the set of sequences a coincidence occurs in, and the
 weighted bound sums over that set, so every superset of a dropped label
-fails both tests too (the Apriori property). Phase 2 grows patterns
+fails both tests too (the Apriori property). Phase 1 runs no kernel: a
+candidate's cells, the windows that hold its whole mask, are a label's own
+cells from the encoder or its parent's cells that hold the new label, and
+its best match in a sequence is read from them (`_price`). The vocabulary
+is kept as columns: no entry keeps score rows. Phase 2 grows patterns
 depth-first by appending whole vocabulary coincidences, starting from the
 empty prefix, whose children, the roots, phase 1 already bounded. A prefix
 carries only the sequences it occurs in and its score rows on them, so the
@@ -17,14 +21,13 @@ kernel never scans a sequence the prefix misses, and a child tries only
 the coincidences that survived beside it (see `_grow`).
 
 A candidate at the length cap, a leaf, needs only its best match per
-sequence, and it fits only a few of the cells the kernel scores. So once
-per vocabulary the miner lays out every entry's fit cells, from the
-encoder's label cells, in runs per sequence (`_LeafLayout`), and a leaf
-evaluation is scored from them when its kernel cells outnumber
+sequence, and it fits only a few of the cells the kernel scores. So the
+miner lays out every entry's cells in runs per sequence (`_LeafLayout`),
+and a leaf evaluation is scored from them when its kernel cells outnumber
 `LAYOUT_CELL_WEIGHT` times the layout's cells plus the slots of its score
 buffer (`_leaves_from_layout`): a gather, an add and a maximum per layout
-cell, with the kernel's values bit for bit. Roots, interior prefixes and the vocabulary always take the
-kernel.
+cell, with the kernel's values bit for bit. Roots and interior prefixes
+always take the kernel.
 
 Every bound is one formula, `_bound`, over three numbers that come with a
 candidate's scores: its umax, its weighted bound `full` (the top-K
@@ -52,7 +55,6 @@ from .encoding import (
     by_window,
     empty_prefix_scores,
     encode_dataset,
-    label_summary,
     summarize_scores,
     take_candidate,
     take_sequences,
@@ -118,20 +120,6 @@ PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class _Candidate:
-    """A vocabulary coincidence as a one-coincidence pattern: the sequences
-    it occurs in and the inputs of `_bound`, the same for both strategies."""
-
-    coincidence: Coincidence
-    mask: np.ndarray
-    putil: float
-    rows: np.ndarray
-    umax: float
-    full: float
-    rest: float
-
-
-@dataclass(frozen=True)
 class _LeafLayout:
     """Every vocabulary entry's fit cells, laid out so that a prefix's
     candidates at the length cap are scored without the kernel.
@@ -153,17 +141,29 @@ class _LeafLayout:
 
 @dataclass
 class _Context:
-    """A mining run's inputs and its vocabulary: the candidates in mining
-    order, their masks [V, words] and utility masses [V] stacked, so that a
-    batch of candidates is one index gather, and the leaf layout, when
-    patterns can be longer than one coincidence."""
+    """A mining run's inputs, its vocabulary as columns, so that a batch of
+    candidates is one index gather, and the leaf layout, when patterns can
+    be longer than one coincidence.
+
+    Entry v of the vocabulary, in mining order, is the coincidence
+    `vocab[v]`. Its runs, one per sequence it occurs in, ascending, are
+    `vocab_runs[v]:vocab_runs[v + 1]` of `run_rows` (the sequence) and
+    `run_lengths` (its count of cells). The cells, window-major ids of the
+    windows that hold the entry's whole mask, follow run after run in
+    `vocab_cells`: by entry, then sequence, then window.
+    """
 
     enc: EncodedDataset
     cfg: MiningConfig
     xi_abs: float
-    vocab: list[_Candidate] = field(default_factory=list)
-    vocab_masks: np.ndarray | None = None
-    vocab_putils: np.ndarray | None = None
+    vocab: list[Coincidence] = field(default_factory=list)
+    vocab_masks: np.ndarray | None = None   # uint64 [V, words]
+    vocab_putils: np.ndarray | None = None  # float64 [V]
+    vocab_bounds: np.ndarray | None = None  # float64 [3, V]: umax, full and rest
+    vocab_runs: np.ndarray | None = None    # int64 [V + 1]
+    run_rows: np.ndarray | None = None      # int64 [runs]
+    run_lengths: np.ndarray | None = None   # int64 [runs]
+    vocab_cells: np.ndarray | None = None   # int32 [cells]
     leaf_layout: _LeafLayout | None = None
 
 
@@ -176,9 +176,10 @@ def _project(enc: EncodedDataset, rows: np.ndarray):
     return take_sequences(enc.masks, rows), take_sequences(enc.durations, rows), enc.lengths[rows]
 
 
-# Largest (candidate, sequence, window) cell count of one kernel call: the
-# kernel's float64 temporaries stay at 0.5 MB each. A prefix whose rows
-# alone reach it is scored one candidate per call.
+# Largest (candidate, sequence, window) cell count of one kernel call, and
+# of the cells one chunk of vocabulary candidates tests: their float64
+# temporaries stay at 0.5 MB each. A prefix whose rows alone reach it is
+# scored one candidate per call.
 BATCH_CELLS = 2**16
 
 
@@ -186,9 +187,7 @@ def _evaluate(ctx: _Context, rows, arrays, prev_scores, prev_base, masks, putils
     """Score the prefix extended by each candidate, one kernel batch at a
     time, given the candidates' `masks` [C, words] and `putils` [C], and
     the kernel's inputs `arrays` (`_project`) and the prefix's score rows
-    on the sequences `rows`. With None for the score rows, the candidates
-    are all labels alone on every sequence, read from the label rows
-    (`label_summary`) without the kernel, and yield no score rows.
+    on the sequences `rows`.
 
     Yields, per batch of c candidates in order: the position of its first
     candidate, matched flags [c, n] over `rows`, score rows [c, n, cap],
@@ -201,15 +200,12 @@ def _evaluate(ctx: _Context, rows, arrays, prev_scores, prev_base, masks, putils
     right, as the oracle does: a pairwise sum (`ndarray.sum`) can land an
     ulp off and then flip a pattern whose value is exactly the threshold.
     """
-    step = max(1, BATCH_CELLS // max(1, rows.size if prev_scores is None else prev_scores.size))
+    step = max(1, BATCH_CELLS // max(1, prev_scores.size))
     for lo in range(0, len(masks), step):
-        if prev_scores is None:
-            scores, (matched, best) = None, label_summary(ctx.enc, putils[lo : lo + step], lo)
-        else:
-            scores = extend_scores(
-                *arrays, prev_scores, prev_base, masks[lo : lo + step], putils[lo : lo + step]
-            )
-            matched, best = summarize_scores(scores)
+        scores = extend_scores(
+            *arrays, prev_scores, prev_base, masks[lo : lo + step], putils[lo : lo + step]
+        )
+        matched, best = summarize_scores(scores)
         yield lo, matched, scores, *_masses(ctx, rows, matched, best, length)
 
 
@@ -244,44 +240,29 @@ def _leaves_from_layout(ctx: _Context, candidates: int, rows: int) -> bool:
 
 
 def _leaf_layout(ctx: _Context) -> _LeafLayout:
-    """The layout of every vocabulary entry's fit cells (`_LeafLayout`).
-
-    An entry's cells are the cells of its rarest label (`label_cells`), kept
-    where the window holds all of the entry's labels. They come by
-    sequence, then window, so each run is contiguous in their
-    concatenation: the k-th cell of a run that starts at position `head`
-    sits at head + k.
-    """
-    enc = ctx.enc
-    n, cap = enc.n_sequences, enc.capacity
-    flat_masks = by_window(enc.masks).reshape(cap * n, enc.words)
-    start = enc.label_cell_start.tolist()
-    parts = []
-    for v in ctx.vocab:
-        bit = min((enc.label_bit[label] for label in v.coincidence.labels),
-                  key=lambda b: start[b + 1] - start[b])
-        cells = enc.label_cells[start[bit] : start[bit + 1]]
-        if len(v.coincidence) > 1:
-            cells = cells[((flat_masks[cells] & v.mask) == v.mask).all(axis=1)]
-        parts.append(cells)
-    cells = np.concatenate([enc.label_cells[:0], *parts])
-    entry = np.repeat(np.arange(len(parts)), [p.size for p in parts])
-    run = entry * n + cells % n  # one run per (entry, sequence)
-    new = np.ones(cells.size, dtype=bool)
-    np.not_equal(run[1:], run[:-1], out=new[1:])
-    head = np.flatnonzero(new)
-    length = np.diff(head, append=cells.size)
+    """The layout of every vocabulary entry's fit cells (`_LeafLayout`),
+    read from the vocabulary's runs: the k-th cell of a run that starts at
+    position `head` of `vocab_cells` sits at head + k."""
+    length = ctx.run_lengths
+    entry = np.repeat(np.arange(len(ctx.vocab)), np.diff(ctx.vocab_runs))
     # longest first; runs of one length may come in any order
-    head = head[np.argsort(-length)]
+    order = np.argsort(-length)
+    head, entry = (np.cumsum(length) - length)[order], entry[order]
     longer = head.size - np.cumsum(np.bincount(length))[:-1]  # runs longer than k
-    at = np.concatenate([head[:0]] + [head[:count] + k for k, count in enumerate(longer)])
-    cells, entry, run = cells[at], entry[at], run[head]
+    layers = np.concatenate(([0], np.cumsum(longer)))
+    at, value = np.empty(layers[-1], dtype=np.int64), np.empty(layers[-1])
+    for k, count in enumerate(longer):
+        at[layers[k] : layers[k + 1]] = head[:count] + k
+        value[layers[k] : layers[k + 1]] = ctx.vocab_putils[entry[:count]]
+    cells = ctx.vocab_cells[at]
+    del at  # freed before the durations are gathered
+    value *= by_window(ctx.enc.durations).reshape(-1)[cells]
     return _LeafLayout(
-        value=ctx.vocab_putils[entry] * by_window(enc.durations).reshape(-1)[cells],
+        value=value,
         cell=cells,
-        layers=np.concatenate(([0], np.cumsum(longer))),
-        entry=(run // n).astype(np.int32),
-        sequence=(run % n).astype(np.int32),
+        layers=layers,
+        entry=entry.astype(np.int32),
+        sequence=ctx.run_rows[order].astype(np.int32),
     )
 
 
@@ -359,56 +340,134 @@ def _survivors(ctx: _Context, stats: MiningStats, occurred, umax, full, rest) ->
     return keep.tolist()
 
 
+def _chunks(costs):
+    """(lo, hi) of each run of consecutive candidates whose `costs` add up
+    to at most `BATCH_CELLS`, or of one candidate alone, in order."""
+    ends = np.cumsum(costs)
+    lo = 0
+    while lo < ends.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - costs[lo] + BATCH_CELLS, "right")))
+        yield lo, hi
+        lo = hi
+
+
+def _candidate_cells(ctx: _Context, parent: int, joins, cell_start):
+    """(lo, hi, rows, entry, column, cells) for `_price`, per chunk lo:hi
+    of the labels `joins` added to the vocabulary entry `parent`, or to the
+    empty coincidence, -1.
+
+    A label's cells are its label cells, on every sequence. A join's cells
+    are its parent's cells whose window also holds the new label, one bit
+    test on that label's mask word, since a larger label set fits no window
+    the smaller one misses (SPADE's id-list join, Zaki 2001). A chunk tests
+    at most `BATCH_CELLS` cells and spans as many (candidate, row) slots.
+    """
+    enc = ctx.enc
+    if parent < 0:
+        n, start = enc.n_sequences, enc.label_cell_start
+        for lo, hi in _chunks(np.maximum(np.diff(start), n)):
+            cells = enc.label_cells[start[lo] : start[hi]]
+            entry = np.repeat(np.arange(hi - lo), np.diff(start[lo : hi + 1]))
+            yield lo, hi, np.arange(n), entry, cells % n, cells
+        return
+    runs = slice(ctx.vocab_runs[parent], ctx.vocab_runs[parent + 1])
+    rows = ctx.run_rows[runs]
+    column = np.repeat(np.arange(rows.size), ctx.run_lengths[runs])
+    cells = ctx.vocab_cells[cell_start[runs.start] : cell_start[runs.stop]]
+    held = by_window(enc.masks).reshape(-1, enc.words)[cells].T  # [words, cells]
+    bit = np.left_shift(np.uint64(1), (joins & 63).astype(np.uint64))
+    for lo, hi in _chunks(np.full(joins.size, cells.size)):
+        entry, k = np.nonzero(held[joins[lo:hi] >> 6] & bit[lo:hi, None])
+        yield lo, hi, rows, entry, column[k], cells[k]
+
+
+def _price(ctx: _Context, stats: MiningStats, putils, rows, entry, column, cells):
+    """The survivors of a chunk of vocabulary candidates, priced from their
+    cells: candidate i fits `cells[entry == i]`, by sequence, then window,
+    in the sequences `rows[column]`. Its best match in a sequence is its
+    mass `putils[i]` times its longest window there, the kernel's running
+    maximum from the empty prefix bit for bit, as rounding is monotone for
+    a nonnegative mass. Returns the survivors' positions and their columns:
+    umax, full and rest [k, 3], runs each, and the runs' rows, lengths and
+    cells.
+    """
+    new = np.ones(cells.size, dtype=bool)
+    new[1:] = (entry[1:] != entry[:-1]) | (column[1:] != column[:-1])
+    head = np.flatnonzero(new)
+    longest = np.maximum.reduceat(by_window(ctx.enc.durations).reshape(-1)[cells], head)
+    at = entry[head], column[head]
+    matched = np.zeros((len(putils), rows.size), dtype=bool)
+    best = np.zeros(matched.shape)
+    matched[at], best[at] = True, putils[at[0]] * longest
+    umax, full, rest = _masses(ctx, rows, matched, best, 1)
+    # a coincidence that can still gain labels has no match value to
+    # project from, so only the weighted part holds
+    keep = _survivors(ctx, stats, matched.any(axis=1), math.inf, full, rest)
+    alive = np.zeros(len(putils), dtype=bool)
+    alive[keep] = True
+    run = alive[at[0]]
+    return keep, (
+        np.stack((umax, full, rest), axis=1)[keep],
+        np.bincount(at[0], minlength=len(putils))[keep],
+        rows[at[1][run]],
+        np.diff(head, append=cells.size)[run],
+        cells[alive[entry]],
+    )
+
+
 def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
     """Level-wise promising coincidence generation (phase 1).
 
     Each level adds one label, taken above the last one, to the previous
     level's survivors in order, starting from the empty coincidence, so the
-    vocabulary comes out ordered by size, then by labels. All joins of a
-    survivor are scored together, and only on the sequences the survivor
-    occurs in, since a larger label set fits no window the smaller one
-    misses; the labels alone need no kernel. Candidates that never occur in
-    a single window are dead ends for every strategy and are dropped too.
+    vocabulary comes out ordered by size, then by labels. Every candidate
+    is priced from its cells (`_candidate_cells`, `_price`), so the phase
+    runs no kernel. Candidates that never occur in a single window are dead
+    ends for every strategy and are dropped too.
     """
     enc = ctx.enc
     # the mask of each label alone; a label's bit is its index in enc.labels
     bits = np.arange(len(enc.labels))
     label_masks = np.zeros((bits.size, enc.words), dtype=np.uint64)
     label_masks[bits, bits >> 6] = np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64))
+    # the columns so far, then the chunks priced since: masks, putils,
+    # bounds, runs per entry, run rows, run lengths and cells
+    empty = np.zeros(0, dtype=np.int64)
+    parts = [(label_masks[:0], enc.label_utility[:0], np.zeros((0, 3)), empty, empty, empty,
+              enc.label_cells[:0])]
+    last: list[int] = []  # each entry's last label
     # level 0 is the empty coincidence, which occurs everywhere
-    empty = np.zeros(enc.words, dtype=np.uint64)
-    everywhere = np.arange(enc.n_sequences)
-    level = [_Candidate(Coincidence(), empty, 0.0, everywhere, 0.0, math.inf, math.inf)]
-    while level and len(level[0].coincidence) < ctx.cfg.max_size:
-        survivors: list[_Candidate] = []
-        for c in level:
-            labels = c.coincidence.labels
-            joins = bits[bits > enc.label_bit[labels[-1]]] if labels else bits
+    level, size, cell_start = [-1], 0, None
+    while level and size < ctx.cfg.max_size:
+        size += 1
+        first = len(ctx.vocab)
+        for v in level:
+            if v < 0:
+                mask = np.zeros(enc.words, dtype=np.uint64)
+                coincidence, putil, joins = Coincidence(), 0.0, bits
+            else:
+                coincidence, mask, putil = ctx.vocab[v], ctx.vocab_masks[v], ctx.vocab_putils[v]
+                joins = bits[bits > last[v]]
             stats.candidates_generated += joins.size
             # a child's utility mass adds its label utilities in ascending
             # label order
-            masks, putils = c.mask | label_masks[joins], c.putil + enc.label_utility[joins]
-            arrays = _project(enc, c.rows)
-            prev = empty_prefix_scores(enc, c.rows) if labels else None
-            batches = _evaluate(ctx, c.rows, arrays, prev, 0.0, masks, putils, 1)
-            # a coincidence that can still gain labels has no match value to
-            # project from, so only the weighted part holds
-            for lo, matched, _, umax, full, rest in batches:
-                for i in _survivors(ctx, stats, matched.any(axis=1), math.inf, full, rest):
-                    survivors.append(_Candidate(
-                        c.coincidence.union(enc.labels[joins[lo + i]]), masks[lo + i],
-                        float(putils[lo + i]), c.rows[matched[i]],
-                        float(umax[i]), float(full[i]), float(rest[i]),
-                    ))
-        ctx.vocab.extend(survivors)
-        level = survivors
+            masks, putils = mask | label_masks[joins], putil + enc.label_utility[joins]
+            for lo, hi, *cells in _candidate_cells(ctx, v, joins, cell_start):
+                keep, columns = _price(ctx, stats, putils[lo:hi], *cells)
+                keep = [lo + i for i in keep]
+                ctx.vocab.extend(coincidence.union(enc.labels[joins[i]]) for i in keep)
+                last.extend(joins[keep].tolist())
+                parts.append((masks[keep], putils[keep], *columns))
+        parts = [tuple(np.concatenate(column) for column in zip(*parts))]
+        ctx.vocab_masks, ctx.vocab_putils, bounds, counts, ctx.run_rows, ctx.run_lengths, \
+            ctx.vocab_cells = parts[0]
+        ctx.vocab_bounds = bounds.T
+        ctx.vocab_runs = np.concatenate(([0], np.cumsum(counts)))
+        cell_start = np.concatenate(([0], np.cumsum(ctx.run_lengths)))
+        level = range(first, len(ctx.vocab))
         # only labels that survived alone can be part of a survivor
-        bits = np.array(
-            [enc.label_bit[v.coincidence.labels[0]] for v in ctx.vocab if len(v.coincidence) == 1],
-            dtype=np.int64,
-        )
-    ctx.vocab_masks = np.array([v.mask for v in ctx.vocab], dtype=np.uint64).reshape(-1, enc.words)
-    ctx.vocab_putils = np.array([v.putil for v in ctx.vocab], dtype=np.float64)
+        if size == 1:
+            bits = np.array(last, dtype=np.int64)
     # built before growth, so that growth's arrays never overlap its build
     if ctx.cfg.max_length > 1:
         ctx.leaf_layout = _leaf_layout(ctx)
@@ -437,7 +496,7 @@ def _grow(
     """
     inherited = np.array([child[0] for child in children], dtype=np.intp)
     for index, rows, scores, umax in children:
-        prefix.append(ctx.vocab[index].coincidence)
+        prefix.append(ctx.vocab[index])
         if umax >= ctx.xi_abs:
             out.append(Pattern(LSequence(tuple(prefix)), umax))
         if len(prefix) < ctx.cfg.max_length:
@@ -478,65 +537,33 @@ def _mine_root(ctx: _Context, out: list[Pattern], stats: MiningStats) -> None:
     phase 1. The roots whose own bound clears the threshold are grown like
     any other child, and each inherits only them. Phase 1 keeps no score rows.
     """
-    vocab = ctx.vocab
-    umax, full, rest = np.array([(v.umax, v.full, v.rest) for v in vocab]).reshape(-1, 3).T
-    roots = _survivors(ctx, stats, np.ones(len(vocab), dtype=bool), umax, full, rest)
-    _grow(ctx, [], [(i, vocab[i].rows, None, vocab[i].umax) for i in roots], out, stats)
-
-
-def _vocabulary_key(ctx: _Context) -> tuple:
-    """What the vocabulary phase depends on. `ldc` and `pdc` both filter
-    with the weighted bound, so they share a key; `none` filters nothing
-    but dead ends. The encoding is named by identity, and a cached context
-    keeps it alive, so the id cannot be reused while the key is cached."""
-    cfg = ctx.cfg
-    weighted = cfg.strategy is not UpperBound.NONE
-    return (id(ctx.enc), weighted, cfg.max_size, cfg.max_length, ctx.xi_abs)
+    umax, full, rest = ctx.vocab_bounds
+    roots = _survivors(ctx, stats, np.ones(umax.size, dtype=bool), umax, full, rest)
+    runs = ctx.vocab_runs
+    _grow(ctx, [], [
+        (i, ctx.run_rows[runs[i] : runs[i + 1]], None, float(umax[i])) for i in roots
+    ], out, stats)
 
 
 def mine(
-    data: EncodedDataset | CSequenceDataset,
-    cfg: MiningConfig,
-    vocabularies: dict | None = None,
+    data: EncodedDataset | CSequenceDataset, cfg: MiningConfig
 ) -> tuple[list[Pattern], MiningStats]:
     """All patterns within the length/size caps whose utility meets xi.
 
     `data` is an encoding, or a windowed dataset to encode first. The
     emitted set is identical for every strategy; bounds only control how
     much of the candidate space is visited.
-
-    `vocabularies` is an optional cache shared by calls on one encoding: a
-    call reuses the vocabulary an earlier call built for the same key (see
-    `_vocabulary_key`) and stores the one it builds. The stats, elapsed
-    time included, still count the vocabulary phase, so they read the same
-    whether or not it was shared.
     """
     start = time.perf_counter()
     enc = data if isinstance(data, EncodedDataset) else encode_dataset(data)
     ctx = _Context(enc=enc, cfg=cfg, xi_abs=resolve_threshold(cfg, enc))
-    key = _vocabulary_key(ctx)
-    shared = vocabularies.get(key) if vocabularies is not None else None
-    if shared is None:
-        vocab_start = time.perf_counter()
-        phase1 = MiningStats()
-        _build_vocabulary(ctx, phase1)
-        phase1.elapsed_ms = (time.perf_counter() - vocab_start) * 1000.0
-        if vocabularies is not None:
-            vocabularies[key] = (ctx, phase1)
-        reused_ms = 0.0
-    else:
-        built, phase1 = shared
-        ctx = replace(built, cfg=cfg)
-        reused_ms = phase1.elapsed_ms
-    stats = MiningStats(
-        candidates_generated=phase1.candidates_generated,
-        candidates_pruned=phase1.candidates_pruned,
-    )
+    stats = MiningStats()
+    _build_vocabulary(ctx, stats)
 
     patterns: list[Pattern] = []
     _mine_root(ctx, patterns, stats)
 
     patterns.sort(key=lambda p: lsequence_sort_key(p.lsequence))
     stats.patterns_found = len(patterns)
-    stats.elapsed_ms = (time.perf_counter() - start) * 1000.0 + reused_ms
+    stats.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return patterns, stats

@@ -109,14 +109,14 @@ def vocabulary(d, cfg, xi_abs):
     ctx = miner._Context(enc=encode_dataset(d), cfg=cfg, xi_abs=xi_abs)
     stats = miner.MiningStats()
     miner._build_vocabulary(ctx, stats)
-    return [v.coincidence for v in ctx.vocab], stats
+    return list(ctx.vocab), stats
 
 
 def reference_encoding(d):
     """The encoding of d built window by window from the object model, with
     each window priced by `eventset_utility`, the total from
-    `dataset_utility`, and each label's longest window per sequence taken
-    with `max`, and its cells listed by sequence, then window."""
+    `dataset_utility`, and each label's cells listed by sequence, then
+    window."""
     labels = d.labels()
     label_bit = {lab: i for i, lab in enumerate(labels)}
     words = max(1, (len(labels) + 63) // 64)
@@ -127,7 +127,6 @@ def reference_encoding(d):
     durations = np.zeros((n, cap), dtype=np.float64)
     lengths = np.zeros(n, dtype=np.int64)
     topk = np.zeros((n, cap + 1), dtype=np.float64)
-    longest = {}  # (label bit, sequence) -> longest window holding the label
     cells = [[] for _ in labels]  # label bit -> window-major ids j * n + s
     for s, cseq in enumerate(d.csequences):
         lengths[s] = len(cseq.eventsets)
@@ -136,7 +135,6 @@ def reference_encoding(d):
             for lab in es.coincidence:
                 bit = label_bit[lab]
                 masks[s, j, bit // 64] |= np.uint64(1) << np.uint64(bit % 64)
-                longest[bit, s] = max(longest.get((bit, s), 0.0), float(es.duration))
                 cells[bit].append(j * n + s)
             durations[s, j] = es.duration
             es_utils.append(eventset_utility(es, d.utilities))
@@ -148,7 +146,6 @@ def reference_encoding(d):
         topk[s, len(es_utils) + 1 :] = acc  # budgets beyond |C| take everything
 
     label_utility = np.array([d.utilities.utility(lab) for lab in labels], dtype=np.float64)
-    occurrences = sorted(longest)
     return EncodedDataset(
         labels=labels,
         label_bit=label_bit,
@@ -158,11 +155,6 @@ def reference_encoding(d):
         topk=np.ascontiguousarray(topk.T),
         label_utility=label_utility,
         total_utility=float(dataset_utility(d)),
-        label_rows=np.array([s for _, s in occurrences], dtype=np.int64),
-        label_longest=np.array([longest[o] for o in occurrences], dtype=np.float64),
-        label_row_start=np.searchsorted(
-            np.array([bit for bit, _ in occurrences], dtype=np.int64), np.arange(len(labels) + 1)
-        ),
         label_cells=np.array([c for per_label in cells for c in per_label], dtype=np.int32),
         label_cell_start=np.cumsum([0] + [len(c) for c in cells]).astype(np.int32),
     )

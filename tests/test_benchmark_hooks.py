@@ -64,10 +64,10 @@ def test_traced_cli_run_counts_each_layer(tmp_path, monkeypatch):
     # layout, and the matched rows count only the kernel's candidates
     assert counts["kernels.extend_calls.grow"] == 6
     assert len(leaf_batches) == 19 and sum(leaf_batches) == 79
-    # the labels alone run no kernel: the vocabulary's 3 join batches and
-    # the 6 roots, each scored on its own rows when growth reaches it
-    assert counts["kernels.extend_calls.vocab"] == 9
-    assert counts["kernels.rows_scanned.vocab"] == 33
+    # the vocabulary phase runs no kernel: these are the 6 roots, each
+    # scored from the empty prefix on its own rows when growth reaches it
+    assert counts["kernels.extend_calls.vocab"] == 6
+    assert counts["kernels.rows_scanned.vocab"] == 22
     assert counts["kernels.matched_rows.grow"] == 65
     # growth scores only the sequences a prefix matched, never all four
     assert counts["kernels.rows_scanned.grow"] < 4 * counts["kernels.extend_calls.grow"]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from intervalmine import io as intervalmine_io
+from intervalmine import miner
 from intervalmine.encoding import (
     _interval_windows,
     encode_dataset,
@@ -24,6 +25,7 @@ from intervalmine.io import (
     parse_utilities,
     read_intervals,
 )
+from intervalmine.miner import MiningConfig
 from intervalmine.model import DataError, UtilityTable
 from intervalmine.oracle import EXAMPLE_DATA, EXAMPLE_UTILITIES, GeneratorParams, random_dataset
 from intervalmine.transform import transform_dataset
@@ -40,11 +42,7 @@ def assert_matches_object_path(text, table):
     cdata = transform_dataset(parse_dataset(io.StringIO(text)), table)
     got = encode_intervals(read_intervals(io.StringIO(text)), table)
     assert same_encoding(got, reference_encoding(cdata))
-    windowed = encode_dataset(cdata)
-    assert same_encoding(windowed, got)
-    # the label rows that price a label alone, named so a mismatch says so
-    for name in ("label_rows", "label_longest", "label_row_start"):
-        assert getattr(got, name).tobytes() == getattr(windowed, name).tobytes(), name
+    assert same_encoding(encode_dataset(cdata), got)
     return got
 
 
@@ -141,12 +139,19 @@ def test_edge_cases_match_the_object_path(text):
 
 def test_label_rows_of_the_running_example():
     """Each label's sequences and its longest window in each, worked out by
-    hand from the example's windows: A spans [6, 10) and [10, 12) in the
-    first sequence, [2, 5) and [5, 7) in the second, and so on."""
-    enc = assert_matches_object_path(EXAMPLE_DATA, UtilityTable(EXAMPLE_UTILITIES))
+    hand from the example's windows, as the level-1 vocabulary at xi 0
+    reads them from the label cells: A spans [6, 10) and [10, 12) in the
+    first sequence, [2, 5) and [5, 7) in the second, and so on. A label's
+    umax is its utility times each of those windows, summed."""
+    table = UtilityTable(EXAMPLE_UTILITIES)
+    enc = assert_matches_object_path(EXAMPLE_DATA, table)
     assert enc.labels == ("A", "B", "C", "D", "E", "F")
-    assert enc.label_row_start.tolist() == [0, 3, 7, 11, 12, 16, 17]
-    assert enc.label_rows.tolist() == [
+    cfg = MiningConfig(xi=0.0, max_length=1, max_size=1)
+    ctx = miner._Context(enc=enc, cfg=cfg, xi_abs=0.0)
+    miner._build_vocabulary(ctx, miner.MiningStats())
+    assert [c.labels for c in ctx.vocab] == [(label,) for label in enc.labels]
+    assert ctx.vocab_runs.tolist() == [0, 3, 7, 11, 12, 16, 17]
+    assert ctx.run_rows.tolist() == [
         0, 1, 2,  # A
         0, 1, 2, 3,  # B
         0, 1, 2, 3,  # C
@@ -154,14 +159,16 @@ def test_label_rows_of_the_running_example():
         0, 1, 2, 3,  # E
         3,  # F
     ]
-    assert enc.label_longest.tolist() == [
-        4.0, 3.0, 4.0,  # A
-        5.0, 3.0, 4.0, 4.0,  # B
-        2.0, 2.0, 2.0, 3.0,  # C
-        3.0,  # D
-        2.0, 2.0, 2.0, 3.0,  # E
-        3.0,  # F
+    longest = [
+        [4.0, 3.0, 4.0],  # A
+        [5.0, 3.0, 4.0, 4.0],  # B
+        [2.0, 2.0, 2.0, 3.0],  # C
+        [3.0],  # D
+        [2.0, 2.0, 2.0, 3.0],  # E
+        [3.0],  # F
     ]
+    umax = [sum(table.utility(label) * x for x in w) for label, w in zip(enc.labels, longest)]
+    assert ctx.vocab_bounds[0].tolist() == umax
 
 
 def test_overlapping_intervals_of_one_label_list_each_window_once():

@@ -3,13 +3,12 @@ and the threshold/vocabulary plumbing."""
 import collections
 import itertools
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from intervalmine import miner
-from intervalmine.encoding import encode_dataset
+from intervalmine.encoding import by_window, encode_dataset
 from intervalmine.miner import (
     MiningConfig,
     Pattern,
@@ -33,7 +32,7 @@ from intervalmine.oracle import (
 from intervalmine.transform import transform_dataset
 from intervalmine.utility import UpperBound, dataset_utility
 
-from conftest import evaluate, vocabulary, wide_dataset
+from conftest import encode_coincidence, evaluate, vocabulary, wide_dataset
 
 
 def pattern_set(patterns):
@@ -162,25 +161,56 @@ def lean_vocabulary_contexts(seed, count):
             yield miner._Context(enc=enc, cfg=cfg_at(xi, k, z, s), xi_abs=xi)
 
 
+def wide_vocabulary_contexts():
+    """Mining contexts over alphabets of 70 and 100 labels, two mask words
+    each, with coincidences of up to two labels and K of 2, at xi 0 and at
+    1% of the total utility, under every strategy."""
+    for alphabet in (70, 100):
+        enc = encode_dataset(wide_dataset(alphabet, alphabet))
+        for share in (0.0, 0.01):
+            for s in UpperBound:
+                cfg = cfg_at(share, 2, 2, s, mode="relative")
+                yield miner._Context(enc=enc, cfg=cfg, xi_abs=resolve_threshold(cfg, enc))
+
+
 def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
-    """The labels alone are read from the encoder's label rows and their
-    joins scored on their parent's rows, yet each entry's rows and umax
-    equal those of its one-coincidence pattern scored by the kernel from
-    the empty prefix on every sequence, bit for bit, and so do the score
-    rows of each root, computed only when growth reaches it. Every entry's
-    full and rest are bit-identical too: a join's sum only its parent's
-    rows, but left to right, so the unmatched rows it skips add nothing.
+    """Every entry is priced from its cells, without the kernel, yet its
+    mask, utility mass, rows and umax equal those of its one-coincidence
+    pattern scored by the kernel from the empty prefix on every sequence,
+    bit for bit, and so do the score rows of each root, computed only when
+    growth reaches it. Every entry's full and rest are bit-identical too:
+    a join's sum only its parent's rows, but left to right, so the
+    unmatched rows it skips add nothing. An entry's cells are exactly the
+    windows that hold its whole mask, by sequence, then window, in one run
+    per sequence. Alphabets of two mask words are among the instances, as
+    a join tests each label's own word.
     """
-    checked = 0
-    for ctx in lean_vocabulary_contexts(5, 120):
-        miner._build_vocabulary(ctx, miner.MiningStats())
-        expected = [evaluate(ctx, LSequence((v.coincidence,))) for v in ctx.vocab]
-        for v, e in zip(ctx.vocab, expected):
-            assert v.rows.tolist() == np.flatnonzero(e.matched).tolist()
-            assert v.umax.hex() == e.umax.hex(), v.coincidence
-            assert (v.full.hex(), v.rest.hex()) == (e.full.hex(), e.rest.hex()), v.coincidence
-        # a root is scored alone from the empty prefix; the vocabulary's own
-        # joins ran before the hook
+    checked = both_words = 0
+    for ctx in itertools.chain(lean_vocabulary_contexts(5, 120), wide_vocabulary_contexts()):
+        with monkeypatch.context() as m:
+            m.setattr(miner, "extend_scores", None)  # the phase runs no kernel
+            miner._build_vocabulary(ctx, miner.MiningStats())
+        enc = ctx.enc
+        n = enc.n_sequences
+        windows = by_window(enc.masks).reshape(-1, enc.words)
+        cell_start = np.concatenate(([0], np.cumsum(ctx.run_lengths)))
+        expected = [evaluate(ctx, LSequence((c,))) for c in ctx.vocab]
+        for v, (c, e) in enumerate(zip(ctx.vocab, expected)):
+            mask, putil = encode_coincidence(c, enc)
+            assert ctx.vocab_masks[v].tobytes() == mask[0].tobytes(), c
+            assert ctx.vocab_putils[v].hex() == putil[0].hex(), c
+            both_words += int((mask != 0).sum()) == 2
+            runs = slice(ctx.vocab_runs[v], ctx.vocab_runs[v + 1])
+            assert ctx.run_rows[runs].tolist() == np.flatnonzero(e.matched).tolist(), c
+            umax, full, rest = ctx.vocab_bounds[:, v]
+            assert umax.hex() == e.umax.hex(), c
+            assert (full.hex(), rest.hex()) == (e.full.hex(), e.rest.hex()), c
+            fit = np.flatnonzero(((windows & mask) == mask).all(axis=1))
+            fit = fit[np.lexsort((fit // n, fit % n))]
+            cells = ctx.vocab_cells[cell_start[runs.start] : cell_start[runs.stop]]
+            assert cells.tolist() == fit.tolist(), c
+            assert ctx.run_lengths[runs].tolist() == np.bincount(fit % n)[ctx.run_rows[runs]].tolist()
+        # a root is scored alone from the empty prefix
         roots = []
         extend = miner.extend_scores
 
@@ -196,21 +226,25 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
             miner._mine_root(ctx, [], miner.MiningStats())
         for index, scores in roots:
             e = expected[index]
-            assert scores.tobytes() == e.scores[e.matched].tobytes(), ctx.vocab[index].coincidence
+            assert scores.tobytes() == e.scores[e.matched].tobytes(), ctx.vocab[index]
         checked += len(roots)
     assert checked > 500
+    assert both_words > 0
 
 
 def test_the_vocabulary_keeps_no_score_rows(example_cdata):
-    """Entries hold their rows and bound inputs only: no float array with
-    a row per sequence, so the vocabulary costs no n x cap memory."""
+    """The vocabulary's columns hold masks, runs, cells and bound inputs:
+    each float column has one value per entry, never a row per sequence,
+    so the vocabulary costs no n x cap memory."""
     enc = encode_dataset(example_cdata)
     ctx = miner._Context(enc=enc, cfg=cfg_at(0.0, 3, 2), xi_abs=0.0)
     miner._build_vocabulary(ctx, miner.MiningStats())
     assert len(ctx.vocab) == 12
-    for v in ctx.vocab:
-        for name, value in vars(v).items():
-            assert not (isinstance(value, np.ndarray) and value.dtype.kind == "f"), name
+    floats = {
+        name: value.shape for name, value in vars(ctx).items()
+        if isinstance(value, np.ndarray) and value.dtype.kind == "f"
+    }
+    assert floats == {"vocab_putils": (12,), "vocab_bounds": (3, 12)}
 
 
 def test_promising_coincidences_above_total_utility_is_empty(example_cdata):
@@ -234,15 +268,11 @@ def test_mine_example_includes_the_boundary_pattern(example_cdata):
 
 def test_mine_example_candidate_accounting(example_cdata):
     counts = {}
-    enc, vocabularies = encode_dataset(example_cdata), {}
     for strategy in UpperBound:
         _, stats = mine(example_cdata, cfg_at(22.0, 3, 2, strategy))
         counts[strategy] = stats.candidates_generated, stats.candidates_pruned
         assert stats.candidates_pruned <= stats.candidates_generated
         assert stats.patterns_found <= stats.candidates_generated - stats.candidates_pruned
-        # the vocabulary phase's counts are carried into a shared one's stats
-        _, shared = mine(enc, cfg_at(22.0, 3, 2, strategy), vocabularies)
-        assert (shared.candidates_generated, shared.candidates_pruned) == counts[strategy]
     # a prefix longer than one coincidence tries only the coincidences that
     # occurred and cleared its strategy's bound after its parent
     assert counts[UpperBound.NONE] == (565, 347)
@@ -505,24 +535,36 @@ def fractional_depth_four_instances(seed, count):
         yield d, cfg_at(xi, 4, z)
 
 
-def mined(enc, cfg, vocabularies=None):
+def mined(enc, cfg):
     """Patterns with their exact umax, and the stats without the time."""
-    patterns, stats = mine(enc, cfg, vocabularies)
+    patterns, stats = mine(enc, cfg)
     stats.elapsed_ms = 0.0
     return [(p.lsequence, p.umax.hex()) for p in patterns], stats
 
 
 @pytest.mark.parametrize("cells", [1, 2**30])
 def test_the_batch_budget_changes_nothing(monkeypatch, cells):
-    """One candidate per kernel call, or every candidate of a prefix in one
-    call: the same patterns, bit for bit, and the same counters."""
+    """One candidate per kernel call and per vocabulary chunk, or every
+    candidate of a prefix in one call: the same patterns, bit for bit, and
+    the same counters."""
+    chunks = []
+    price = miner._price
+
+    def recording(ctx, stats, putils, *cells):
+        chunks.append(len(putils))
+        return price(ctx, stats, putils, *cells)
+
     for d, cfg in fractional_depth_four_instances(12, 25):
         enc = encode_dataset(d)
         expected = {s: mined(enc, cfg.with_strategy(s)) for s in UpperBound}
         with monkeypatch.context() as m:
             m.setattr(miner, "BATCH_CELLS", cells)
+            m.setattr(miner, "_price", recording)
             for s in UpperBound:
                 assert mined(enc, cfg.with_strategy(s)) == expected[s], (cells, s)
+    assert chunks
+    if cells == 1:
+        assert max(chunks) == 1
 
 
 def leaf_instances(seed, count):
@@ -630,24 +672,6 @@ def test_an_empty_vocabulary_has_an_empty_leaf_layout(example_cdata):
     matched, best = miner._summarize_leaves(ctx, rows, scores, np.zeros(0, dtype=np.intp))
     assert matched.shape == best.shape == (0, enc.n_sequences)
     assert mine(enc, ctx.cfg)[0] == []
-
-
-def test_a_shared_vocabulary_changes_nothing():
-    """Strategies and thresholds mined on one encoding through one cache:
-    ldc and pdc share a vocabulary per configuration, none has its own, and
-    every result equals the unshared one."""
-    for d, cfg in fractional_depth_four_instances(13, 10):
-        enc = encode_dataset(d)
-        vocabularies = {}
-        for xi in (cfg.xi, 0.0):
-            for s in UpperBound:
-                c = replace(cfg, xi=xi, strategy=s)
-                assert mined(enc, c, vocabularies) == mined(enc, c), (xi, s)
-        assert len(vocabularies) == 4
-        # another encoding of the same data does not reuse them
-        other = encode_dataset(d)
-        mine(other, cfg, vocabularies)
-        assert len(vocabularies) == 5
 
 
 def test_growing_a_coincidence_can_rescue_a_worthless_parent():

@@ -10,8 +10,9 @@ per budget k, so that the weighted utilization of a whole batch of
 candidates is one contiguous gather and one row sum per budget. Each label
 keeps its covered cells (`label_cells`): the window-major ids of the
 windows that hold it, by sequence, then window. The miner prices its whole
-vocabulary from them, and scores candidates at the length cap where they
-fit rather than over every cell of a prefix (see `miner`).
+vocabulary and scores its roots from them, and scores candidates at the
+length cap where they fit rather than over every cell of a prefix (see
+`miner`); the kernel only ever extends a non-empty prefix.
 
 `encode_intervals` builds the arrays straight from interval columns;
 `encode_dataset` encodes the object model's windowed form. Both hand the
@@ -224,14 +225,10 @@ def by_window(a: np.ndarray) -> np.ndarray:
 
 
 def take_sequences(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The sequences `rows` (indices, or flags over every sequence) of a
-    window-major array [n, cap(, words)], still window-major: gathered
-    along the sequence axis of the `by_window` view, as `a[rows]` would
-    hand back a sequence-major copy."""
-    windows = by_window(a)
-    if rows.dtype == bool:
-        return by_window(windows.compress(rows, axis=1))
-    return by_window(windows.take(rows, axis=1))
+    """The sequences `rows` (indices) of a window-major array [n, cap(,
+    words)], still window-major: gathered along the sequence axis of the
+    `by_window` view, as `a[rows]` would hand back a sequence-major copy."""
+    return by_window(by_window(a).take(rows, axis=1))
 
 
 def take_candidate(batch: np.ndarray, i: int, rows: np.ndarray) -> np.ndarray:
@@ -242,12 +239,6 @@ def take_candidate(batch: np.ndarray, i: int, rows: np.ndarray) -> np.ndarray:
     c, n, cap = batch.shape
     windows = batch.transpose(2, 0, 1).reshape(cap, c * n)
     return by_window(windows.take(i * n + np.flatnonzero(rows), axis=1))
-
-
-def empty_prefix_scores(enc: EncodedDataset, rows=None) -> np.ndarray:
-    """Window-major score rows for the zero-length prefix on the sequences
-    `rows`, all of them by default: matched everywhere at 0."""
-    return by_window(np.zeros((enc.capacity, enc.n_sequences if rows is None else len(rows))))
 
 
 def summarize_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

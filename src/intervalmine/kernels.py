@@ -51,8 +51,9 @@ def extend_scores(
     candidates (`cand_masks` uint64 [C, words], `cand_putils` float64 [C]),
     given the prefix's score rows `prev` [n, cap].
 
-    prev_base is the prefix score before the first window: 0.0 for the
-    empty prefix, -inf for any non-empty prefix.
+    prev_base is the prefix score before the first window: -inf for any
+    non-empty prefix, the only kind the miner extends; 0.0 scores from the
+    empty prefix, which the tests' reference does.
 
     A window fits a candidate when, in every mask word, the window holds
     all of the candidate's bits. `lengths` is not read: padding windows

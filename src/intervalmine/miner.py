@@ -15,10 +15,11 @@ cells from the encoder or its parent's cells that hold the new label, and
 its best match in a sequence is read from them (`_price`). The vocabulary
 is kept as columns: no entry keeps score rows. Phase 2 grows patterns
 depth-first by appending whole vocabulary coincidences, starting from the
-empty prefix, whose children, the roots, phase 1 already bounded. A prefix
-carries only the sequences it occurs in and its score rows on them, so the
-kernel never scans a sequence the prefix misses, and a child tries only
-the coincidences that survived beside it (see `_grow`).
+empty prefix, whose children, the roots, phase 1 bounded and whose score
+rows are read off their cells (`_root_scores`). A prefix carries only the
+sequences it occurs in and its score rows on them, so the kernel extends
+only non-empty prefixes, never on a sequence the prefix misses, and a
+child tries only the coincidences that survived beside it (see `_grow`).
 
 A candidate at the length cap, a leaf, needs only its best match per
 sequence, and it fits only a few of the cells the kernel scores. So the
@@ -26,8 +27,8 @@ miner lays out every entry's cells in runs per sequence (`_LeafLayout`),
 and a leaf evaluation is scored from them when its kernel cells outnumber
 `LAYOUT_CELL_WEIGHT` times the layout's cells plus the slots of its score
 buffer (`_leaves_from_layout`): a gather, an add and a maximum per layout
-cell, with the kernel's values bit for bit. Roots and interior prefixes
-always take the kernel.
+cell, with the kernel's values bit for bit. Interior prefixes always take
+the kernel.
 
 Every bound is one formula, `_bound`, over three numbers that come with a
 candidate's scores: its umax, its weighted bound `full` (the top-K
@@ -53,7 +54,6 @@ import numpy as np
 from .encoding import (
     EncodedDataset,
     by_window,
-    empty_prefix_scores,
     encode_dataset,
     summarize_scores,
     take_candidate,
@@ -147,10 +147,10 @@ class _Context:
 
     Entry v of the vocabulary, in mining order, is the coincidence
     `vocab[v]`. Its runs, one per sequence it occurs in, ascending, are
-    `vocab_runs[v]:vocab_runs[v + 1]` of `run_rows` (the sequence) and
-    `run_lengths` (its count of cells). The cells, window-major ids of the
-    windows that hold the entry's whole mask, follow run after run in
-    `vocab_cells`: by entry, then sequence, then window.
+    `vocab_runs[v]:vocab_runs[v + 1]` of `run_rows` (the sequence). Run i's
+    cells, window-major ids of the windows that hold the entry's whole mask,
+    are `cell_start[i]:cell_start[i + 1]` of `vocab_cells`: by entry, then
+    sequence, then window (`_entry_cells`).
     """
 
     enc: EncodedDataset
@@ -162,18 +162,33 @@ class _Context:
     vocab_bounds: np.ndarray | None = None  # float64 [3, V]: umax, full and rest
     vocab_runs: np.ndarray | None = None    # int64 [V + 1]
     run_rows: np.ndarray | None = None      # int64 [runs]
-    run_lengths: np.ndarray | None = None   # int64 [runs]
+    cell_start: np.ndarray | None = None    # int64 [runs + 1]
     vocab_cells: np.ndarray | None = None   # int32 [cells]
     leaf_layout: _LeafLayout | None = None
 
 
-def _project(enc: EncodedDataset, rows: np.ndarray):
-    """The kernel's inputs restricted to the ascending sequence indices
-    `rows`, window-major as the encoding's; the arrays themselves when that
-    is every sequence."""
-    if rows.size == enc.n_sequences:
-        return enc.masks, enc.durations, enc.lengths
-    return take_sequences(enc.masks, rows), take_sequences(enc.durations, rows), enc.lengths[rows]
+def _entry_cells(ctx: _Context, v: int):
+    """(rows, column, cells) of vocabulary entry v: the sequences it occurs
+    in, ascending, and its cells, each with the position in `rows` of its
+    sequence."""
+    runs = slice(ctx.vocab_runs[v], ctx.vocab_runs[v + 1])
+    start = ctx.cell_start[runs.start : runs.stop + 1]
+    column = np.repeat(np.arange(runs.stop - runs.start), np.diff(start))
+    return ctx.run_rows[runs], column, ctx.vocab_cells[start[0] : start[-1]]
+
+
+def _root_scores(ctx: _Context, v: int):
+    """(rows, window-major score rows) of vocabulary entry v on the
+    sequences it occurs in, read off its cells: putil * duration at each
+    cell, -inf elsewhere, then a running maximum. The kernel's rows from the
+    empty prefix, bit for bit: its added 0.0 changes no value."""
+    rows, column, cells = _entry_cells(ctx, v)
+    n, cap = ctx.enc.n_sequences, ctx.enc.capacity
+    scores = np.full((cap, rows.size), -np.inf)
+    scores[cells // n, column] = ctx.vocab_putils[v] * by_window(ctx.enc.durations).reshape(-1)[cells]
+    for j in range(1, cap):
+        np.maximum(scores[j], scores[j - 1], out=scores[j])
+    return rows, by_window(scores)
 
 
 # Largest (candidate, sequence, window) cell count of one kernel call, and
@@ -183,11 +198,11 @@ def _project(enc: EncodedDataset, rows: np.ndarray):
 BATCH_CELLS = 2**16
 
 
-def _evaluate(ctx: _Context, rows, arrays, prev_scores, prev_base, masks, putils, length: int):
+def _evaluate(ctx: _Context, rows, prev_scores, prev_base, masks, putils, length: int):
     """Score the prefix extended by each candidate, one kernel batch at a
     time, given the candidates' `masks` [C, words] and `putils` [C], and
-    the kernel's inputs `arrays` (`_project`) and the prefix's score rows
-    on the sequences `rows`.
+    the prefix's score rows on the ascending sequences `rows`, whose
+    encoded arrays the kernel reads.
 
     Yields, per batch of c candidates in order: the position of its first
     candidate, matched flags [c, n] over `rows`, score rows [c, n, cap],
@@ -200,6 +215,10 @@ def _evaluate(ctx: _Context, rows, arrays, prev_scores, prev_base, masks, putils
     right, as the oracle does: a pairwise sum (`ndarray.sum`) can land an
     ulp off and then flip a pattern whose value is exactly the threshold.
     """
+    enc = ctx.enc
+    arrays = enc.masks, enc.durations, enc.lengths
+    if rows.size < enc.n_sequences:
+        arrays = take_sequences(enc.masks, rows), take_sequences(enc.durations, rows), enc.lengths[rows]
     step = max(1, BATCH_CELLS // max(1, prev_scores.size))
     for lo in range(0, len(masks), step):
         scores = extend_scores(
@@ -241,13 +260,13 @@ def _leaves_from_layout(ctx: _Context, candidates: int, rows: int) -> bool:
 
 def _leaf_layout(ctx: _Context) -> _LeafLayout:
     """The layout of every vocabulary entry's fit cells (`_LeafLayout`),
-    read from the vocabulary's runs: the k-th cell of a run that starts at
-    position `head` of `vocab_cells` sits at head + k."""
-    length = ctx.run_lengths
+    read from the vocabulary's runs: the k-th cell of run i sits at
+    `cell_start[i] + k` of `vocab_cells`."""
+    length = np.diff(ctx.cell_start)
     entry = np.repeat(np.arange(len(ctx.vocab)), np.diff(ctx.vocab_runs))
     # longest first; runs of one length may come in any order
     order = np.argsort(-length)
-    head, entry = (np.cumsum(length) - length)[order], entry[order]
+    head, entry = ctx.cell_start[:-1][order], entry[order]
     longer = head.size - np.cumsum(np.bincount(length))[:-1]  # runs longer than k
     layers = np.concatenate(([0], np.cumsum(longer)))
     at, value = np.empty(layers[-1], dtype=np.int64), np.empty(layers[-1])
@@ -351,7 +370,7 @@ def _chunks(costs):
         lo = hi
 
 
-def _candidate_cells(ctx: _Context, parent: int, joins, cell_start):
+def _candidate_cells(ctx: _Context, parent: int, joins):
     """(lo, hi, rows, entry, column, cells) for `_price`, per chunk lo:hi
     of the labels `joins` added to the vocabulary entry `parent`, or to the
     empty coincidence, -1.
@@ -370,10 +389,7 @@ def _candidate_cells(ctx: _Context, parent: int, joins, cell_start):
             entry = np.repeat(np.arange(hi - lo), np.diff(start[lo : hi + 1]))
             yield lo, hi, np.arange(n), entry, cells % n, cells
         return
-    runs = slice(ctx.vocab_runs[parent], ctx.vocab_runs[parent + 1])
-    rows = ctx.run_rows[runs]
-    column = np.repeat(np.arange(rows.size), ctx.run_lengths[runs])
-    cells = ctx.vocab_cells[cell_start[runs.start] : cell_start[runs.stop]]
+    rows, column, cells = _entry_cells(ctx, parent)
     held = by_window(enc.masks).reshape(-1, enc.words)[cells].T  # [words, cells]
     bit = np.left_shift(np.uint64(1), (joins & 63).astype(np.uint64))
     for lo, hi in _chunks(np.full(joins.size, cells.size)):
@@ -437,7 +453,7 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
               enc.label_cells[:0])]
     last: list[int] = []  # each entry's last label
     # level 0 is the empty coincidence, which occurs everywhere
-    level, size, cell_start = [-1], 0, None
+    level, size = [-1], 0
     while level and size < ctx.cfg.max_size:
         size += 1
         first = len(ctx.vocab)
@@ -452,18 +468,18 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
             # a child's utility mass adds its label utilities in ascending
             # label order
             masks, putils = mask | label_masks[joins], putil + enc.label_utility[joins]
-            for lo, hi, *cells in _candidate_cells(ctx, v, joins, cell_start):
+            for lo, hi, *cells in _candidate_cells(ctx, v, joins):
                 keep, columns = _price(ctx, stats, putils[lo:hi], *cells)
                 keep = [lo + i for i in keep]
                 ctx.vocab.extend(coincidence.union(enc.labels[joins[i]]) for i in keep)
                 last.extend(joins[keep].tolist())
                 parts.append((masks[keep], putils[keep], *columns))
         parts = [tuple(np.concatenate(column) for column in zip(*parts))]
-        ctx.vocab_masks, ctx.vocab_putils, bounds, counts, ctx.run_rows, ctx.run_lengths, \
+        ctx.vocab_masks, ctx.vocab_putils, bounds, counts, ctx.run_rows, lengths, \
             ctx.vocab_cells = parts[0]
         ctx.vocab_bounds = bounds.T
         ctx.vocab_runs = np.concatenate(([0], np.cumsum(counts)))
-        cell_start = np.concatenate(([0], np.cumsum(ctx.run_lengths)))
+        ctx.cell_start = np.concatenate(([0], np.cumsum(lengths)))
         level = range(first, len(ctx.vocab))
         # only labels that survived alone can be part of a survivor
         if size == 1:
@@ -481,18 +497,19 @@ def _grow(
     `children` are the extensions of the prefix that survived, in
     vocabulary order: (vocabulary index, the sequences the child occurs
     in, its score rows on them, umax); rows and scores are None at the
-    length cap, and scores for a root until it is grown. A child is emitted
-    when its umax meets the threshold. Below the length cap the kernel then
-    scores it extended by every coincidence of `children`, on its own rows
-    only, or the leaf layout does when those extensions reach the cap, and
-    the survivors are grown in turn. A pattern grown from
-    prefix+x that appends c is a supersequence of prefix+c, so it occurs in
-    no sequence prefix+c misses, and the weighted bound only shrinks with
-    the set of sequences it sums over. Under `pdc` prefix+c's own bound
-    covers it too: each of the at most K - |prefix+c| coincidences such a
-    pattern has beyond prefix+c matches its own window, worth at most that
-    window's eventset mass. So a coincidence pruned beside a child is
-    never appended below it, at the roots as at any depth.
+    length cap, and for a root, whose rows are read off its cells when it
+    is grown (`_root_scores`). A child is emitted when its umax meets the
+    threshold. Below the length cap the kernel then scores it extended by
+    every coincidence of `children`, on its own rows only, or the leaf
+    layout does when those extensions reach the cap, and the survivors are
+    grown in turn. A pattern grown from prefix+x that appends c is a
+    supersequence of prefix+c, so it occurs in no sequence prefix+c misses,
+    and the weighted bound only shrinks with the set of sequences it sums
+    over. Under `pdc` prefix+c's own bound covers it too: each of the at
+    most K - |prefix+c| coincidences such a pattern has beyond prefix+c
+    matches its own window, worth at most that window's eventset mass. So a
+    coincidence pruned beside a child is never appended below it, at the
+    roots as at any depth.
     """
     inherited = np.array([child[0] for child in children], dtype=np.intp)
     for index, rows, scores, umax in children:
@@ -500,24 +517,17 @@ def _grow(
         if umax >= ctx.xi_abs:
             out.append(Pattern(LSequence(tuple(prefix)), umax))
         if len(prefix) < ctx.cfg.max_length:
-            arrays = None
             if scores is None:
-                arrays = _project(ctx.enc, rows)
-                scores = extend_scores(
-                    *arrays, empty_prefix_scores(ctx.enc, rows), 0.0,
-                    ctx.vocab_masks[index : index + 1], ctx.vocab_putils[index : index + 1],
-                )[0]
+                rows, scores = _root_scores(ctx, index)
             stats.candidates_generated += inherited.size
             length = len(prefix) + 1
             leaf = length == ctx.cfg.max_length
             if leaf and _leaves_from_layout(ctx, inherited.size, rows.size):
-                # the layout reads no projected arrays: a root's go first
-                arrays = None
                 batches = _leaf_batches(ctx, rows, scores, inherited, length)
             else:
                 batches = _evaluate(
-                    ctx, rows, _project(ctx.enc, rows) if arrays is None else arrays, scores,
-                    -math.inf, ctx.vocab_masks[inherited], ctx.vocab_putils[inherited], length,
+                    ctx, rows, scores, -math.inf, ctx.vocab_masks[inherited],
+                    ctx.vocab_putils[inherited], length,
                 )
             # the survivors are bound to no local here, so neither a kernel
             # batch nor a finished sibling's survivors stay alive below
@@ -535,14 +545,12 @@ def _mine_root(ctx: _Context, out: list[Pattern], stats: MiningStats) -> None:
 
     Its children, the roots, are the vocabulary coincidences, bounded in
     phase 1. The roots whose own bound clears the threshold are grown like
-    any other child, and each inherits only them. Phase 1 keeps no score rows.
+    any other child, and each inherits only them. Phase 1 keeps no score
+    rows: a root's are read off its cells when it is grown.
     """
     umax, full, rest = ctx.vocab_bounds
     roots = _survivors(ctx, stats, np.ones(umax.size, dtype=bool), umax, full, rest)
-    runs = ctx.vocab_runs
-    _grow(ctx, [], [
-        (i, ctx.run_rows[runs[i] : runs[i + 1]], None, float(umax[i])) for i in roots
-    ], out, stats)
+    _grow(ctx, [], [(i, None, None, float(umax[i])) for i in roots], out, stats)
 
 
 def mine(

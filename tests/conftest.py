@@ -11,9 +11,9 @@ import pytest
 from intervalmine import miner
 from intervalmine.encoding import (
     EncodedDataset,
-    empty_prefix_scores,
+    by_window,
     encode_dataset,
-    take_sequences,
+    take_candidate,
     weighted_utilization,
 )
 from intervalmine.io import parse_dataset
@@ -70,6 +70,13 @@ def encode_coincidence(c, enc):
     return mask, np.array([putil])
 
 
+def empty_prefix_scores(enc):
+    """Window-major score rows of the zero-length prefix on every sequence:
+    matched everywhere at 0. The kernel scores from them with a prev_base
+    of 0.0; the miner never does, as it reads its roots off their cells."""
+    return by_window(np.zeros((enc.capacity, enc.n_sequences)))
+
+
 Evaluated = namedtuple("Evaluated", "scores matched umax full rest")
 
 
@@ -85,9 +92,9 @@ def evaluate(ctx, l):
         mask, putil = encode_coincidence(coin, enc)
         # a batch of one candidate
         ((_, matched, batch, umax, full, rest),) = miner._evaluate(
-            ctx, rows, miner._project(enc, rows), scores, base, mask, putil, length
+            ctx, rows, scores, base, mask, putil, length
         )
-        rows, scores, base = rows[matched[0]], take_sequences(batch[0], matched[0]), float("-inf")
+        rows, scores, base = rows[matched[0]], take_candidate(batch, 0, matched[0]), float("-inf")
     umax, full, rest = (float(x[0]) for x in (umax, full, rest))
     every = np.full((enc.n_sequences, enc.capacity), -np.inf)
     every[rows] = scores

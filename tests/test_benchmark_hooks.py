@@ -30,16 +30,21 @@ def test_traced_cli_run_counts_each_layer(tmp_path, monkeypatch):
     benchmark reports come out of the hooked functions, so a hook whose
     signature drifted shows up here as a wrong count."""
     tracing = load_tracing()
-    # the tracer does not hook the leaf layout, so its evaluations are
-    # counted here
-    leaf_batches = []
-    summarize = miner._summarize_leaves
+    # the tracer hooks neither the leaf layout nor the vocabulary's pricing,
+    # so their evaluations and chunks are counted here
+    leaf_batches, price_chunks = [], []
+    summarize, price = miner._summarize_leaves, miner._price
 
     def counted(ctx, rows, scores, candidates):
         leaf_batches.append(len(candidates))
         return summarize(ctx, rows, scores, candidates)
 
+    def counted_price(*args):
+        price_chunks.append(len(args[2]))
+        return price(*args)
+
     monkeypatch.setattr(miner, "_summarize_leaves", counted)
+    monkeypatch.setattr(miner, "_price", counted_price)
     data, utilities = tmp_path / "events.tsv", tmp_path / "utilities.tsv"
     data.write_text(EXAMPLE_DATA)
     utilities.write_text("".join(f"{k}\t{v}\n" for k, v in EXAMPLE_UTILITIES.items()))
@@ -64,19 +69,18 @@ def test_traced_cli_run_counts_each_layer(tmp_path, monkeypatch):
     # layout, and the matched rows count only the kernel's candidates
     assert counts["kernels.extend_calls.grow"] == 6
     assert len(leaf_batches) == 19 and sum(leaf_batches) == 79
-    # the vocabulary phase runs no kernel: these are the 6 roots, each
-    # scored from the empty prefix on its own rows when growth reaches it
-    assert counts["kernels.extend_calls.vocab"] == 6
-    assert counts["kernels.rows_scanned.vocab"] == 22
+    # no kernel call scores from the empty prefix: the vocabulary phase
+    # prices its entries from their cells, and each root's score rows are
+    # read off its cells when growth reaches it
+    assert "kernels.extend_calls.vocab" not in counts
+    assert "kernels.rows_scanned.vocab" not in counts
     assert counts["kernels.matched_rows.grow"] == 65
     # growth scores only the sequences a prefix matched, never all four
     assert counts["kernels.rows_scanned.grow"] < 4 * counts["kernels.extend_calls.grow"]
     # the bound inputs of a whole batch come from one weighted sum, never
-    # one per candidate
-    batches = (
-        counts["kernels.extend_calls.vocab"] + counts["kernels.extend_calls.grow"]
-        + len(leaf_batches)
-    )
+    # one per candidate: one per pricing chunk, kernel batch or leaf batch
+    assert len(price_chunks) == 4
+    batches = len(price_chunks) + counts["kernels.extend_calls.grow"] + len(leaf_batches)
     assert 0 < counts["encoding.wu_calls"] <= batches
 
 

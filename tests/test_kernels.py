@@ -7,7 +7,6 @@ import pytest
 
 from intervalmine import kernels, miner
 from intervalmine.encoding import (
-    empty_prefix_scores,
     encode_dataset,
     encode_intervals,
     same_encoding,
@@ -27,7 +26,7 @@ from intervalmine.oracle import (
 from intervalmine.transform import transform_dataset
 from intervalmine.utility import UpperBound
 
-from conftest import encode_coincidence, wide_dataset, wide_intervals
+from conftest import empty_prefix_scores, encode_coincidence, wide_dataset, wide_intervals
 
 
 def test_backend_selection():

@@ -177,8 +177,9 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
     """Every entry is priced from its cells, without the kernel, yet its
     mask, utility mass, rows and umax equal those of its one-coincidence
     pattern scored by the kernel from the empty prefix on every sequence,
-    bit for bit, and so do the score rows of each root, computed only when
-    growth reaches it. Every entry's full and rest are bit-identical too:
+    bit for bit, and so do the score rows of each root, read off its cells
+    only when growth reaches it, window-major; growth never runs the kernel
+    from the empty prefix. Every entry's full and rest are bit-identical too:
     a join's sum only its parent's rows, but left to right, so the
     unmatched rows it skips add nothing. An entry's cells are exactly the
     windows that hold its whole mask, by sequence, then window, in one run
@@ -193,7 +194,6 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
         enc = ctx.enc
         n = enc.n_sequences
         windows = by_window(enc.masks).reshape(-1, enc.words)
-        cell_start = np.concatenate(([0], np.cumsum(ctx.run_lengths)))
         expected = [evaluate(ctx, LSequence((c,))) for c in ctx.vocab]
         for v, (c, e) in enumerate(zip(ctx.vocab, expected)):
             mask, putil = encode_coincidence(c, enc)
@@ -207,25 +207,33 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
             assert (full.hex(), rest.hex()) == (e.full.hex(), e.rest.hex()), c
             fit = np.flatnonzero(((windows & mask) == mask).all(axis=1))
             fit = fit[np.lexsort((fit // n, fit % n))]
-            cells = ctx.vocab_cells[cell_start[runs.start] : cell_start[runs.stop]]
+            cells = ctx.vocab_cells[ctx.cell_start[runs.start] : ctx.cell_start[runs.stop]]
             assert cells.tolist() == fit.tolist(), c
-            assert ctx.run_lengths[runs].tolist() == np.bincount(fit % n)[ctx.run_rows[runs]].tolist()
-        # a root is scored alone from the empty prefix
-        roots = []
-        extend = miner.extend_scores
+            lengths = np.diff(ctx.cell_start[runs.start : runs.stop + 1])
+            assert lengths.tolist() == np.bincount(fit % n)[ctx.run_rows[runs]].tolist()
+        # a root is scored from its cells, and the kernel only extends
+        # non-empty prefixes
+        roots, bases = [], []
+        score_root, extend = miner._root_scores, miner.extend_scores
 
-        def recording(*args):
-            scores = extend(*args)
-            if args[4] == 0.0:
-                index = ctx.vocab_masks.tolist().index(args[5][0].tolist())
-                roots.append((index, scores[0]))
-            return scores
+        def recording_root(ctx, v):
+            rows, scores = score_root(ctx, v)
+            roots.append((v, rows, scores))
+            return rows, scores
+
+        def recording_kernel(*args):
+            bases.append(args[4])
+            return extend(*args)
 
         with monkeypatch.context() as m:
-            m.setattr(miner, "extend_scores", recording)
+            m.setattr(miner, "_root_scores", recording_root)
+            m.setattr(miner, "extend_scores", recording_kernel)
             miner._mine_root(ctx, [], miner.MiningStats())
-        for index, scores in roots:
+        assert all(base == -np.inf for base in bases)
+        for index, rows, scores in roots:
             e = expected[index]
+            assert rows.tolist() == np.flatnonzero(e.matched).tolist(), ctx.vocab[index]
+            assert by_window(scores).flags.c_contiguous, ctx.vocab[index]
             assert scores.tobytes() == e.scores[e.matched].tobytes(), ctx.vocab[index]
         checked += len(roots)
     assert checked > 500

@@ -1,18 +1,15 @@
-"""Array encoding of a dataset for the match kernels.
+"""Array encoding of a dataset for the miner.
 
 Coincidences become bitmasks over the dataset alphabet (multiple uint64
 words when the alphabet exceeds 64 labels), and sequences become padded
 rows of a 3-d mask array. The masks and durations are stored window-major
-(`by_window`), because the kernel reads window j of every sequence at
-once; `take_sequences` cuts them to some of the sequences in that layout.
-The per-sequence top-k eventset utility sums are precomputed with one row
-per budget k, so that the weighted utilization of a whole batch of
-candidates is one contiguous gather and one row sum per budget. Each label
-keeps its covered cells (`label_cells`): the window-major ids of the
-windows that hold it, by sequence, then window. The miner prices its whole
-vocabulary and scores its roots from them, and scores candidates at the
-length cap where they fit rather than over every cell of a prefix (see
-`miner`); the kernel only ever extends a non-empty prefix.
+(`by_window`): window j of sequence s is cell j * n + s. The per-sequence
+top-k eventset utility sums are precomputed with one row per budget k, so
+that the weighted utilization of many candidates is one contiguous gather
+and one row sum per budget. Each label keeps its covered cells
+(`label_cells`): the window-major ids of the windows that hold it, by
+sequence, then window. The miner prices its whole vocabulary from them
+and scores every prefix's candidates where they fit (see `miner`).
 
 `encode_intervals` builds the arrays straight from interval columns;
 `encode_dataset` encodes the object model's windowed form. Both hand the
@@ -222,23 +219,6 @@ def by_window(a: np.ndarray) -> np.ndarray:
     when the array is window-major, so that window j of every sequence is
     one block of memory."""
     return a.swapaxes(0, 1)
-
-
-def take_sequences(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The sequences `rows` (indices) of a window-major array [n, cap(,
-    words)], still window-major: gathered along the sequence axis of the
-    `by_window` view, as `a[rows]` would hand back a sequence-major copy."""
-    return by_window(by_window(a).take(rows, axis=1))
-
-
-def take_candidate(batch: np.ndarray, i: int, rows: np.ndarray) -> np.ndarray:
-    """Candidate i's score rows of a kernel batch [C, n, cap] on the
-    sequences `rows` (flags over all n), window-major: gathered from the
-    batch's [cap, C * n] view at offsets i * n + rows, so that the
-    candidate's strided [cap, n] block is never copied whole first."""
-    c, n, cap = batch.shape
-    windows = batch.transpose(2, 0, 1).reshape(cap, c * n)
-    return by_window(windows.take(i * n + np.flatnonzero(rows), axis=1))
 
 
 def summarize_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,36 +1,23 @@
-"""The match-scoring kernel: extend a pattern prefix by a batch of
-coincidences.
+"""The dense match-scoring kernel: the tests' reference for growth.
 
-A prefix's state is one float64 row per sequence it is scored on (the
-miner passes only the sequences the prefix occurs in): entry j is the best
-utility of any match of the prefix that ends at or before window j, and
--inf where no such match exists. Extending by a candidate coincidence
-keeps the windows whose label bitmask covers the candidate's, adds the
-candidate's utility mass times the window duration to the best prefix
-score strictly before that window, and takes the running maximum along
-the row. One call scores every candidate of a batch against the same
-prefix rows, so the per-call overhead is paid once per batch (the
+A prefix's state is one float64 row per sequence it is scored on: entry j
+is the best utility of any match of the prefix that ends at or before
+window j, and -inf where no such match exists. Extending by a candidate
+coincidence keeps the windows whose label bitmask covers the candidate's,
+adds the candidate's utility mass times the window duration to the best
+prefix score strictly before that window, and takes the running maximum
+along the row. One call scores a batch of candidates against the same
+prefix rows over every (candidate, sequence, window) cell (the
 vertical-bitmap layout of SPAM, Ayres et al., KDD 2002).
 
-Every step reads window j of all sequences at once, so the miner hands the
-kernel window-major arrays: masks [n, cap, words], durations and prefix
-score rows [n, cap] that are views of C-contiguous [cap, n(, words)]
-buffers (`encoding.by_window`), and the kernel's output [C, n, cap] is a
-view of a C-contiguous [cap, C, n] buffer. Inputs in sequence-major order
-give the same scores, only more slowly.
+The miner does not call it: it scores each candidate only at the windows
+that fit it (`miner._extend`, `miner._scores`), and the tests check those
+values against this kernel's bit for bit. Its output [C, n, cap] is a
+view of a C-contiguous [cap, C, n] buffer.
 """
 from __future__ import annotations
 
 import numpy as np
-
-
-# A batch of at least this many rows (candidates x sequences) takes its
-# running maximum as one `np.maximum` call per window, and a smaller one as
-# one `ufunc.accumulate`. The loop costs about 1 us per window, accumulate
-# about 5 ns per cell, so the loop wins from about 200 rows whatever the
-# number of windows (numpy 2.4, x86-64), and a few long sequences stay on
-# accumulate.
-RUNNING_MAX_ROWS = 192
 
 
 def active_backend() -> str:
@@ -52,8 +39,7 @@ def extend_scores(
     given the prefix's score rows `prev` [n, cap].
 
     prev_base is the prefix score before the first window: -inf for any
-    non-empty prefix, the only kind the miner extends; 0.0 scores from the
-    empty prefix, which the tests' reference does.
+    non-empty prefix, and 0.0 for the empty one.
 
     A window fits a candidate when, in every mask word, the window holds
     all of the candidate's bits. `lengths` is not read: padding windows
@@ -93,9 +79,5 @@ def extend_scores(
     out[0] += prev_base
     out[1:] += prev.T[:-1, None, :]
     np.putmask(out, miss, -np.inf)  # faster than copyto(where=) here
-    if c * n >= RUNNING_MAX_ROWS:
-        for j in range(1, cap):
-            np.maximum(out[j], out[j - 1], out=out[j])
-    else:
-        np.maximum.accumulate(out, axis=0, out=out)
+    np.maximum.accumulate(out, axis=0, out=out)
     return out.transpose(1, 2, 0)

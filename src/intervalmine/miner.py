@@ -9,39 +9,35 @@ window, which a match-based estimate never anticipates. A level joins its
 survivors only with the labels that survived on their own: adding a label
 can only shrink the set of sequences a coincidence occurs in, and the
 weighted bound sums over that set, so every superset of a dropped label
-fails both tests too (the Apriori property). Phase 1 runs no kernel: a
-candidate's cells, the windows that hold its whole mask, are a label's own
-cells from the encoder or its parent's cells that hold the new label, and
-its best match in a sequence is read from them (`_price`). The vocabulary
-is kept as columns: no entry keeps score rows. Phase 2 grows patterns
-depth-first by appending whole vocabulary coincidences, starting from the
-empty prefix, whose children, the roots, phase 1 bounded and whose score
-rows are read off their cells (`_root_scores`). A prefix carries only the
-sequences it occurs in and its score rows on them, so the kernel extends
-only non-empty prefixes, never on a sequence the prefix misses, and a
-child tries only the coincidences that survived beside it (see `_grow`).
+fails both tests too (the Apriori property). A candidate's cells, the
+windows that hold its whole mask, are a label's own cells from the encoder
+or its parent's cells that hold the new label, and its best match in a
+sequence is read from them (`_price`). The vocabulary is kept as columns:
+no entry keeps score rows.
 
-A candidate at the length cap, a leaf, needs only its best match per
-sequence, and it fits only a few of the cells the kernel scores. So the
-miner lays out every entry's cells in runs per sequence (`_LeafLayout`),
-and a leaf evaluation is scored from them when its kernel cells outnumber
-`LAYOUT_CELL_WEIGHT` times the layout's cells plus the slots of its score
-buffer (`_leaves_from_layout`): a gather, an add and a maximum per layout
-cell, with the kernel's values bit for bit. Interior prefixes always take
-the kernel.
+Phase 2 grows patterns depth-first by appending whole vocabulary
+coincidences, starting from the empty prefix, whose children, the roots,
+phase 1 bounded. A prefix carries only the sequences it occurs in and its
+score rows on them, and a child tries only the coincidences that survived
+beside it (see `_grow`). Every entry's cells are laid out once per
+vocabulary in runs per sequence (`_Layout`), and every prefix, at every
+depth, scores its candidates from them (`_extend`): a gather, an add and a
+maximum per layout cell. A survivor that will be grown reads its score
+rows off its own cells on the sequences it matched (`_scores`), and a root
+is the empty prefix's case. Both give the dense kernel's values
+(`kernels.extend_scores`) bit for bit; the miner never calls it.
 
 Every bound is one formula, `_bound`, over three numbers that come with a
 candidate's scores: its umax, its weighted bound `full` (the top-K
 eventset mass of the sequences it occurs in) and `rest` (their top-(K -
 length) mass). One `weighted_utilization` call sums both for a whole
-kernel batch, and one test, `_survivors`, keeps a batch's candidates that
-occurred and whose bound clears the threshold, at every level. The
-projected bound never exceeds the weighted one, and a prefix's bound
-covers every pattern grown from it. The strategy changes what gets pruned,
-never what gets emitted. A candidate is pruned only when its bound falls
-short of the threshold by more than a relative float slack
-(`PRUNE_SLACK`), while emission compares a pattern's utility with the
-threshold exactly.
+evaluation, and one test, `_survivors`, keeps the candidates that occurred
+and whose bound clears the threshold, at every level. The projected bound
+never exceeds the weighted one, and a prefix's bound covers every pattern
+grown from it. The strategy changes what gets pruned, never what gets
+emitted. A candidate is pruned only when its bound falls short of the
+threshold by more than a relative float slack (`PRUNE_SLACK`), while
+emission compares a pattern's utility with the threshold exactly.
 """
 from __future__ import annotations
 
@@ -51,16 +47,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .encoding import (
-    EncodedDataset,
-    by_window,
-    encode_dataset,
-    summarize_scores,
-    take_candidate,
-    take_sequences,
-    weighted_utilization,
-)
-from .kernels import extend_scores
+from .encoding import EncodedDataset, by_window, encode_dataset, weighted_utilization
+# Growth calls neither of these: they stay attributes of this module because
+# the benchmark's tracer (`perfbench/tracing.py`) hooks them here.
+from .encoding import summarize_scores  # noqa: F401
+from .kernels import extend_scores  # noqa: F401
 from .model import Coincidence, CSequenceDataset, LSequence, lsequence_sort_key
 from .utility import UpperBound
 
@@ -120,9 +111,9 @@ PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class _LeafLayout:
+class _Layout:
     """Every vocabulary entry's fit cells, laid out so that a prefix's
-    candidates at the length cap are scored without the kernel.
+    candidates are scored from them (`_extend`).
 
     A run is one entry's cells in one sequence. The runs are sorted longest
     first, and their cells stored rank by rank: layer k holds the k-th cell
@@ -142,8 +133,8 @@ class _LeafLayout:
 @dataclass
 class _Context:
     """A mining run's inputs, its vocabulary as columns, so that a batch of
-    candidates is one index gather, and the leaf layout, when patterns can
-    be longer than one coincidence.
+    candidates is one index gather, and the layout growth scores from, when
+    patterns can be longer than one coincidence.
 
     Entry v of the vocabulary, in mining order, is the coincidence
     `vocab[v]`. Its runs, one per sequence it occurs in, ascending, are
@@ -164,7 +155,7 @@ class _Context:
     run_rows: np.ndarray | None = None      # int64 [runs]
     cell_start: np.ndarray | None = None    # int64 [runs + 1]
     vocab_cells: np.ndarray | None = None   # int32 [cells]
-    leaf_layout: _LeafLayout | None = None
+    layout: _Layout | None = None
 
 
 def _entry_cells(ctx: _Context, v: int):
@@ -177,90 +168,32 @@ def _entry_cells(ctx: _Context, v: int):
     return ctx.run_rows[runs], column, ctx.vocab_cells[start[0] : start[-1]]
 
 
-def _root_scores(ctx: _Context, v: int):
-    """(rows, window-major score rows) of vocabulary entry v on the
-    sequences it occurs in, read off its cells: putil * duration at each
-    cell, -inf elsewhere, then a running maximum. The kernel's rows from the
-    empty prefix, bit for bit: its added 0.0 changes no value."""
-    rows, column, cells = _entry_cells(ctx, v)
-    n, cap = ctx.enc.n_sequences, ctx.enc.capacity
-    scores = np.full((cap, rows.size), -np.inf)
-    scores[cells // n, column] = ctx.vocab_putils[v] * by_window(ctx.enc.durations).reshape(-1)[cells]
-    for j in range(1, cap):
-        np.maximum(scores[j], scores[j - 1], out=scores[j])
-    return rows, by_window(scores)
-
-
-# Largest (candidate, sequence, window) cell count of one kernel call, and
-# of the cells one chunk of vocabulary candidates tests: their float64
-# temporaries stay at 0.5 MB each. A prefix whose rows alone reach it is
-# scored one candidate per call.
+# Largest count of cells, or of (candidate, sequence) slots, that one chunk
+# of vocabulary candidates tests: its float64 temporaries stay at 0.5 MB
+# each. A candidate with more cells than that is priced alone.
 BATCH_CELLS = 2**16
 
 
-def _evaluate(ctx: _Context, rows, prev_scores, prev_base, masks, putils, length: int):
-    """Score the prefix extended by each candidate, one kernel batch at a
-    time, given the candidates' `masks` [C, words] and `putils` [C], and
-    the prefix's score rows on the ascending sequences `rows`, whose
-    encoded arrays the kernel reads.
-
-    Yields, per batch of c candidates in order: the position of its first
-    candidate, matched flags [c, n] over `rows`, score rows [c, n, cap],
-    and umax, full and rest as [c] arrays. `length` is the extended
-    pattern's length; `full` and `rest` are its top-K and top-(K - length)
-    eventset mass over the matched rows.
-
-    A batch holds at most `BATCH_CELLS` cells, and its masses are one
-    `weighted_utilization` call. umax adds the per-sequence values left to
-    right, as the oracle does: a pairwise sum (`ndarray.sum`) can land an
-    ulp off and then flip a pattern whose value is exactly the threshold.
-    """
-    enc = ctx.enc
-    arrays = enc.masks, enc.durations, enc.lengths
-    if rows.size < enc.n_sequences:
-        arrays = take_sequences(enc.masks, rows), take_sequences(enc.durations, rows), enc.lengths[rows]
-    step = max(1, BATCH_CELLS // max(1, prev_scores.size))
-    for lo in range(0, len(masks), step):
-        scores = extend_scores(
-            *arrays, prev_scores, prev_base, masks[lo : lo + step], putils[lo : lo + step]
-        )
-        matched, best = summarize_scores(scores)
-        yield lo, matched, scores, *_masses(ctx, rows, matched, best, length)
-
-
 def _masses(ctx: _Context, rows, matched, best, length: int):
-    """umax, full and rest [C] of a batch, from its matched flags and best
-    values [C, n] over the sequences `rows` (see `_evaluate`)."""
+    """umax, full and rest [C] of candidates, from their matched flags and
+    best values [C, r] over the ascending sequences `rows`. `length` is the
+    extended pattern's length; `full` and `rest` are its top-K and top-(K -
+    length) eventset mass over the matched rows, one `weighted_utilization`
+    call for them all.
+
+    umax adds the per-sequence values left to right, as the oracle does: a
+    pairwise sum (`ndarray.sum`) can land an ulp off and then flip a
+    pattern whose value is exactly the threshold.
+    """
     # `none` never bounds, so it sums nothing: full and rest read 0
     k = 0 if ctx.cfg.strategy is UpperBound.NONE else ctx.cfg.max_length
     umax = np.cumsum(best, axis=1)[:, -1] if best.shape[1] else np.zeros(len(best))
     return umax, *weighted_utilization(ctx.enc, rows, matched, (k, k - length))
 
 
-# A leaf evaluation takes the layout when its C x r x cap kernel cells
-# outnumber this many times the layout's cells plus the cap * n slots of its
-# score buffer. A layout cell costs a gather, an add and a maximum, a
-# buffer slot a fill and at most one scatter; a kernel cell costs a mask
-# test, a multiply, an add, a masked store and a running maximum, and each
-# kernel call about 80 us more. Timing every leaf evaluation both ways on
-# the benchmark's workloads at K = 2 to 4, and on ingest-20k prefixes cut
-# to 50 to 10,000 rows, 0.15 kept the total within 1.2% of picking the
-# faster path per leaf, and no leaf more than 1.25x slower than its faster
-# path (numpy 2.4, x86-64).
-LAYOUT_CELL_WEIGHT = 0.15
-
-
-def _leaves_from_layout(ctx: _Context, candidates: int, rows: int) -> bool:
-    """Whether a prefix on `rows` sequences scores its `candidates` at the
-    length cap from the leaf layout rather than with the kernel."""
-    enc = ctx.enc
-    layout_cells = ctx.leaf_layout.value.size + enc.capacity * enc.n_sequences
-    return LAYOUT_CELL_WEIGHT * layout_cells < candidates * rows * enc.capacity
-
-
-def _leaf_layout(ctx: _Context) -> _LeafLayout:
-    """The layout of every vocabulary entry's fit cells (`_LeafLayout`),
-    read from the vocabulary's runs: the k-th cell of run i sits at
+def _layout(ctx: _Context) -> _Layout:
+    """The layout of every vocabulary entry's fit cells (`_Layout`), read
+    from the vocabulary's runs: the k-th cell of run i sits at
     `cell_start[i] + k` of `vocab_cells`."""
     length = np.diff(ctx.cell_start)
     entry = np.repeat(np.arange(len(ctx.vocab)), np.diff(ctx.vocab_runs))
@@ -276,7 +209,7 @@ def _leaf_layout(ctx: _Context) -> _LeafLayout:
     cells = ctx.vocab_cells[at]
     del at  # freed before the durations are gathered
     value *= by_window(ctx.enc.durations).reshape(-1)[cells]
-    return _LeafLayout(
+    return _Layout(
         value=value,
         cell=cells,
         layers=layers,
@@ -285,10 +218,12 @@ def _leaf_layout(ctx: _Context) -> _LeafLayout:
     )
 
 
-def _summarize_leaves(ctx: _Context, rows, scores, candidates):
-    """`summarize_scores` of the prefix with score rows `scores` on the
-    sequences `rows` extended by each vocabulary entry `candidates`, from
-    the leaf layout: matched flags and best values [C, r].
+def _extend(ctx: _Context, rows, scores, candidates, grow: bool):
+    """The prefix with window-major score rows `scores` on the sequences
+    `rows` extended by each vocabulary entry `candidates`, scored from the
+    layout: matched flags and best values [C, r], and the buffer that
+    `_scores` reads a grown child's rows from, or None unless the children
+    will `grow`.
 
     The prefix's score rows go one window later into a -inf buffer of
     every cell, so that slot j * n + s holds the prefix's best score before
@@ -296,14 +231,16 @@ def _summarize_leaves(ctx: _Context, rows, scores, candidates):
     matched, and outside `rows`. A layout cell's value is its putil *
     duration plus its own slot, the kernel's product and sum. The maximum
     over a run is the kernel's running maximum at its last window, so the
-    flags and values are bit-identical to the kernel's.
+    flags and values are `summarize_scores` of the kernel's rows bit for
+    bit.
     """
-    layout, enc = ctx.leaf_layout, ctx.enc
+    layout, enc = ctx.layout, ctx.enc
     n, cap = enc.n_sequences, enc.capacity
     buffer = np.full(cap * n, -np.inf)
     buffer.reshape(cap, n)[1:, rows] = by_window(scores)[:-1]
     values = buffer.take(layout.cell)
-    del buffer  # freed before the runs are mapped
+    if not grow:
+        buffer = None  # freed before the runs are mapped
     values += layout.value
     best = values[: layout.entry.size]  # layer 0: each run's first cell
     for lo, hi in zip(layout.layers[1:-1], layout.layers[2:]):
@@ -319,20 +256,41 @@ def _summarize_leaves(ctx: _Context, rows, scores, candidates):
     matched = np.zeros((len(candidates), rows.size), dtype=bool)
     out = np.zeros(matched.shape)
     matched.reshape(-1)[slot], out.reshape(-1)[slot] = True, best[hit]
-    return matched, out
+    return matched, out, buffer
 
 
-def _leaf_batches(ctx: _Context, rows, scores, candidates, length: int):
-    """`_evaluate`'s batches for the vocabulary entries `candidates` at the
-    length cap, scored from the leaf layout: one batch, without score rows."""
-    matched, best = _summarize_leaves(ctx, rows, scores, candidates)
-    yield 0, matched, None, *_masses(ctx, rows, matched, best, length)
+def _scores(ctx: _Context, v: int, rows=None, before=None):
+    """(rows, window-major score rows) of a prefix extended by vocabulary
+    entry v, on the sequences `rows` it matched, read off v's cells there:
+    the prefix's best score before each cell, `before[cell]` (`_extend`'s
+    buffer), plus putil * duration, -inf elsewhere, then a running maximum.
+    These are the kernel's sum and maximum bit for bit. A root extends the
+    empty prefix (both None): it matches on every sequence v occurs in, and
+    its score before every window is 0.0, which changes no value.
+    """
+    own, column, cells = _entry_cells(ctx, v)
+    if rows is None:
+        rows = own
+    else:  # v's runs on the sequences the child matched
+        run = np.zeros(own.size, dtype=bool)
+        run[np.searchsorted(own, rows)] = True
+        fit = run[column]
+        column, cells = (np.cumsum(run) - 1)[column[fit]], cells[fit]
+    n, cap = ctx.enc.n_sequences, ctx.enc.capacity
+    value = ctx.vocab_putils[v] * by_window(ctx.enc.durations).reshape(-1)[cells]
+    if before is not None:
+        value += before[cells]
+    scores = np.full((cap, rows.size), -np.inf)
+    scores[cells // n, column] = value
+    for j in range(1, cap):
+        np.maximum(scores[j], scores[j - 1], out=scores[j])
+    return rows, by_window(scores)
 
 
 def _bound(ctx: _Context, umax, full, rest):
     """Upper bound on a pattern and on every pattern grown from it by
-    appending coincidences, given its `_evaluate` values; element-wise on
-    a batch's arrays.
+    appending coincidences, given its `_masses` values; element-wise on
+    the arrays of many candidates.
 
     The weighted bound is `full`. The projected one adds to umax `rest`:
     each of the at most K - length coincidences appended later matches its
@@ -486,7 +444,7 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
             bits = np.array(last, dtype=np.int64)
     # built before growth, so that growth's arrays never overlap its build
     if ctx.cfg.max_length > 1:
-        ctx.leaf_layout = _leaf_layout(ctx)
+        ctx.layout = _layout(ctx)
 
 
 def _grow(
@@ -498,10 +456,9 @@ def _grow(
     vocabulary order: (vocabulary index, the sequences the child occurs
     in, its score rows on them, umax); rows and scores are None at the
     length cap, and for a root, whose rows are read off its cells when it
-    is grown (`_root_scores`). A child is emitted when its umax meets the
-    threshold. Below the length cap the kernel then scores it extended by
-    every coincidence of `children`, on its own rows only, or the leaf
-    layout does when those extensions reach the cap, and the survivors are
+    is grown. A child is emitted when its umax meets the threshold. Below
+    the length cap it is then scored extended by every coincidence of
+    `children`, on its own rows only (`_children`), and the survivors are
     grown in turn. A pattern grown from prefix+x that appends c is a
     supersequence of prefix+c, so it occurs in no sequence prefix+c misses,
     and the weighted bound only shrinks with the set of sequences it sums
@@ -518,26 +475,31 @@ def _grow(
             out.append(Pattern(LSequence(tuple(prefix)), umax))
         if len(prefix) < ctx.cfg.max_length:
             if scores is None:
-                rows, scores = _root_scores(ctx, index)
-            stats.candidates_generated += inherited.size
-            length = len(prefix) + 1
-            leaf = length == ctx.cfg.max_length
-            if leaf and _leaves_from_layout(ctx, inherited.size, rows.size):
-                batches = _leaf_batches(ctx, rows, scores, inherited, length)
-            else:
-                batches = _evaluate(
-                    ctx, rows, scores, -math.inf, ctx.vocab_masks[inherited],
-                    ctx.vocab_putils[inherited], length,
-                )
-            # the survivors are bound to no local here, so neither a kernel
-            # batch nor a finished sibling's survivors stay alive below
-            _grow(ctx, prefix, [
-                (inherited[lo + i], None if leaf else rows[matched[i]],
-                 None if leaf else take_candidate(batch, i, matched[i]), float(umaxes[i]))
-                for lo, matched, batch, umaxes, full, rest in batches
-                for i in _survivors(ctx, stats, matched.any(axis=1), umaxes, full, rest)
-            ], out, stats)
+                rows, scores = _scores(ctx, index)
+            # the survivors are bound to no local here, so neither the
+            # scorer's buffer nor a finished sibling's survivors stay alive
+            # below
+            _grow(ctx, prefix, _children(ctx, stats, rows, scores, inherited, len(prefix) + 1),
+                  out, stats)
         prefix.pop()
+
+
+def _children(ctx: _Context, stats: MiningStats, rows, scores, candidates, length: int) -> list:
+    """The survivors of a prefix with score rows `scores` on the sequences
+    `rows` extended by each vocabulary entry `candidates` to `length`
+    coincidences, as `_grow` takes them: below the length cap, each with
+    its own rows and score rows, built before the scorer's buffer is
+    freed."""
+    stats.candidates_generated += candidates.size
+    grow = length < ctx.cfg.max_length
+    matched, best, before = _extend(ctx, rows, scores, candidates, grow)
+    umax, full, rest = _masses(ctx, rows, matched, best, length)
+    return [
+        (candidates[i],
+         *(_scores(ctx, candidates[i], rows[matched[i]], before) if grow else (None, None)),
+         float(umax[i]))
+        for i in _survivors(ctx, stats, matched.any(axis=1), umax, full, rest)
+    ]
 
 
 def _mine_root(ctx: _Context, out: list[Pattern], stats: MiningStats) -> None:
@@ -546,7 +508,7 @@ def _mine_root(ctx: _Context, out: list[Pattern], stats: MiningStats) -> None:
     Its children, the roots, are the vocabulary coincidences, bounded in
     phase 1. The roots whose own bound clears the threshold are grown like
     any other child, and each inherits only them. Phase 1 keeps no score
-    rows: a root's are read off its cells when it is grown.
+    rows: a root's are read off its cells when it is grown (`_scores`).
     """
     umax, full, rest = ctx.vocab_bounds
     roots = _survivors(ctx, stats, np.ones(umax.size, dtype=bool), umax, full, rest)

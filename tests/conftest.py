@@ -13,10 +13,11 @@ from intervalmine.encoding import (
     EncodedDataset,
     by_window,
     encode_dataset,
-    take_candidate,
+    summarize_scores,
     weighted_utilization,
 )
 from intervalmine.io import parse_dataset
+from intervalmine.kernels import extend_scores
 from intervalmine.miner import MiningConfig
 from intervalmine.model import (
     ESequence,
@@ -73,7 +74,7 @@ def encode_coincidence(c, enc):
 def empty_prefix_scores(enc):
     """Window-major score rows of the zero-length prefix on every sequence:
     matched everywhere at 0. The kernel scores from them with a prev_base
-    of 0.0; the miner never does, as it reads its roots off their cells."""
+    of 0.0."""
     return by_window(np.zeros((enc.capacity, enc.n_sequences)))
 
 
@@ -82,19 +83,21 @@ Evaluated = namedtuple("Evaluated", "scores matched umax full rest")
 
 def evaluate(ctx, l):
     """Pattern l extended from the empty prefix one coincidence at a time
-    on the rows the prefix matched, as the miner grows it: its score rows
-    and matched flags over every sequence (unmatched sequences score
-    -inf), its umax, and the inputs of `miner._bound` at the context's K,
-    `full` (top-K eventset mass) and `rest` (top-(K - |l|) mass)."""
+    by the dense kernel, on the rows the prefix matched, as the miner grows
+    it: its score rows and matched flags over every sequence (unmatched
+    sequences score -inf), its umax, and the inputs of `miner._bound` at
+    the context's K, `full` (top-K eventset mass) and `rest` (top-(K - |l|)
+    mass), summed by the miner's own `_masses`."""
     enc = ctx.enc
     rows, scores, base = np.arange(enc.n_sequences), empty_prefix_scores(enc), 0.0
     for length, coin in enumerate(l.coincidences, start=1):
         mask, putil = encode_coincidence(coin, enc)
-        # a batch of one candidate
-        ((_, matched, batch, umax, full, rest),) = miner._evaluate(
-            ctx, rows, scores, base, mask, putil, length
+        batch = extend_scores(
+            enc.masks[rows], enc.durations[rows], enc.lengths[rows], scores, base, mask, putil
         )
-        rows, scores, base = rows[matched[0]], take_candidate(batch, 0, matched[0]), float("-inf")
+        matched, best = summarize_scores(batch)
+        umax, full, rest = miner._masses(ctx, rows, matched, best, length)
+        rows, scores, base = rows[matched[0]], batch[0][matched[0]], float("-inf")
     umax, full, rest = (float(x[0]) for x in (umax, full, rest))
     every = np.full((enc.n_sequences, enc.capacity), -np.inf)
     every[rows] = scores

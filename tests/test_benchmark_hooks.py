@@ -1,5 +1,7 @@
-"""The benchmark's tracer wraps intervalmine functions by module attribute;
-every attribute it names must still exist, or the traced runs break."""
+"""The benchmark's tracer wraps intervalmine functions by module attribute,
+and its scripts import intervalmine names; every one of them must still
+exist, or the benchmark's runs break."""
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -30,20 +32,20 @@ def test_traced_cli_run_counts_each_layer(tmp_path, monkeypatch):
     benchmark reports come out of the hooked functions, so a hook whose
     signature drifted shows up here as a wrong count."""
     tracing = load_tracing()
-    # the tracer hooks neither the leaf layout nor the vocabulary's pricing,
-    # so their evaluations and chunks are counted here
-    leaf_batches, price_chunks = [], []
-    summarize, price = miner._summarize_leaves, miner._price
+    # the tracer hooks neither the growth scorer nor the vocabulary's
+    # pricing, so their evaluations and chunks are counted here
+    evaluations, price_chunks = [], []
+    extend, price = miner._extend, miner._price
 
-    def counted(ctx, rows, scores, candidates):
-        leaf_batches.append(len(candidates))
-        return summarize(ctx, rows, scores, candidates)
+    def counted(ctx, rows, scores, candidates, grow):
+        evaluations.append((len(candidates), grow))
+        return extend(ctx, rows, scores, candidates, grow)
 
     def counted_price(*args):
         price_chunks.append(len(args[2]))
         return price(*args)
 
-    monkeypatch.setattr(miner, "_summarize_leaves", counted)
+    monkeypatch.setattr(miner, "_extend", counted)
     monkeypatch.setattr(miner, "_price", counted_price)
     data, utilities = tmp_path / "events.tsv", tmp_path / "utilities.tsv"
     data.write_text(EXAMPLE_DATA)
@@ -63,25 +65,19 @@ def test_traced_cli_run_counts_each_layer(tmp_path, monkeypatch):
     assert counts["miner.vocab_candidates"] == 12
     assert counts["miner.vocab_size"] == 6
     assert counts["miner.patterns"] == 32
-    # one kernel call scores a batch: all candidates of one prefix here.
-    # The 6 prefixes of length 1 go through the kernel; the 19 of length 2,
-    # whose 79 candidates are leaves at K = 3, are scored from the leaf
-    # layout, and the matched rows count only the kernel's candidates
-    assert counts["kernels.extend_calls.grow"] == 6
-    assert len(leaf_batches) == 19 and sum(leaf_batches) == 79
-    # no kernel call scores from the empty prefix: the vocabulary phase
-    # prices its entries from their cells, and each root's score rows are
-    # read off its cells when growth reaches it
-    assert "kernels.extend_calls.vocab" not in counts
-    assert "kernels.rows_scanned.vocab" not in counts
-    assert counts["kernels.matched_rows.grow"] == 65
-    # growth scores only the sequences a prefix matched, never all four
-    assert counts["kernels.rows_scanned.grow"] < 4 * counts["kernels.extend_calls.grow"]
-    # the bound inputs of a whole batch come from one weighted sum, never
-    # one per candidate: one per pricing chunk, kernel batch or leaf batch
+    # one scorer evaluation scores all candidates of one prefix: the 6
+    # prefixes of length 1 below the length cap, and the 19 of length 2,
+    # whose 79 candidates are leaves at K = 3
+    assert [grow for _, grow in evaluations].count(True) == 6
+    leaves = [size for size, grow in evaluations if not grow]
+    assert len(leaves) == 19 and sum(leaves) == 79
+    # growth runs no kernel, and the vocabulary prices its entries from
+    # their cells: no kernel counter is recorded
+    assert not [name for name in counts if name.startswith("kernels.")]
+    # the bound inputs of a whole evaluation come from one weighted sum,
+    # never one per candidate: one per pricing chunk or growth evaluation
     assert len(price_chunks) == 4
-    batches = len(price_chunks) + counts["kernels.extend_calls.grow"] + len(leaf_batches)
-    assert 0 < counts["encoding.wu_calls"] <= batches
+    assert 0 < counts["encoding.wu_calls"] <= len(price_chunks) + len(evaluations) == 29
 
 
 def test_traced_check_run_opens_the_object_path_spans(capsys):
@@ -94,3 +90,29 @@ def test_traced_check_run_opens_the_object_path_spans(capsys):
     assert "5 instances agree" in capsys.readouterr().out
     names = {span[0] for span in tracer.spans}
     assert {"io.parse", "transform", "utility.dataset_utility", "miner.mine"} <= names
+
+
+def test_every_benchmark_import_resolves():
+    """Every name the benchmark's scripts import from intervalmine still
+    exists, so that deleting one fails here rather than in a benchmark
+    run."""
+    imported = set()
+    for script in TRACING.parent.glob("*.py"):
+        for node in ast.walk(ast.parse(script.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("intervalmine"):
+                imported.update((node.module, alias.name) for alias in node.names)
+    assert {
+        ("intervalmine", "cli"),
+        ("intervalmine", "oracle"),
+        ("intervalmine.cli", "main"),
+        ("intervalmine.io", "parse_dataset"),
+        ("intervalmine.io", "parse_utilities"),
+        ("intervalmine.io", "write_dataset"),
+        ("intervalmine.kernels", "active_backend"),
+        ("intervalmine.model", "LSequence"),
+        ("intervalmine.transform", "transform_dataset"),
+    } <= imported
+    for module_name, name in sorted(imported):
+        module = importlib.import_module(module_name)
+        found = hasattr(module, name) or importlib.util.find_spec(f"{module_name}.{name}")
+        assert found, f"from {module_name} import {name}"

@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from intervalmine import kernels, miner
+from intervalmine import miner
 from intervalmine.encoding import (
+    by_window,
     encode_dataset,
     encode_intervals,
     same_encoding,
@@ -168,20 +169,20 @@ def test_empty_dataset_encoding():
 
 def test_kernel_inputs_and_score_rows_are_window_major(monkeypatch, example_dataset, example_table):
     """Both encoders store masks and durations window by window, and every
-    kernel call of the miner, under every strategy, reads masks, durations
-    and prefix score rows whose window-major views are C-contiguous: each
-    window of every sequence is one block of memory."""
-    calls = []
+    score-row array growth hands on to a child, under every strategy, is a
+    window-major view of a C-contiguous buffer: each window of every
+    sequence is one block of memory. Growth never calls the dense kernel."""
+    handed = []
+    build = miner._scores
 
-    def checked(masks, durations, lengths, prev, *rest):
-        calls.append((
-            masks.transpose(1, 0, 2).flags.c_contiguous,
-            durations.T.flags.c_contiguous,
-            prev.T.flags.c_contiguous,
-        ))
-        return extend_scores(masks, durations, lengths, prev, *rest)
+    def checked(ctx, *args):
+        rows, scores = build(ctx, *args)
+        shape = (rows.size, ctx.enc.capacity)
+        handed.append(scores.shape == shape and by_window(scores).flags.c_contiguous)
+        return rows, scores
 
-    monkeypatch.setattr(miner, "extend_scores", checked)
+    monkeypatch.setattr(miner, "_scores", checked)
+    monkeypatch.setattr(miner, "extend_scores", None)
     rng = random.Random(15)
     instances = [(example_dataset, example_table), wide_intervals(3, 100)] + [
         random_dataset(GeneratorParams(
@@ -201,10 +202,10 @@ def test_kernel_inputs_and_score_rows_are_window_major(monkeypatch, example_data
             assert e.masks.transpose(1, 0, 2).flags.c_contiguous
             assert e.durations.T.flags.c_contiguous
         for strategy in UpperBound:
-            calls.clear()
+            handed.clear()
             mine(enc, cfg.with_strategy(strategy))
-            assert calls, (strategy, es.sequences[0].id)
-            assert all(all(flags) for flags in calls), (strategy, calls)
+            assert handed, (strategy, es.sequences[0].id)
+            assert all(handed), (strategy, handed)
 
 
 # --- the batched kernel against one candidate at a time ------------------------
@@ -268,16 +269,13 @@ def window_major(a):
     return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
 
 
-@pytest.mark.parametrize("running_max_rows", [0, 10**9])
-def test_batched_kernel_matches_the_reference_bit_for_bit(monkeypatch, running_max_rows):
+@pytest.mark.parametrize("seed", [0, 10**9])
+def test_batched_kernel_matches_the_reference_bit_for_bit(seed):
     """Every batch size from 1 to C, over random encodings with one to
-    three mask words, no windows, no rows, and both prefix bases; once with
-    the per-window running maximum and once with `ufunc.accumulate`, so
-    that every c * n lies on one side of `RUNNING_MAX_ROWS` and then on the
-    other. Each input is scored as laid out sequence by sequence and again
-    as a window-major copy, and both give the reference's bytes."""
-    monkeypatch.setattr(kernels, "RUNNING_MAX_ROWS", running_max_rows)
-    rng = np.random.default_rng(running_max_rows % 97)
+    three mask words, no windows, no rows, and both prefix bases, drawn
+    from two seeds. Each input is scored as laid out sequence by sequence
+    and again as a window-major copy, and both give the reference's bytes."""
+    rng = np.random.default_rng(seed)
     shapes = [(0, 4, 1), (3, 0, 2), (0, 0, 1), (9, 7, 1), (9, 7, 2)] + [
         (rng.integers(1, 9), rng.integers(1, 12), rng.integers(1, 4)) for _ in range(60)
     ]

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from intervalmine import miner
-from intervalmine.encoding import by_window, encode_dataset
+from intervalmine.encoding import by_window, encode_dataset, summarize_scores
+from intervalmine.kernels import extend_scores
 from intervalmine.miner import (
     MiningConfig,
     Pattern,
@@ -32,7 +33,13 @@ from intervalmine.oracle import (
 from intervalmine.transform import transform_dataset
 from intervalmine.utility import UpperBound, dataset_utility
 
-from conftest import encode_coincidence, evaluate, vocabulary, wide_dataset
+from conftest import (
+    empty_prefix_scores,
+    encode_coincidence,
+    evaluate,
+    vocabulary,
+    wide_dataset,
+)
 
 
 def pattern_set(patterns):
@@ -178,8 +185,8 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
     mask, utility mass, rows and umax equal those of its one-coincidence
     pattern scored by the kernel from the empty prefix on every sequence,
     bit for bit, and so do the score rows of each root, read off its cells
-    only when growth reaches it, window-major; growth never runs the kernel
-    from the empty prefix. Every entry's full and rest are bit-identical too:
+    only when growth reaches it, window-major; growth never runs the
+    kernel. Every entry's full and rest are bit-identical too:
     a join's sum only its parent's rows, but left to right, so the
     unmatched rows it skips add nothing. An entry's cells are exactly the
     windows that hold its whole mask, by sequence, then window, in one run
@@ -211,25 +218,21 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
             assert cells.tolist() == fit.tolist(), c
             lengths = np.diff(ctx.cell_start[runs.start : runs.stop + 1])
             assert lengths.tolist() == np.bincount(fit % n)[ctx.run_rows[runs]].tolist()
-        # a root is scored from its cells, and the kernel only extends
-        # non-empty prefixes
-        roots, bases = [], []
-        score_root, extend = miner._root_scores, miner.extend_scores
+        # a root's score rows are read off its cells, and growth runs no
+        # kernel
+        roots = []
+        build = miner._scores
 
-        def recording_root(ctx, v):
-            rows, scores = score_root(ctx, v)
-            roots.append((v, rows, scores))
+        def recording(ctx, v, *prefix):
+            rows, scores = build(ctx, v, *prefix)
+            if not prefix:  # extended from the empty prefix
+                roots.append((v, rows, scores))
             return rows, scores
 
-        def recording_kernel(*args):
-            bases.append(args[4])
-            return extend(*args)
-
         with monkeypatch.context() as m:
-            m.setattr(miner, "_root_scores", recording_root)
-            m.setattr(miner, "extend_scores", recording_kernel)
+            m.setattr(miner, "_scores", recording)
+            m.setattr(miner, "extend_scores", None)
             miner._mine_root(ctx, [], miner.MiningStats())
-        assert all(base == -np.inf for base in bases)
         for index, rows, scores in roots:
             e = expected[index]
             assert rows.tolist() == np.flatnonzero(e.matched).tolist(), ctx.vocab[index]
@@ -310,20 +313,13 @@ def test_a_root_its_bound_prunes_is_counted(monkeypatch):
         # the masks of the coincidences the growth phase appends
         masks = appended[strategy] = set()
 
-        def recording(*args, masks=masks, kernel=miner.extend_scores):
-            if args[4] != 0.0:  # prev_base of a non-empty prefix
-                masks.update(int(words[0]) for words in args[5])
-            return kernel(*args)
-
-        # leaves scored from the layout are appended without the kernel
-        def recording_leaves(ctx, rows, scores, candidates, masks=masks,
-                             summarize=miner._summarize_leaves):
+        def recording(ctx, rows, scores, candidates, *grow, masks=masks,
+                      extend=miner._extend):
             masks.update(int(words[0]) for words in ctx.vocab_masks[candidates])
-            return summarize(ctx, rows, scores, candidates)
+            return extend(ctx, rows, scores, candidates, *grow)
 
         with monkeypatch.context() as m:
-            m.setattr(miner, "extend_scores", recording)
-            m.setattr(miner, "_summarize_leaves", recording_leaves)
+            m.setattr(miner, "_extend", recording)
             patterns, stats = mine(enc, cfg.with_strategy(strategy))
         assert patterns == []
         counts[strategy] = stats.candidates_generated, stats.candidates_pruned
@@ -575,10 +571,10 @@ def test_the_batch_budget_changes_nothing(monkeypatch, cells):
         assert max(chunks) == 1
 
 
-def leaf_instances(seed, count):
-    """(windowed dataset, config) pairs whose leaves both paths can score:
-    integer or fractional utilities, K from 2 to 4 and Z from 1 to 3 within
-    the oracle's budget, at the value of one of their patterns or, for one
+def growth_instances(seed, count):
+    """(windowed dataset, config) pairs within the oracle's budget:
+    integer or fractional utilities, K from 2 to 4 and Z from 1 to 3, at
+    the value of one of their patterns or, for one
     in eight, above the total utility, where the vocabulary is empty; then
     an alphabet of more than 64 labels."""
     values = (0.1, 0.2, 0.3, 0.7, 1 / 3, 2.9)
@@ -601,68 +597,113 @@ def leaf_instances(seed, count):
     yield wide_dataset(seed, 70), cfg_at(0.01, 2, 1, mode="relative")
 
 
-def mined_by_leaf_path(monkeypatch, enc, cfg, layout: bool, seen):
-    """The pattern set of mining `enc` with every leaf evaluation forced
-    onto the leaf layout or onto the kernel, and one record per candidate
-    of every batch: the extended pattern's length, the prefix's sequences,
-    the candidate's matched flags over them, and its umax, full and rest
-    as float.hex. `seen` counts the layout evaluations, their candidates
-    that fit a window 0, and those with no cell in the prefix's
-    sequences."""
-    records = []
-    masses, summarize = miner._masses, miner._summarize_leaves
+def kernel_evaluation(ctx, rows, scores, candidates):
+    """The dense reference of one growth evaluation: the kernel's score
+    rows [C, r, cap] of the prefix with score rows `scores` on the
+    sequences `rows` extended by each vocabulary entry `candidates`, and
+    their matched flags and best values."""
+    enc = ctx.enc
+    batch = extend_scores(
+        enc.masks[rows], enc.durations[rows], enc.lengths[rows], scores, -np.inf,
+        ctx.vocab_masks[candidates], ctx.vocab_putils[candidates],
+    )
+    return (batch, *summarize_scores(batch))
 
-    def recording_masses(ctx, rows, matched, best, length):
+
+def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
+    """The pattern set of mining `enc`, with every growth evaluation and
+    every row builder checked against the dense kernel on the same prefix
+    rows, bit for bit: an evaluation's matched flags, best values, umax,
+    full and rest (`_masses` of the kernel's flags and values), and each
+    grown child's rows and score rows. A root's are checked against the
+    kernel from the empty prefix on every sequence. `seen` counts the
+    evaluations below and at the length cap, their candidates that fit a
+    window 0 of the prefix's sequences and those with no cell in them, and
+    the rows built."""
+    extend, build, masses = miner._extend, miner._scores, miner._masses
+    pending = {"evaluation": None, "children": []}
+
+    def checked_extend(ctx, rows, scores, candidates, grow):
+        assert not pending["children"]  # every survivor was built first
+        matched, best, buffer = extend(ctx, rows, scores, candidates, grow)
+        batch, kernel_matched, kernel_best = kernel_evaluation(ctx, rows, scores, candidates)
+        assert matched.tobytes() == kernel_matched.tobytes()
+        assert best.tobytes() == kernel_best.tobytes()
+        pending["evaluation"] = rows, candidates, batch, kernel_matched, kernel_best, grow
+        seen["interior evaluations" if grow else "leaf evaluations"] += 1
+        n = ctx.enc.n_sequences
+        for v in candidates.tolist():
+            own, column, cells = miner._entry_cells(ctx, v)
+            on_rows = np.isin(own, rows)
+            seen["fit window 0"] += bool((on_rows[column] & (cells < n)).any())
+            seen["no cell in the prefix's rows"] += not on_rows.any()
+        return matched, best, buffer
+
+    def checked_masses(ctx, rows, matched, best, length):
         values = masses(ctx, rows, matched, best, length)
-        records.extend(
-            (length, rows.tolist(), flags.tolist(), *(float(x).hex() for x in v))
-            for flags, *v in zip(matched, *values)
-        )
+        if pending["evaluation"] is not None:  # a growth evaluation's
+            rows, candidates, batch, matched, best, grow = pending["evaluation"]
+            pending["evaluation"] = None
+            expected = masses(ctx, rows, matched, best, length)
+            assert [float(x).hex() for x in np.concatenate(values)] == [
+                float(x).hex() for x in np.concatenate(expected)
+            ]
+            if grow:
+                keep = miner._survivors(ctx, miner.MiningStats(), matched.any(axis=1), *expected)
+                pending["children"] = [
+                    (candidates[i], rows[matched[i]], batch[i][matched[i]]) for i in keep
+                ]
         return values
 
-    def counting_summarize(ctx, rows, scores, candidates):
-        layout = ctx.leaf_layout
-        seen["layout evaluations"] += 1
-        # layer k holds the k-th cell of the first runs
-        run = np.concatenate([np.zeros(0, dtype=np.intp)]
-                             + [np.arange(size) for size in np.diff(layout.layers)])
-        for e in candidates.tolist():
-            cells = layout.cell[layout.entry[run] == e]
-            seen["fit window 0"] += bool((cells < ctx.enc.n_sequences).any())
-            own = layout.sequence[layout.entry == e]
-            seen["no cell in the prefix's rows"] += not np.isin(own, rows).any()
-        return summarize(ctx, rows, scores, candidates)
+    def checked_scores(ctx, v, rows=None, before=None):
+        got_rows, got = build(ctx, v, rows, before)
+        if rows is None:  # a root, from the empty prefix
+            enc = ctx.enc
+            (batch,) = extend_scores(
+                enc.masks, enc.durations, enc.lengths, empty_prefix_scores(enc), 0.0,
+                ctx.vocab_masks[v : v + 1], ctx.vocab_putils[v : v + 1],
+            )
+            matched = summarize_scores(batch)[0]
+            expected = (v, np.flatnonzero(matched), batch[matched])
+            seen["roots"] += 1
+        else:
+            expected = pending["children"].pop(0)
+            seen["children"] += 1
+        assert got_rows.tobytes() == expected[1].tobytes(), (v, expected[0])
+        assert got.shape == expected[2].shape and got.tobytes() == expected[2].tobytes(), v
+        return got_rows, got
 
     with monkeypatch.context() as m:
-        m.setattr(miner, "_leaves_from_layout", lambda ctx, candidates, rows: layout)
-        m.setattr(miner, "_masses", recording_masses)
-        m.setattr(miner, "_summarize_leaves", counting_summarize)
+        m.setattr(miner, "_extend", checked_extend)
+        m.setattr(miner, "_masses", checked_masses)
+        m.setattr(miner, "_scores", checked_scores)
+        m.setattr(miner, "extend_scores", None)
         patterns, _ = mine(enc, cfg)
-    return pattern_set(patterns), records
+    assert not pending["children"]
+    return pattern_set(patterns)
 
 
-def test_leaves_score_alike_from_the_layout_and_the_kernel(monkeypatch):
-    """Every leaf evaluation forced onto the leaf layout, then onto the
-    kernel: every batch's matched flags, umax, full and rest are
-    bit-identical, and both pattern sets equal the oracle's, under every
-    strategy. Leaves whose candidates fit window 0, and candidates with no
-    cell in the prefix's sequences, are among them, and so is an empty
-    vocabulary."""
+def test_every_growth_evaluation_scores_as_the_kernel_scores_it(monkeypatch):
+    """Every evaluation, below and at the length cap, and every row builder,
+    for the roots and for each grown child, give the dense kernel's values
+    bit for bit, and the pattern sets equal the oracle's, under every
+    strategy. Candidates that fit window 0, where a non-empty prefix has no
+    score before, and candidates with no cell in the prefix's sequences
+    are among them, and so is an empty vocabulary."""
     seen = collections.Counter()
     empty = 0
-    for d, cfg in leaf_instances(16, 60):
+    for d, cfg in growth_instances(16, 60):
         enc = encode_dataset(d)
         expected = pattern_set(brute_force_mine(d, cfg))
         empty += not expected
         for s in UpperBound:
             c = cfg.with_strategy(s)
-            layout = mined_by_leaf_path(monkeypatch, enc, c, True, seen)
-            kernel = mined_by_leaf_path(monkeypatch, enc, c, False, collections.Counter())
-            assert layout[0] == kernel[0] == expected, (c, s)
-            assert layout[1] == kernel[1], (c, s)
-    assert seen["layout evaluations"] > 500
+            assert mined_against_the_kernel(monkeypatch, enc, c, seen) == expected, c
+    assert seen["interior evaluations"] > 500
+    assert seen["leaf evaluations"] > 500
     assert seen["fit window 0"] > 0
     assert seen["no cell in the prefix's rows"] > 0
+    assert seen["roots"] > 0 and seen["children"] > 0
     assert empty > 0
 
 
@@ -673,11 +714,12 @@ def test_an_empty_vocabulary_has_an_empty_leaf_layout(example_cdata):
     ctx = miner._Context(enc=enc, cfg=cfg_at(135.0, 3, 2), xi_abs=135.0)
     miner._build_vocabulary(ctx, miner.MiningStats())
     assert ctx.vocab == []
-    layout = ctx.leaf_layout
+    layout = ctx.layout
     assert layout.value.size == layout.cell.size == layout.entry.size == 0
     rows = np.arange(enc.n_sequences)
     scores = np.zeros((enc.n_sequences, enc.capacity))
-    matched, best = miner._summarize_leaves(ctx, rows, scores, np.zeros(0, dtype=np.intp))
+    matched, best, buffer = miner._extend(ctx, rows, scores, np.zeros(0, dtype=np.intp), False)
+    assert buffer is None
     assert matched.shape == best.shape == (0, enc.n_sequences)
     assert mine(enc, ctx.cfg)[0] == []
 

@@ -1,9 +1,10 @@
 """Utility measures, and the two upper bounds on the example dataset.
 
-The bounds are read from the code the miner prunes with: the kernel's
-matched rows, maximum utility and batched top-k masses (`miner._evaluate`,
-which sums `weighted_utilization` over the top-k rows of `encode_dataset`)
-and the strategy bound (`miner._bound`). Golden values come from the worked
+The bounds are read from the code the miner prunes with: matched rows and
+maximum utility from the dense kernel, which the miner's scorer equals bit
+for bit, the top-k masses (`miner._masses`, which sums
+`weighted_utilization` over the top-k rows of `encode_dataset`) and the
+strategy bound (`miner._bound`). Golden values come from the worked
 example; the derived ones (27 for <{C,E}>, 72 for the capped projected
 value of <{A}>, the {2,5} utility set) were computed with the brute-force
 oracle before being frozen here.

@@ -330,19 +330,36 @@ def _cmd_check(args) -> int:
         cfg = MiningConfig(xi=xi, max_length=k, max_size=z, xi_mode=mode)
         agree.append(_check_instance(dataset, table, cfg, args.seed, f"example xi={xi}"))
 
+    # random instances of four classes in turn, by (fractional utilities,
+    # threshold on a pattern's umax, relative threshold): the last two put
+    # it where the order of a sum can flip a pattern
+    classes = {"integer": (False, False, False), "fractional": (True, False, False),
+               "on a pattern's umax": (True, True, False), "on umax / total": (True, True, True)}
+    drawn = dict.fromkeys(classes, 0)
     rng = random.Random(args.seed)
     for i in range(args.instances):
+        kind = list(classes)[i % len(classes)]
+        fractional, on_pattern, relative = classes[kind]
+        drawn[kind] += 1
         params = oracle.GeneratorParams(
             seed=rng.randrange(2**31),
             num_sequences=rng.randint(1, 4),
             max_intervals_per_seq=rng.randint(1, 6),
             alphabet_size=rng.randint(1, 4),
+            fractional=fractional,
         )
         ds, tab = oracle.random_dataset(params)
-        xi_abs = rng.uniform(0.0, dataset_utility(transform_dataset(ds, tab)))
-        cfg = MiningConfig(xi=xi_abs, max_length=rng.randint(1, 3), max_size=rng.randint(1, 2))
-        agree.append(_check_instance(ds, tab, cfg, params.seed, f"random #{i}"))
+        cdata = transform_dataset(ds, tab)
+        total = dataset_utility(cdata)
+        k, z, xi = rng.randint(1, 3), rng.randint(1, 2), rng.uniform(0.0, total)
+        if on_pattern:
+            xi = rng.choice(oracle.brute_force_mine(cdata, MiningConfig(0.0, k, z))).umax
+        if relative:
+            xi = min(xi / total, 1.0) if total else 0.0
+        cfg = MiningConfig(xi, k, z, "relative" if relative else "absolute")
+        agree.append(_check_instance(ds, tab, cfg, params.seed, f"random #{i} ({kind})"))
 
+    print("check: running example 3, " + ", ".join(f"{c} {n}" for c, n in drawn.items()))
     if not all(agree):
         print(f"check: {agree.count(False)}/{len(agree)} instances disagreed", file=sys.stderr)
         return INTERNAL_ERROR

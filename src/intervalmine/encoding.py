@@ -5,8 +5,9 @@ words when the alphabet exceeds 64 labels), and sequences become padded
 rows of a 3-d mask array. The masks and durations are stored window-major
 (`by_window`): window j of sequence s is cell j * n + s. The per-sequence
 top-k eventset utility sums are precomputed with one row per budget k, so
-that the weighted utilization of many candidates is one contiguous gather
-and one row sum per budget. Each label keeps its covered cells
+that the weighted utilization of many candidates is one gather and one
+`np.bincount` per budget over their hits, the (candidate, sequence) pairs
+they matched. Each label keeps its covered cells
 (`label_cells`): the window-major ids of the windows that hold it, by
 sequence, then window. The miner prices its whole vocabulary from them
 and scores every prefix's candidates where they fit (see `miner`).
@@ -181,9 +182,11 @@ def _assemble(labels, table, lengths, durations, pair_window, label_start) -> En
 
     # budgets beyond a sequence's length take everything: its padding adds 0
     topk = np.zeros((cap + 1, n), dtype=np.float64)
-    ranked = np.sort(eventset_utility, axis=0)
-    np.cumsum(ranked[::-1], axis=0, out=topk[1:])
-    per_sequence = np.cumsum(eventset_utility, axis=0, out=ranked)[-1] if cap else np.zeros(n)
+    # a copy sorted sequence by sequence, each one contiguous block
+    ranked = eventset_utility.T.copy()
+    ranked.sort(axis=1)
+    np.cumsum(ranked.T[::-1], axis=0, out=topk[1:])
+    per_sequence = np.cumsum(eventset_utility, axis=0, out=ranked.T)[-1] if cap else np.zeros(n)
     total = float(np.cumsum(per_sequence)[-1]) if n else 0.0
     return EncodedDataset(
         labels=tuple(labels),
@@ -237,21 +240,19 @@ def summarize_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def weighted_utilization(
-    enc: EncodedDataset, rows: np.ndarray, matched: np.ndarray, budgets
+    enc: EncodedDataset, candidate: np.ndarray, sequence: np.ndarray, count: int, budgets
 ) -> np.ndarray:
-    """Top-k eventset mass summed over each candidate's matched sequences,
-    for each budget k: float64 [len(budgets), C].
-
-    `matched` holds one row of flags [C, n] per candidate over the
-    ascending sequence indices `rows`. Each candidate's row is reduced on
-    its own and left to right, as umax is, so its sums depend neither on
-    the other candidates of the batch nor on the unmatched sequences among
-    `rows`: adding 0.0 changes no sum. A budget of 0 or less sums nothing.
+    """Top-k eventset mass summed over each of `count` candidates'
+    sequences, for each budget k: float64 [len(budgets), count]. Hit i
+    pairs candidate `candidate[i]` with sequence `sequence[i]`, sorted by
+    (candidate, sequence). `np.bincount` adds each candidate's masses left
+    to right, as umax is added, so its sums depend neither on the other
+    candidates nor on the sequences it missed. A budget of 0 or less sums
+    nothing.
     """
-    out = np.zeros((len(budgets), len(matched)))
+    out = np.zeros((len(budgets), count))
     for total, k in zip(out, budgets):
-        if k > 0 and len(rows):
-            # a flag times a mass is the mass or 0; faster than np.where
-            mass = np.multiply(matched, enc.topk[min(k, enc.capacity)][rows])
-            total[:] = np.cumsum(mass, axis=1, out=mass)[:, -1]
+        if k > 0:
+            mass = enc.topk[min(k, enc.capacity)][sequence]
+            total[:] = np.bincount(candidate, weights=mass, minlength=count)
     return out

@@ -11,7 +11,7 @@ prefix rows over every (candidate, sequence, window) cell (the
 vertical-bitmap layout of SPAM, Ayres et al., KDD 2002).
 
 The miner does not call it: it scores each candidate only at the windows
-that fit it (`miner._extend`, `miner._scores`), and the tests check those
+that fit it (`miner._extend`, `miner._rows`), and the tests check those
 values against this kernel's bit for bit. Its output [C, n, cap] is a
 view of a C-contiguous [cap, C, n] buffer.
 """

@@ -19,20 +19,25 @@ Phase 2 grows patterns depth-first by appending whole vocabulary
 coincidences, starting from the empty prefix, whose children, the roots,
 phase 1 bounded. A prefix carries only the sequences it occurs in and its
 score rows on them, and a child tries only the coincidences that survived
-beside it (see `_grow`). Every entry's cells are laid out once per
-vocabulary in runs per sequence (`_Layout`), and every prefix, at every
-depth, scores its candidates from them (`_extend`): a gather, an add and a
-maximum per layout cell. A survivor that will be grown reads its score
-rows off its own cells on the sequences it matched (`_scores`), and a root
-is the empty prefix's case. Both give the dense kernel's values
-(`kernels.extend_scores`) bit for bit; the miner never calls it.
+beside it (see `_grow`). Every prefix, at every depth, scores its
+candidates from the vocabulary's own cells (`_extend`): a gather, an add
+and one maximum per run, whose result is sparse, one hit (candidate,
+sequence, best value) per run of a candidate that matched (SPADE's id-list
+join, Zaki 2001, carried to utilities as HUS-Span's utility chains do,
+Wang, Huang & Chen 2016). The survivors that will be grown read their score
+rows off the same evaluation's cell values, all in one batch (`_rows`),
+and a root reads its own off its cells (`_scores`). Both give the dense
+kernel's values (`kernels.extend_scores`) bit for bit; the miner never
+calls it.
 
 Every bound is one formula, `_bound`, over three numbers that come with a
 candidate's scores: its umax, its weighted bound `full` (the top-K
 eventset mass of the sequences it occurs in) and `rest` (their top-(K -
-length) mass). One `weighted_utilization` call sums both for a whole
-evaluation, and one test, `_survivors`, keeps the candidates that occurred
-and whose bound clears the threshold, at every level. The projected bound
+length) mass). Each is a `np.bincount` sum over the hits (`_masses`),
+with one `weighted_utilization` call for both masses of a whole
+evaluation, so neither phase keeps a dense [candidates, sequences] array.
+One test, `_survivors`, keeps the candidates that occurred and whose bound
+clears the threshold, at every level. The projected bound
 never exceeds the weighted one, and a prefix's bound covers every pattern
 grown from it. The strategy changes what gets pruned, never what gets
 emitted. A candidate is pruned only when its bound falls short of the
@@ -110,38 +115,18 @@ def resolve_threshold(cfg: MiningConfig, enc: EncodedDataset) -> float:
 PRUNE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """Every vocabulary entry's fit cells, laid out so that a prefix's
-    candidates are scored from them (`_extend`).
-
-    A run is one entry's cells in one sequence. The runs are sorted longest
-    first, and their cells stored rank by rank: layer k holds the k-th cell
-    of every run longer than k, which are the first runs in that order, so
-    each layer is one contiguous block that lines up with the layer before.
-    A cell holds its entry's utility mass times its window's duration, and
-    the window's id j * n + s in the window-major order of the encoding.
-    """
-
-    value: np.ndarray     # float64 [cells], putil * duration
-    cell: np.ndarray      # int32 [cells], window j of sequence s as j * n + s
-    layers: np.ndarray    # int64 [ranks + 1]; layer k is cells layers[k]:layers[k+1]
-    entry: np.ndarray     # int32 [runs], the vocabulary index of each run
-    sequence: np.ndarray  # int32 [runs], the sequence of each run
-
-
 @dataclass
 class _Context:
     """A mining run's inputs, its vocabulary as columns, so that a batch of
-    candidates is one index gather, and the layout growth scores from, when
-    patterns can be longer than one coincidence.
+    candidates is one index gather, and the columns growth scores from.
 
     Entry v of the vocabulary, in mining order, is the coincidence
     `vocab[v]`. Its runs, one per sequence it occurs in, ascending, are
     `vocab_runs[v]:vocab_runs[v + 1]` of `run_rows` (the sequence). Run i's
     cells, window-major ids of the windows that hold the entry's whole mask,
     are `cell_start[i]:cell_start[i + 1]` of `vocab_cells`: by entry, then
-    sequence, then window (`_entry_cells`).
+    sequence, then window (`_entry_cells`). Growth adds the columns and
+    buffer of `_layout`, when patterns can be longer than one coincidence.
     """
 
     enc: EncodedDataset
@@ -155,7 +140,10 @@ class _Context:
     run_rows: np.ndarray | None = None      # int64 [runs]
     cell_start: np.ndarray | None = None    # int64 [runs + 1]
     vocab_cells: np.ndarray | None = None   # int32 [cells]
-    layout: _Layout | None = None
+    run_entry: np.ndarray | None = None     # int32 [runs]
+    cell_run: np.ndarray | None = None      # int32 [cells]
+    cell_value: np.ndarray | None = None    # float64 [cells], putil * duration
+    before: np.ndarray | None = None        # float64 [cap * n], -inf between evaluations
 
 
 def _entry_cells(ctx: _Context, v: int):
@@ -174,117 +162,91 @@ def _entry_cells(ctx: _Context, v: int):
 BATCH_CELLS = 2**16
 
 
-def _masses(ctx: _Context, rows, matched, best, length: int):
-    """umax, full and rest [C] of candidates, from their matched flags and
-    best values [C, r] over the ascending sequences `rows`. `length` is the
-    extended pattern's length; `full` and `rest` are its top-K and top-(K -
-    length) eventset mass over the matched rows, one `weighted_utilization`
-    call for them all.
+def _masses(ctx: _Context, candidate, sequence, best, count: int, length: int):
+    """umax, full and rest [count] of candidates, from their hits: hit i is
+    candidate `candidate[i]`'s best value `best[i]` in sequence
+    `sequence[i]`, sorted by (candidate, sequence). `full` and `rest` are
+    the top-K and top-(K - length) eventset mass of each one's sequences,
+    one `weighted_utilization` call for them all.
 
-    umax adds the per-sequence values left to right, as the oracle does: a
-    pairwise sum (`ndarray.sum`) can land an ulp off and then flip a
-    pattern whose value is exactly the threshold.
+    `np.bincount` adds a candidate's values left to right, as the oracle
+    does: a pairwise sum (`ndarray.sum`) can land an ulp off and then flip
+    a pattern whose value is exactly the threshold.
     """
     # `none` never bounds, so it sums nothing: full and rest read 0
     k = 0 if ctx.cfg.strategy is UpperBound.NONE else ctx.cfg.max_length
-    umax = np.cumsum(best, axis=1)[:, -1] if best.shape[1] else np.zeros(len(best))
-    return umax, *weighted_utilization(ctx.enc, rows, matched, (k, k - length))
+    umax = np.bincount(candidate, weights=best, minlength=count)
+    return umax, *weighted_utilization(ctx.enc, candidate, sequence, count, (k, k - length))
 
 
-def _layout(ctx: _Context) -> _Layout:
-    """The layout of every vocabulary entry's fit cells (`_Layout`), read
-    from the vocabulary's runs: the k-th cell of run i sits at
-    `cell_start[i] + k` of `vocab_cells`."""
-    length = np.diff(ctx.cell_start)
-    entry = np.repeat(np.arange(len(ctx.vocab)), np.diff(ctx.vocab_runs))
-    # longest first; runs of one length may come in any order
-    order = np.argsort(-length)
-    head, entry = ctx.cell_start[:-1][order], entry[order]
-    longer = head.size - np.cumsum(np.bincount(length))[:-1]  # runs longer than k
-    layers = np.concatenate(([0], np.cumsum(longer)))
-    at, value = np.empty(layers[-1], dtype=np.int64), np.empty(layers[-1])
-    for k, count in enumerate(longer):
-        at[layers[k] : layers[k + 1]] = head[:count] + k
-        value[layers[k] : layers[k + 1]] = ctx.vocab_putils[entry[:count]]
-    cells = ctx.vocab_cells[at]
-    del at  # freed before the durations are gathered
-    value *= by_window(ctx.enc.durations).reshape(-1)[cells]
-    return _Layout(
-        value=value,
-        cell=cells,
-        layers=layers,
-        entry=entry.astype(np.int32),
-        sequence=ctx.run_rows[order].astype(np.int32),
-    )
+def _layout(ctx: _Context) -> None:
+    """Growth's columns of the vocabulary, each run's entry and each cell's
+    run and value, its entry's putil times its window's duration, and the
+    buffer `_extend` reads a prefix's scores from, all -inf."""
+    ctx.before = np.full(ctx.enc.capacity * ctx.enc.n_sequences, -np.inf)
+    runs = np.diff(ctx.cell_start)
+    ctx.run_entry = np.repeat(np.arange(len(ctx.vocab), dtype=np.int32), np.diff(ctx.vocab_runs))
+    ctx.cell_run = np.repeat(np.arange(runs.size, dtype=np.int32), runs)
+    ctx.cell_value = ctx.vocab_putils[ctx.run_entry[ctx.cell_run]]
+    ctx.cell_value *= by_window(ctx.enc.durations).reshape(-1)[ctx.vocab_cells]
 
 
-def _extend(ctx: _Context, rows, scores, candidates, grow: bool):
+def _extend(ctx: _Context, rows, scores, candidates):
     """The prefix with window-major score rows `scores` on the sequences
-    `rows` extended by each vocabulary entry `candidates`, scored from the
-    layout: matched flags and best values [C, r], and the buffer that
-    `_scores` reads a grown child's rows from, or None unless the children
-    will `grow`.
+    `rows` extended by each vocabulary entry `candidates`, ascending,
+    scored from the vocabulary's cells: its hits, (candidate position, run,
+    best value) of each run of a candidate that matched, sorted by
+    (candidate, sequence), and every cell's value, which `_rows` reads a
+    grown child's score rows from.
 
-    The prefix's score rows go one window later into a -inf buffer of
-    every cell, so that slot j * n + s holds the prefix's best score before
+    The prefix's score rows go one window later into the -inf buffer
+    `before`, so that slot j * n + s holds the prefix's best score before
     window j of sequence s: -inf at window 0, where no non-empty prefix has
-    matched, and outside `rows`. A layout cell's value is its putil *
-    duration plus its own slot, the kernel's product and sum. The maximum
-    over a run is the kernel's running maximum at its last window, so the
-    flags and values are `summarize_scores` of the kernel's rows bit for
-    bit.
+    matched, and outside `rows`. Once read, its rows are -inf again, so
+    neither step costs more than the prefix's rows. A cell's value is its
+    putil * duration plus its own slot, the kernel's product and sum. The
+    maximum over a run is the kernel's running maximum at its last window,
+    so the hits are `summarize_scores` of the kernel's rows bit for bit.
     """
-    layout, enc = ctx.layout, ctx.enc
-    n, cap = enc.n_sequences, enc.capacity
-    buffer = np.full(cap * n, -np.inf)
-    buffer.reshape(cap, n)[1:, rows] = by_window(scores)[:-1]
-    values = buffer.take(layout.cell)
-    if not grow:
-        buffer = None  # freed before the runs are mapped
-    values += layout.value
-    best = values[: layout.entry.size]  # layer 0: each run's first cell
-    for lo, hi in zip(layout.layers[1:-1], layout.layers[2:]):
-        np.maximum(best[: hi - lo], values[lo:hi], out=best[: hi - lo])
-    # each run of a candidate that matched lands in its [C, r] slot
-    column = np.full(len(ctx.vocab), -1)
-    column[candidates] = np.arange(len(candidates))
-    row = np.zeros(n, dtype=np.int64)
-    row[rows] = np.arange(rows.size)
-    c = column[layout.entry]
-    hit = np.flatnonzero((c >= 0) & (best > -np.inf))
-    slot = c[hit] * rows.size + row[layout.sequence[hit]]
-    matched = np.zeros((len(candidates), rows.size), dtype=bool)
-    out = np.zeros(matched.shape)
-    matched.reshape(-1)[slot], out.reshape(-1)[slot] = True, best[hit]
-    return matched, out, buffer
+    before = ctx.before.reshape(ctx.enc.capacity, ctx.enc.n_sequences)
+    before[1:, rows] = by_window(scores)[:-1]
+    values = ctx.before.take(ctx.vocab_cells)
+    before[1:, rows] = -np.inf
+    values += ctx.cell_value
+    best = np.full(ctx.run_entry.size, -np.inf)
+    np.maximum.at(best, ctx.cell_run, values)
+    # the runs that matched, then those of candidates; -1 marks an entry
+    # that is not a candidate, and it is never used as an index
+    position = np.full(len(ctx.vocab), -1, dtype=np.int32)
+    position[candidates] = np.arange(candidates.size, dtype=np.int32)
+    run = np.flatnonzero(best > -np.inf)
+    candidate = position[ctx.run_entry[run]]
+    hit = candidate >= 0
+    run = run[hit]
+    return candidate[hit], run, best[run], values
 
 
-def _scores(ctx: _Context, v: int, rows=None, before=None):
-    """(rows, window-major score rows) of a prefix extended by vocabulary
-    entry v, on the sequences `rows` it matched, read off v's cells there:
-    the prefix's best score before each cell, `before[cell]` (`_extend`'s
-    buffer), plus putil * duration, -inf elsewhere, then a running maximum.
-    These are the kernel's sum and maximum bit for bit. A root extends the
-    empty prefix (both None): it matches on every sequence v occurs in, and
-    its score before every window is 0.0, which changes no value.
-    """
-    own, column, cells = _entry_cells(ctx, v)
-    if rows is None:
-        rows = own
-    else:  # v's runs on the sequences the child matched
-        run = np.zeros(own.size, dtype=bool)
-        run[np.searchsorted(own, rows)] = True
-        fit = run[column]
-        column, cells = (np.cumsum(run) - 1)[column[fit]], cells[fit]
+def _rows(ctx: _Context, runs, values):
+    """Window-major score rows [cap, len(runs)] of the vocabulary's runs
+    `runs`: column i holds run runs[i]'s cell `values` at their windows,
+    -inf elsewhere, then a running maximum, the kernel's bit for bit."""
+    start = ctx.cell_start
+    length = start[runs + 1] - start[runs]
+    at = np.repeat(start[runs] - (np.cumsum(length) - length), length) + np.arange(length.sum())
     n, cap = ctx.enc.n_sequences, ctx.enc.capacity
-    value = ctx.vocab_putils[v] * by_window(ctx.enc.durations).reshape(-1)[cells]
-    if before is not None:
-        value += before[cells]
-    scores = np.full((cap, rows.size), -np.inf)
-    scores[cells // n, column] = value
+    scores = np.full((cap, runs.size), -np.inf)
+    scores[ctx.vocab_cells[at] // n, np.repeat(np.arange(runs.size), length)] = values[at]
     for j in range(1, cap):
         np.maximum(scores[j], scores[j - 1], out=scores[j])
-    return rows, by_window(scores)
+    return scores
+
+
+def _scores(ctx: _Context, v: int):
+    """(rows, window-major score rows) of the root vocabulary entry v, on
+    the sequences it occurs in, read off its cells: the empty prefix scores
+    0.0 before every window, which changes no value."""
+    runs = np.arange(ctx.vocab_runs[v], ctx.vocab_runs[v + 1])
+    return ctx.run_rows[runs], by_window(_rows(ctx, runs, ctx.cell_value))
 
 
 def _bound(ctx: _Context, umax, full, rest):
@@ -369,21 +331,21 @@ def _price(ctx: _Context, stats: MiningStats, putils, rows, entry, column, cells
     new[1:] = (entry[1:] != entry[:-1]) | (column[1:] != column[:-1])
     head = np.flatnonzero(new)
     longest = np.maximum.reduceat(by_window(ctx.enc.durations).reshape(-1)[cells], head)
-    at = entry[head], column[head]
-    matched = np.zeros((len(putils), rows.size), dtype=bool)
-    best = np.zeros(matched.shape)
-    matched[at], best[at] = True, putils[at[0]] * longest
-    umax, full, rest = _masses(ctx, rows, matched, best, 1)
+    # one hit per run, sorted by (candidate, sequence)
+    candidate, sequence = entry[head], rows[column[head]]
+    umax, full, rest = _masses(ctx, candidate, sequence, putils[candidate] * longest,
+                               len(putils), 1)
+    runs = np.bincount(candidate, minlength=len(putils))
     # a coincidence that can still gain labels has no match value to
     # project from, so only the weighted part holds
-    keep = _survivors(ctx, stats, matched.any(axis=1), math.inf, full, rest)
+    keep = _survivors(ctx, stats, runs > 0, math.inf, full, rest)
     alive = np.zeros(len(putils), dtype=bool)
     alive[keep] = True
-    run = alive[at[0]]
+    run = alive[candidate]
     return keep, (
         np.stack((umax, full, rest), axis=1)[keep],
-        np.bincount(at[0], minlength=len(putils))[keep],
-        rows[at[1][run]],
+        runs[keep],
+        sequence[run],
         np.diff(head, append=cells.size)[run],
         cells[alive[entry]],
     )
@@ -442,9 +404,6 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
         # only labels that survived alone can be part of a survivor
         if size == 1:
             bits = np.array(last, dtype=np.int64)
-    # built before growth, so that growth's arrays never overlap its build
-    if ctx.cfg.max_length > 1:
-        ctx.layout = _layout(ctx)
 
 
 def _grow(
@@ -476,9 +435,8 @@ def _grow(
         if len(prefix) < ctx.cfg.max_length:
             if scores is None:
                 rows, scores = _scores(ctx, index)
-            # the survivors are bound to no local here, so neither the
-            # scorer's buffer nor a finished sibling's survivors stay alive
-            # below
+            # the survivors are bound to no local here, so a finished
+            # sibling's survivors do not stay alive below
             _grow(ctx, prefix, _children(ctx, stats, rows, scores, inherited, len(prefix) + 1),
                   out, stats)
         prefix.pop()
@@ -487,18 +445,25 @@ def _grow(
 def _children(ctx: _Context, stats: MiningStats, rows, scores, candidates, length: int) -> list:
     """The survivors of a prefix with score rows `scores` on the sequences
     `rows` extended by each vocabulary entry `candidates` to `length`
-    coincidences, as `_grow` takes them: below the length cap, each with
-    its own rows and score rows, built before the scorer's buffer is
-    freed."""
+    coincidences, as `_grow` takes them. Below the length cap, each comes
+    with its rows, the sequences of its hits, and its score rows there: a
+    block of columns of one `[cap, R]` batch that `_rows` builds for all
+    of them from the evaluation's cell values."""
     stats.candidates_generated += candidates.size
-    grow = length < ctx.cfg.max_length
-    matched, best, before = _extend(ctx, rows, scores, candidates, grow)
-    umax, full, rest = _masses(ctx, rows, matched, best, length)
+    candidate, run, best, values = _extend(ctx, rows, scores, candidates)
+    umax, full, rest = _masses(ctx, candidate, ctx.run_rows[run], best, candidates.size, length)
+    hits = np.bincount(candidate, minlength=candidates.size)
+    keep = _survivors(ctx, stats, hits > 0, umax, full, rest)
+    if length == ctx.cfg.max_length:
+        return [(candidates[i], None, None, float(umax[i])) for i in keep]
+    grown = np.zeros(candidates.size, dtype=bool)
+    grown[keep] = True
+    run = run[grown[candidate]]
+    batch = _rows(ctx, run, values)
+    ends = np.cumsum(hits[keep]).tolist()
     return [
-        (candidates[i],
-         *(_scores(ctx, candidates[i], rows[matched[i]], before) if grow else (None, None)),
-         float(umax[i]))
-        for i in _survivors(ctx, stats, matched.any(axis=1), umax, full, rest)
+        (candidates[i], ctx.run_rows[run[lo:hi]], by_window(batch[:, lo:hi]), float(umax[i]))
+        for i, lo, hi in zip(keep, [0, *ends], ends)
     ]
 
 
@@ -509,7 +474,11 @@ def _mine_root(ctx: _Context, out: list[Pattern], stats: MiningStats) -> None:
     phase 1. The roots whose own bound clears the threshold are grown like
     any other child, and each inherits only them. Phase 1 keeps no score
     rows: a root's are read off its cells when it is grown (`_scores`).
+    Growth's columns are built first (`_layout`), once the vocabulary's
+    temporaries are gone.
     """
+    if ctx.cfg.max_length > 1:
+        _layout(ctx)
     umax, full, rest = ctx.vocab_bounds
     roots = _survivors(ctx, stats, np.ones(umax.size, dtype=bool), umax, full, rest)
     _grow(ctx, [], [(i, None, None, float(umax[i])) for i in roots], out, stats)

@@ -66,6 +66,7 @@ class GeneratorParams:
     max_time: int = 20
     max_duration: int = 5
     max_external_utility: int = 5
+    fractional: bool = False  # utilities in multiples of 0.1, not whole numbers
 
     def __post_init__(self) -> None:
         for name in (
@@ -201,5 +202,8 @@ def random_dataset(p: GeneratorParams) -> tuple[ESequenceDataset, UtilityTable]:
             chosen.add((label, begin, finish))
         intervals = tuple(EventInterval(*t) for t in sorted(chosen))
         sequences.append(ESequence(id=sid, intervals=intervals))
-    table = UtilityTable({lab: float(rng.randint(0, p.max_external_utility)) for lab in labels})
+    scale = 10 if p.fractional else 1
+    table = UtilityTable(
+        {lab: rng.randint(0, p.max_external_utility * scale) / scale for lab in labels}
+    )
     return ESequenceDataset(tuple(sequences)), table

@@ -87,7 +87,8 @@ def evaluate(ctx, l):
     it: its score rows and matched flags over every sequence (unmatched
     sequences score -inf), its umax, and the inputs of `miner._bound` at
     the context's K, `full` (top-K eventset mass) and `rest` (top-(K - |l|)
-    mass), summed by the miner's own `_masses`."""
+    mass), summed by the miner's own `_masses` from the kernel's flags and
+    values turned into hits."""
     enc = ctx.enc
     rows, scores, base = np.arange(enc.n_sequences), empty_prefix_scores(enc), 0.0
     for length, coin in enumerate(l.coincidences, start=1):
@@ -96,7 +97,10 @@ def evaluate(ctx, l):
             enc.masks[rows], enc.durations[rows], enc.lengths[rows], scores, base, mask, putil
         )
         matched, best = summarize_scores(batch)
-        umax, full, rest = miner._masses(ctx, rows, matched, best, length)
+        candidate, position = np.nonzero(matched)  # sorted by (candidate, sequence)
+        umax, full, rest = miner._masses(
+            ctx, candidate, rows[position], best[matched], len(matched), length
+        )
         rows, scores, base = rows[matched[0]], batch[0][matched[0]], float("-inf")
     umax, full, rest = (float(x[0]) for x in (umax, full, rest))
     every = np.full((enc.n_sequences, enc.capacity), -np.inf)
@@ -109,8 +113,9 @@ def evaluate(ctx, l):
 def weighted(enc, matched, *budgets):
     """Top-k eventset mass of the sequences flagged in `matched`, one value
     per budget k, from the batched sum the miner prunes with."""
-    rows = np.arange(enc.n_sequences)
-    return weighted_utilization(enc, rows, matched[None], budgets)[:, 0].tolist()
+    sequence = np.flatnonzero(matched)
+    candidate = np.zeros(sequence.size, dtype=np.intp)
+    return weighted_utilization(enc, candidate, sequence, 1, budgets)[:, 0].tolist()
 
 
 def vocabulary(d, cfg, xi_abs):

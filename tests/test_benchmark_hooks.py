@@ -32,20 +32,20 @@ def test_traced_cli_run_counts_each_layer(tmp_path, monkeypatch):
     benchmark reports come out of the hooked functions, so a hook whose
     signature drifted shows up here as a wrong count."""
     tracing = load_tracing()
-    # the tracer hooks neither the growth scorer nor the vocabulary's
+    # the tracer hooks neither growth's evaluations nor the vocabulary's
     # pricing, so their evaluations and chunks are counted here
     evaluations, price_chunks = [], []
-    extend, price = miner._extend, miner._price
+    children, price = miner._children, miner._price
 
-    def counted(ctx, rows, scores, candidates, grow):
-        evaluations.append((len(candidates), grow))
-        return extend(ctx, rows, scores, candidates, grow)
+    def counted(ctx, stats, rows, scores, candidates, length):
+        evaluations.append((len(candidates), length < ctx.cfg.max_length))
+        return children(ctx, stats, rows, scores, candidates, length)
 
     def counted_price(*args):
         price_chunks.append(len(args[2]))
         return price(*args)
 
-    monkeypatch.setattr(miner, "_extend", counted)
+    monkeypatch.setattr(miner, "_children", counted)
     monkeypatch.setattr(miner, "_price", counted_price)
     data, utilities = tmp_path / "events.tsv", tmp_path / "utilities.tsv"
     data.write_text(EXAMPLE_DATA)

@@ -1,6 +1,9 @@
 """End-to-end command line behavior and exit codes."""
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -422,7 +425,25 @@ def test_check_small_run(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--seed", "3", "--instances", "4")
     assert code == 0
     assert "7 instances agree with brute force" in out
+    assert (
+        "running example 3, integer 1, fractional 1, on a pattern's umax 1, on umax / total 1"
+        in out
+    )
     assert len(calls) == 7
+
+
+def test_python_dash_m_runs_the_command_line():
+    """`python -m intervalmine` is the `intervalmine` command."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run(
+        [sys.executable, "-m", "intervalmine", "check", "--instances", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "4 instances agree with brute force" in done.stdout
 
 
 # --- docs -----------------------------------------------------------------------

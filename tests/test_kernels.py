@@ -64,7 +64,8 @@ def test_weighted_utilization_equals_lwu(example_cdata):
     )
     matched, best = summarize_scores(scores)
     budgets = range(1, 5)
-    masses = weighted_utilization(enc, np.arange(enc.n_sequences), matched, budgets)
+    candidate, sequence = np.nonzero(matched)  # the hits
+    masses = weighted_utilization(enc, candidate, sequence, len(candidates), budgets)
     for i, labels in enumerate(candidates):
         l = LSequence.of(labels)
         expected = [best_match_utility(l, c, table) for c in example_cdata.csequences]
@@ -169,19 +170,37 @@ def test_empty_dataset_encoding():
 
 def test_kernel_inputs_and_score_rows_are_window_major(monkeypatch, example_dataset, example_table):
     """Both encoders store masks and durations window by window, and every
-    score-row array growth hands on to a child, under every strategy, is a
-    window-major view of a C-contiguous buffer: each window of every
-    sequence is one block of memory. Growth never calls the dense kernel."""
-    handed = []
-    build = miner._scores
+    score-row array growth hands on to a child, under every strategy, a
+    root's and each grown child's, is a window-major view of a C-contiguous
+    `[cap, R]` buffer: each window of the child's sequences is one block of
+    memory. Growth never calls the dense kernel."""
+    handed, grown_children = [], []
+    build, children = miner._scores, miner._children
 
-    def checked(ctx, *args):
-        rows, scores = build(ctx, *args)
-        shape = (rows.size, ctx.enc.capacity)
-        handed.append(scores.shape == shape and by_window(scores).flags.c_contiguous)
+    def window_major(ctx, rows, scores):
+        windows = by_window(scores)
+        handed.append(
+            scores.shape == (rows.size, ctx.enc.capacity)
+            and windows.strides[1] == windows.itemsize
+            and windows.base.flags.c_contiguous
+            and windows.base.shape[0] == ctx.enc.capacity
+        )
+
+    def checked(ctx, v):
+        rows, scores = build(ctx, v)
+        window_major(ctx, rows, scores)
         return rows, scores
 
+    def checked_children(ctx, *args):
+        grown = children(ctx, *args)
+        for _, rows, scores, _ in grown:
+            if scores is not None:
+                window_major(ctx, rows, scores)
+                grown_children.append(rows.size)
+        return grown
+
     monkeypatch.setattr(miner, "_scores", checked)
+    monkeypatch.setattr(miner, "_children", checked_children)
     monkeypatch.setattr(miner, "extend_scores", None)
     rng = random.Random(15)
     instances = [(example_dataset, example_table), wide_intervals(3, 100)] + [
@@ -206,6 +225,7 @@ def test_kernel_inputs_and_score_rows_are_window_major(monkeypatch, example_data
             mine(enc, cfg.with_strategy(strategy))
             assert handed, (strategy, es.sequences[0].id)
             assert all(handed), (strategy, handed)
+    assert grown_children
 
 
 # --- the batched kernel against one candidate at a time ------------------------

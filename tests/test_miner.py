@@ -313,10 +313,9 @@ def test_a_root_its_bound_prunes_is_counted(monkeypatch):
         # the masks of the coincidences the growth phase appends
         masks = appended[strategy] = set()
 
-        def recording(ctx, rows, scores, candidates, *grow, masks=masks,
-                      extend=miner._extend):
+        def recording(ctx, rows, scores, candidates, masks=masks, extend=miner._extend):
             masks.update(int(words[0]) for words in ctx.vocab_masks[candidates])
-            return extend(ctx, rows, scores, candidates, *grow)
+            return extend(ctx, rows, scores, candidates)
 
         with monkeypatch.context() as m:
             m.setattr(miner, "_extend", recording)
@@ -613,73 +612,88 @@ def kernel_evaluation(ctx, rows, scores, candidates):
 def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
     """The pattern set of mining `enc`, with every growth evaluation and
     every row builder checked against the dense kernel on the same prefix
-    rows, bit for bit: an evaluation's matched flags, best values, umax,
-    full and rest (`_masses` of the kernel's flags and values), and each
-    grown child's rows and score rows. A root's are checked against the
-    kernel from the empty prefix on every sequence. `seen` counts the
-    evaluations below and at the length cap, their candidates that fit a
-    window 0 of the prefix's sequences and those with no cell in them, and
-    the rows built."""
-    extend, build, masses = miner._extend, miner._scores, miner._masses
-    pending = {"evaluation": None, "children": []}
+    rows, bit for bit: an evaluation's hits, sorted by (candidate,
+    sequence), its umax, full and rest (`_masses` of the kernel's flags and
+    values turned into hits), its survivors, and each grown child's rows
+    and score rows. A root's are checked against the kernel from the empty
+    prefix on every sequence. After each evaluation the scorer's buffer is
+    -inf again. `seen` counts the evaluations below and at the length cap,
+    their candidates that fit a window 0 of the prefix's sequences and
+    those with no cell in them, and the rows built."""
+    extend, build, masses, children = miner._extend, miner._scores, miner._masses, miner._children
+    pending = {"evaluation": None}
 
-    def checked_extend(ctx, rows, scores, candidates, grow):
-        assert not pending["children"]  # every survivor was built first
-        matched, best, buffer = extend(ctx, rows, scores, candidates, grow)
-        batch, kernel_matched, kernel_best = kernel_evaluation(ctx, rows, scores, candidates)
-        assert matched.tobytes() == kernel_matched.tobytes()
-        assert best.tobytes() == kernel_best.tobytes()
-        pending["evaluation"] = rows, candidates, batch, kernel_matched, kernel_best, grow
+    def checked_children(ctx, stats, rows, scores, candidates, length):
+        batch, matched, best = kernel_evaluation(ctx, rows, scores, candidates)
+        candidate, position = np.nonzero(matched)
+        hits = candidate, rows[position], best[matched]
+        pending["evaluation"] = hits
+        grown = children(ctx, stats, rows, scores, candidates, length)
+        assert pending["evaluation"] is None  # its masses were checked
+        expected = masses(ctx, *hits, len(candidates), length)
+        keep = miner._survivors(ctx, miner.MiningStats(), matched.any(axis=1), *expected)
+        assert [child[0] for child in grown] == candidates[keep].tolist()
+        grow = length < ctx.cfg.max_length
         seen["interior evaluations" if grow else "leaf evaluations"] += 1
+        for (v, got_rows, got, umax), i in zip(grown, keep):
+            assert umax.hex() == float(expected[0][i]).hex(), v
+            if grow:
+                assert got_rows.tobytes() == rows[matched[i]].tobytes(), v
+                want = batch[i][matched[i]]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), v
+                seen["children"] += 1
+            else:
+                assert got_rows is None and got is None
+        return grown
+
+    def checked_extend(ctx, rows, scores, candidates):
+        candidate, run, best, values = extend(ctx, rows, scores, candidates)
+        assert np.isneginf(ctx.before).all()
+        want_candidate, want_sequence, want_best = pending["evaluation"]
+        sequence = ctx.run_rows[run]
+        key = candidate.astype(np.int64) * ctx.enc.n_sequences + sequence
+        assert (np.diff(key) > 0).all()  # sorted by (candidate, sequence)
+        assert candidate.tolist() == want_candidate.tolist()
+        assert sequence.tolist() == want_sequence.tolist()
+        assert best.tobytes() == want_best.tobytes()
         n = ctx.enc.n_sequences
         for v in candidates.tolist():
             own, column, cells = miner._entry_cells(ctx, v)
             on_rows = np.isin(own, rows)
             seen["fit window 0"] += bool((on_rows[column] & (cells < n)).any())
             seen["no cell in the prefix's rows"] += not on_rows.any()
-        return matched, best, buffer
+        return candidate, run, best, values
 
-    def checked_masses(ctx, rows, matched, best, length):
-        values = masses(ctx, rows, matched, best, length)
+    def checked_masses(ctx, candidate, sequence, best, count, length):
+        values = masses(ctx, candidate, sequence, best, count, length)
         if pending["evaluation"] is not None:  # a growth evaluation's
-            rows, candidates, batch, matched, best, grow = pending["evaluation"]
+            expected = masses(ctx, *pending["evaluation"], count, length)
             pending["evaluation"] = None
-            expected = masses(ctx, rows, matched, best, length)
             assert [float(x).hex() for x in np.concatenate(values)] == [
                 float(x).hex() for x in np.concatenate(expected)
             ]
-            if grow:
-                keep = miner._survivors(ctx, miner.MiningStats(), matched.any(axis=1), *expected)
-                pending["children"] = [
-                    (candidates[i], rows[matched[i]], batch[i][matched[i]]) for i in keep
-                ]
         return values
 
-    def checked_scores(ctx, v, rows=None, before=None):
-        got_rows, got = build(ctx, v, rows, before)
-        if rows is None:  # a root, from the empty prefix
-            enc = ctx.enc
-            (batch,) = extend_scores(
-                enc.masks, enc.durations, enc.lengths, empty_prefix_scores(enc), 0.0,
-                ctx.vocab_masks[v : v + 1], ctx.vocab_putils[v : v + 1],
-            )
-            matched = summarize_scores(batch)[0]
-            expected = (v, np.flatnonzero(matched), batch[matched])
-            seen["roots"] += 1
-        else:
-            expected = pending["children"].pop(0)
-            seen["children"] += 1
-        assert got_rows.tobytes() == expected[1].tobytes(), (v, expected[0])
-        assert got.shape == expected[2].shape and got.tobytes() == expected[2].tobytes(), v
+    def checked_scores(ctx, v):
+        got_rows, got = build(ctx, v)
+        enc = ctx.enc
+        (batch,) = extend_scores(
+            enc.masks, enc.durations, enc.lengths, empty_prefix_scores(enc), 0.0,
+            ctx.vocab_masks[v : v + 1], ctx.vocab_putils[v : v + 1],
+        )
+        matched = summarize_scores(batch)[0]
+        seen["roots"] += 1
+        assert got_rows.tobytes() == np.flatnonzero(matched).tobytes(), v
+        assert got.shape == batch[matched].shape and got.tobytes() == batch[matched].tobytes(), v
         return got_rows, got
 
     with monkeypatch.context() as m:
+        m.setattr(miner, "_children", checked_children)
         m.setattr(miner, "_extend", checked_extend)
         m.setattr(miner, "_masses", checked_masses)
         m.setattr(miner, "_scores", checked_scores)
         m.setattr(miner, "extend_scores", None)
         patterns, _ = mine(enc, cfg)
-    assert not pending["children"]
     return pattern_set(patterns)
 
 
@@ -708,19 +722,21 @@ def test_every_growth_evaluation_scores_as_the_kernel_scores_it(monkeypatch):
 
 
 def test_an_empty_vocabulary_has_an_empty_leaf_layout(example_cdata):
-    """Above the total utility no coincidence survives: the layout holds no
-    cell and no run, and scores no candidates on any rows."""
+    """Above the total utility no coincidence survives: growth's columns
+    hold no cell and no run, and an evaluation of no candidates on any rows
+    has no hits and leaves its buffer -inf."""
     enc = encode_dataset(example_cdata)
     ctx = miner._Context(enc=enc, cfg=cfg_at(135.0, 3, 2), xi_abs=135.0)
     miner._build_vocabulary(ctx, miner.MiningStats())
     assert ctx.vocab == []
-    layout = ctx.layout
-    assert layout.value.size == layout.cell.size == layout.entry.size == 0
+    miner._layout(ctx)
+    assert ctx.cell_value.size == ctx.cell_run.size == ctx.run_entry.size == 0
     rows = np.arange(enc.n_sequences)
     scores = np.zeros((enc.n_sequences, enc.capacity))
-    matched, best, buffer = miner._extend(ctx, rows, scores, np.zeros(0, dtype=np.intp), False)
-    assert buffer is None
-    assert matched.shape == best.shape == (0, enc.n_sequences)
+    candidate, run, best, values = miner._extend(ctx, rows, scores, np.zeros(0, dtype=np.intp))
+    assert candidate.size == run.size == best.size == values.size == 0
+    assert np.isneginf(ctx.before).all()
+    assert miner._masses(ctx, candidate, run, best, 0, 2)[0].shape == (0,)
     assert mine(enc, ctx.cfg)[0] == []
 
 

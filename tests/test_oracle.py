@@ -2,6 +2,7 @@
 import io
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -163,6 +164,17 @@ def test_generator_respects_bounds():
             assert 1 <= e.finish - e.begin <= 2
     for v in table.entries.values():
         assert 0.0 <= v <= 3.0
+
+
+def test_generator_draws_fractional_utilities_in_tenths():
+    """With `fractional`, every utility is a multiple of 0.1 up to the
+    maximum, and the intervals are those of the integer draw."""
+    p = GeneratorParams(seed=4, alphabet_size=8, max_external_utility=2, fractional=True)
+    es, table = random_dataset(p)
+    assert es == random_dataset(replace(p, fractional=False))[0]
+    tenths = {v: round(v * 10) for v in table.entries.values()}
+    assert all(v == k / 10 and 0 <= k <= 20 for v, k in tenths.items())
+    assert any(k % 10 for k in tenths.values())
 
 
 def test_oracle_equals_miner_on_one_fixed_instance():

@@ -90,18 +90,22 @@ def test_max_k_utility(example_cdata, cs):
 
 
 def test_batched_masses_sum_each_candidate_on_its_own(example_cdata):
-    """One call sums every candidate of a batch over its own matched rows,
-    at every budget, whatever else shares the batch."""
+    """One call sums every candidate of a batch over its own hits, at every
+    budget, whatever else shares the batch; a candidate without hits sums
+    to 0."""
     enc = encode_dataset(example_cdata)
     rows = np.array([1, 2, 3])  # sequences 2-4
     matched = np.array([[True, False, True], [False, False, False], [True, True, True]])
-    got = weighted_utilization(enc, rows, matched, (1, 3))
+    candidate, position = np.nonzero(matched)
+    got = weighted_utilization(enc, candidate, rows[position], 3, (1, 3))
     assert got.shape == (2, 3)
     for i, flags in enumerate(matched):
         assert got[:, i].tolist() == [
             sum(enc.topk[k, r] for r in rows[flags]) for k in (1, 3)
         ]
-        alone = weighted_utilization(enc, rows, matched[i : i + 1], (1, 3))
+        alone = weighted_utilization(
+            enc, np.zeros(flags.sum(), dtype=np.intp), rows[flags], 1, (1, 3)
+        )
         assert alone[:, 0].tolist() == got[:, i].tolist()
 
 

@@ -12,14 +12,16 @@ weighted bound sums over that set, so every superset of a dropped label
 fails both tests too (the Apriori property). A candidate's cells, the
 windows that hold its whole mask, are a label's own cells from the encoder
 or its parent's cells that hold the new label, and its best match in a
-sequence is read from them (`_price`). The vocabulary is kept as columns:
-no entry keeps score rows.
+sequence is read from them (`_price`). The vocabulary is one cell list per
+entry, with its mass and bound inputs: a cell id `j * n + s` names its
+sequence s, so no entry keeps masks, sequence columns or score rows.
 
 Phase 2 grows patterns depth-first by appending whole vocabulary
 coincidences, starting from the empty prefix, whose children, the roots,
 phase 1 bounded. A prefix carries only the sequences it occurs in and its
 score rows on them, and a child tries only the coincidences that survived
-beside it (see `_grow`). Every prefix, at every depth, scores its
+beside it (see `_grow`). Growth first splits each entry's cells into runs,
+one per sequence, once (`_layout`). Every prefix, at every depth, scores its
 candidates from the vocabulary's own cells (`_extend`): a gather, an add
 and one maximum per run, whose result is sparse, one hit (candidate,
 sequence, best value) per run of a candidate that matched (SPADE's id-list
@@ -117,49 +119,50 @@ PRUNE_SLACK = 1e-9
 
 @dataclass
 class _Context:
-    """A mining run's inputs, its vocabulary as columns, so that a batch of
-    candidates is one index gather, and the columns growth scores from.
+    """A mining run's inputs, its vocabulary as one cell list per entry, and
+    the columns growth scores from.
 
     Entry v of the vocabulary, in mining order, is the coincidence
-    `vocab[v]`. Its runs, one per sequence it occurs in, ascending, are
-    `vocab_runs[v]:vocab_runs[v + 1]` of `run_rows` (the sequence). Run i's
-    cells, window-major ids of the windows that hold the entry's whole mask,
-    are `cell_start[i]:cell_start[i + 1]` of `vocab_cells`: by entry, then
-    sequence, then window (`_entry_cells`). Growth adds the columns and
-    buffer of `_layout`, when patterns can be longer than one coincidence.
+    `vocab[v]`. Its cells, the window-major ids `j * n + s` of the windows
+    that hold its whole mask, by sequence, then window, are
+    `entry_start[v]:entry_start[v + 1]` of `vocab_cells`: a cell's sequence
+    is cell % n, so no column names it. When patterns can be longer than
+    one coincidence, growth derives the entry's runs, one per sequence it
+    occurs in, ascending, with the other columns and the buffer it scores
+    from (`_layout`): entry v's runs are `vocab_runs[v]:vocab_runs[v + 1]`,
+    and run i holds the cells `cell_start[i]:cell_start[i + 1]` of sequence
+    `run_rows[i]`.
     """
 
     enc: EncodedDataset
     cfg: MiningConfig
     xi_abs: float
     vocab: list[Coincidence] = field(default_factory=list)
-    vocab_masks: np.ndarray | None = None   # uint64 [V, words]
     vocab_putils: np.ndarray | None = None  # float64 [V]
     vocab_bounds: np.ndarray | None = None  # float64 [3, V]: umax, full and rest
+    entry_start: np.ndarray | None = None   # int64 [V + 1]
+    vocab_cells: np.ndarray | None = None   # int32 [cells]
     vocab_runs: np.ndarray | None = None    # int64 [V + 1]
     run_rows: np.ndarray | None = None      # int64 [runs]
     cell_start: np.ndarray | None = None    # int64 [runs + 1]
-    vocab_cells: np.ndarray | None = None   # int32 [cells]
     run_entry: np.ndarray | None = None     # int32 [runs]
     cell_run: np.ndarray | None = None      # int32 [cells]
     cell_value: np.ndarray | None = None    # float64 [cells], putil * duration
     before: np.ndarray | None = None        # float64 [cap * n], -inf between evaluations
 
 
-def _entry_cells(ctx: _Context, v: int):
-    """(rows, column, cells) of vocabulary entry v: the sequences it occurs
-    in, ascending, and its cells, each with the position in `rows` of its
-    sequence."""
-    runs = slice(ctx.vocab_runs[v], ctx.vocab_runs[v + 1])
-    start = ctx.cell_start[runs.start : runs.stop + 1]
-    column = np.repeat(np.arange(runs.stop - runs.start), np.diff(start))
-    return ctx.run_rows[runs], column, ctx.vocab_cells[start[0] : start[-1]]
-
-
-# Largest count of cells, or of (candidate, sequence) slots, that one chunk
-# of vocabulary candidates tests: its float64 temporaries stay at 0.5 MB
-# each. A candidate with more cells than that is priced alone.
+# Largest count of cells that one chunk of vocabulary candidates tests: its
+# float64 temporaries stay at 0.5 MB each. A candidate with more cells than
+# that is priced alone.
 BATCH_CELLS = 2**16
+
+
+def _heads(entry, sequence):
+    """Positions of the cells that start a run: where a cell's `entry` or
+    its `sequence` differs from the previous cell's."""
+    new = np.ones(entry.size, dtype=bool)
+    new[1:] = (entry[1:] != entry[:-1]) | (sequence[1:] != sequence[:-1])
+    return np.flatnonzero(new)
 
 
 def _masses(ctx: _Context, candidate, sequence, best, count: int, length: int):
@@ -180,15 +183,24 @@ def _masses(ctx: _Context, candidate, sequence, best, count: int, length: int):
 
 
 def _layout(ctx: _Context) -> None:
-    """Growth's columns of the vocabulary, each run's entry and each cell's
+    """Growth's columns of the vocabulary: its runs, the cells of one entry
+    in one sequence, with each run's sequence, entry and cells, each cell's
     run and value, its entry's putil times its window's duration, and the
     buffer `_extend` reads a prefix's scores from, all -inf."""
-    ctx.before = np.full(ctx.enc.capacity * ctx.enc.n_sequences, -np.inf)
-    runs = np.diff(ctx.cell_start)
-    ctx.run_entry = np.repeat(np.arange(len(ctx.vocab), dtype=np.int32), np.diff(ctx.vocab_runs))
-    ctx.cell_run = np.repeat(np.arange(runs.size, dtype=np.int32), runs)
-    ctx.cell_value = ctx.vocab_putils[ctx.run_entry[ctx.cell_run]]
+    n = ctx.enc.n_sequences
+    ctx.before = np.full(ctx.enc.capacity * n, -np.inf)
+    counts = np.diff(ctx.entry_start)
+    ctx.cell_value = np.repeat(ctx.vocab_putils, counts)
     ctx.cell_value *= by_window(ctx.enc.durations).reshape(-1)[ctx.vocab_cells]
+    entry = np.repeat(np.arange(len(ctx.vocab), dtype=np.int32), counts)
+    sequence = ctx.vocab_cells % n
+    head = _heads(entry, sequence)
+    ctx.run_rows = sequence[head].astype(np.int64)
+    ctx.run_entry = entry[head]
+    # an entry's first cell starts its first run
+    ctx.vocab_runs = np.searchsorted(head, ctx.entry_start)
+    ctx.cell_start = np.append(head, ctx.vocab_cells.size)
+    ctx.cell_run = np.repeat(np.arange(head.size, dtype=np.int32), np.diff(ctx.cell_start))
 
 
 def _extend(ctx: _Context, rows, scores, candidates):
@@ -291,64 +303,54 @@ def _chunks(costs):
 
 
 def _candidate_cells(ctx: _Context, parent: int, joins):
-    """(lo, hi, rows, entry, column, cells) for `_price`, per chunk lo:hi
-    of the labels `joins` added to the vocabulary entry `parent`, or to the
-    empty coincidence, -1.
+    """(lo, hi, entry, cells) for `_price`, per chunk lo:hi of the labels
+    `joins` added to the vocabulary entry `parent`, or to the empty
+    coincidence, -1.
 
     A label's cells are its label cells, on every sequence. A join's cells
     are its parent's cells whose window also holds the new label, one bit
     test on that label's mask word, since a larger label set fits no window
     the smaller one misses (SPADE's id-list join, Zaki 2001). A chunk tests
-    at most `BATCH_CELLS` cells and spans as many (candidate, row) slots.
+    at most `BATCH_CELLS` cells.
     """
     enc = ctx.enc
     if parent < 0:
-        n, start = enc.n_sequences, enc.label_cell_start
-        for lo, hi in _chunks(np.maximum(np.diff(start), n)):
-            cells = enc.label_cells[start[lo] : start[hi]]
+        start = enc.label_cell_start
+        for lo, hi in _chunks(np.diff(start)):
             entry = np.repeat(np.arange(hi - lo), np.diff(start[lo : hi + 1]))
-            yield lo, hi, np.arange(n), entry, cells % n, cells
+            yield lo, hi, entry, enc.label_cells[start[lo] : start[hi]]
         return
-    rows, column, cells = _entry_cells(ctx, parent)
+    cells = ctx.vocab_cells[ctx.entry_start[parent] : ctx.entry_start[parent + 1]]
     held = by_window(enc.masks).reshape(-1, enc.words)[cells].T  # [words, cells]
     bit = np.left_shift(np.uint64(1), (joins & 63).astype(np.uint64))
     for lo, hi in _chunks(np.full(joins.size, cells.size)):
         entry, k = np.nonzero(held[joins[lo:hi] >> 6] & bit[lo:hi, None])
-        yield lo, hi, rows, entry, column[k], cells[k]
+        yield lo, hi, entry, cells[k]
 
 
-def _price(ctx: _Context, stats: MiningStats, putils, rows, entry, column, cells):
+def _price(ctx: _Context, stats: MiningStats, putils, entry, cells):
     """The survivors of a chunk of vocabulary candidates, priced from their
     cells: candidate i fits `cells[entry == i]`, by sequence, then window,
-    in the sequences `rows[column]`. Its best match in a sequence is its
+    and a cell's sequence is cell % n. Its best match in a sequence is its
     mass `putils[i]` times its longest window there, the kernel's running
     maximum from the empty prefix bit for bit, as rounding is monotone for
     a nonnegative mass. Returns the survivors' positions and their columns:
-    umax, full and rest [k, 3], runs each, and the runs' rows, lengths and
-    cells.
+    umax, full and rest [k, 3], cell counts and cells.
     """
-    new = np.ones(cells.size, dtype=bool)
-    new[1:] = (entry[1:] != entry[:-1]) | (column[1:] != column[:-1])
-    head = np.flatnonzero(new)
+    sequence = cells % ctx.enc.n_sequences
+    head = _heads(entry, sequence)
     longest = np.maximum.reduceat(by_window(ctx.enc.durations).reshape(-1)[cells], head)
     # one hit per run, sorted by (candidate, sequence)
-    candidate, sequence = entry[head], rows[column[head]]
-    umax, full, rest = _masses(ctx, candidate, sequence, putils[candidate] * longest,
+    candidate = entry[head]
+    umax, full, rest = _masses(ctx, candidate, sequence[head], putils[candidate] * longest,
                                len(putils), 1)
-    runs = np.bincount(candidate, minlength=len(putils))
+    counts = np.bincount(entry, minlength=len(putils))
     # a coincidence that can still gain labels has no match value to
     # project from, so only the weighted part holds
-    keep = _survivors(ctx, stats, runs > 0, math.inf, full, rest)
+    keep = _survivors(ctx, stats, counts > 0, math.inf, full, rest)
     alive = np.zeros(len(putils), dtype=bool)
     alive[keep] = True
-    run = alive[candidate]
-    return keep, (
-        np.stack((umax, full, rest), axis=1)[keep],
-        runs[keep],
-        sequence[run],
-        np.diff(head, append=cells.size)[run],
-        cells[alive[entry]],
-    )
+    return keep, (np.stack((umax, full, rest), axis=1)[keep], counts[keep], cells[alive[entry]])
 
 
 def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
@@ -362,14 +364,11 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
     ends for every strategy and are dropped too.
     """
     enc = ctx.enc
-    # the mask of each label alone; a label's bit is its index in enc.labels
+    # a label's bit is its index in enc.labels
     bits = np.arange(len(enc.labels))
-    label_masks = np.zeros((bits.size, enc.words), dtype=np.uint64)
-    label_masks[bits, bits >> 6] = np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64))
-    # the columns so far, then the chunks priced since: masks, putils,
-    # bounds, runs per entry, run rows, run lengths and cells
-    empty = np.zeros(0, dtype=np.int64)
-    parts = [(label_masks[:0], enc.label_utility[:0], np.zeros((0, 3)), empty, empty, empty,
+    # the columns so far, then the chunks priced since: putils, bounds, cell
+    # counts and cells
+    parts = [(enc.label_utility[:0], np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
               enc.label_cells[:0])]
     last: list[int] = []  # each entry's last label
     # level 0 is the empty coincidence, which occurs everywhere
@@ -379,27 +378,24 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
         first = len(ctx.vocab)
         for v in level:
             if v < 0:
-                mask = np.zeros(enc.words, dtype=np.uint64)
                 coincidence, putil, joins = Coincidence(), 0.0, bits
             else:
-                coincidence, mask, putil = ctx.vocab[v], ctx.vocab_masks[v], ctx.vocab_putils[v]
+                coincidence, putil = ctx.vocab[v], ctx.vocab_putils[v]
                 joins = bits[bits > last[v]]
             stats.candidates_generated += joins.size
             # a child's utility mass adds its label utilities in ascending
             # label order
-            masks, putils = mask | label_masks[joins], putil + enc.label_utility[joins]
+            putils = putil + enc.label_utility[joins]
             for lo, hi, *cells in _candidate_cells(ctx, v, joins):
                 keep, columns = _price(ctx, stats, putils[lo:hi], *cells)
                 keep = [lo + i for i in keep]
                 ctx.vocab.extend(coincidence.union(enc.labels[joins[i]]) for i in keep)
                 last.extend(joins[keep].tolist())
-                parts.append((masks[keep], putils[keep], *columns))
+                parts.append((putils[keep], *columns))
         parts = [tuple(np.concatenate(column) for column in zip(*parts))]
-        ctx.vocab_masks, ctx.vocab_putils, bounds, counts, ctx.run_rows, lengths, \
-            ctx.vocab_cells = parts[0]
+        ctx.vocab_putils, bounds, counts, ctx.vocab_cells = parts[0]
         ctx.vocab_bounds = bounds.T
-        ctx.vocab_runs = np.concatenate(([0], np.cumsum(counts)))
-        ctx.cell_start = np.concatenate(([0], np.cumsum(lengths)))
+        ctx.entry_start = np.concatenate(([0], np.cumsum(counts)))
         level = range(first, len(ctx.vocab))
         # only labels that survived alone can be part of a survivor
         if size == 1:

@@ -71,6 +71,14 @@ def encode_coincidence(c, enc):
     return mask, np.array([putil])
 
 
+def candidate_masses(ctx, candidates):
+    """(bitmask words [C, words], summed label utility [C]) of the
+    vocabulary entries `candidates`, a kernel batch, each encoded from its
+    coincidence by `encode_coincidence`: no miner column goes into it."""
+    masks, putils = zip(*(encode_coincidence(ctx.vocab[v], ctx.enc) for v in candidates))
+    return np.concatenate(masks), np.concatenate(putils)
+
+
 def empty_prefix_scores(enc):
     """Window-major score rows of the zero-length prefix on every sequence:
     matched everywhere at 0. The kernel scores from them with a prev_base

@@ -150,6 +150,8 @@ def test_label_rows_of_the_running_example():
     ctx = miner._Context(enc=enc, cfg=cfg, xi_abs=0.0)
     miner._build_vocabulary(ctx, miner.MiningStats())
     assert [c.labels for c in ctx.vocab] == [(label,) for label in enc.labels]
+    # growth splits each entry's cells into its runs, one per sequence
+    miner._layout(ctx)
     assert ctx.vocab_runs.tolist() == [0, 3, 7, 11, 12, 16, 17]
     assert ctx.run_rows.tolist() == [
         0, 1, 2,  # A

@@ -34,6 +34,7 @@ from intervalmine.transform import transform_dataset
 from intervalmine.utility import UpperBound, dataset_utility
 
 from conftest import (
+    candidate_masses,
     empty_prefix_scores,
     encode_coincidence,
     evaluate,
@@ -182,29 +183,29 @@ def wide_vocabulary_contexts():
 
 def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
     """Every entry is priced from its cells, without the kernel, yet its
-    mask, utility mass, rows and umax equal those of its one-coincidence
+    utility mass, sequences and umax equal those of its one-coincidence
     pattern scored by the kernel from the empty prefix on every sequence,
     bit for bit, and so do the score rows of each root, read off its cells
     only when growth reaches it, window-major; growth never runs the
     kernel. Every entry's full and rest are bit-identical too:
     a join's sum only its parent's rows, but left to right, so the
     unmatched rows it skips add nothing. An entry's cells are exactly the
-    windows that hold its whole mask, by sequence, then window, in one run
-    per sequence. Alphabets of two mask words are among the instances, as
-    a join tests each label's own word.
+    windows that hold its whole mask, by sequence, then window, and growth
+    splits them into one run per sequence. Alphabets of two mask words are
+    among the instances, as a join tests each label's own word.
     """
     checked = both_words = 0
     for ctx in itertools.chain(lean_vocabulary_contexts(5, 120), wide_vocabulary_contexts()):
         with monkeypatch.context() as m:
             m.setattr(miner, "extend_scores", None)  # the phase runs no kernel
             miner._build_vocabulary(ctx, miner.MiningStats())
+        miner._layout(ctx)
         enc = ctx.enc
         n = enc.n_sequences
         windows = by_window(enc.masks).reshape(-1, enc.words)
         expected = [evaluate(ctx, LSequence((c,))) for c in ctx.vocab]
         for v, (c, e) in enumerate(zip(ctx.vocab, expected)):
             mask, putil = encode_coincidence(c, enc)
-            assert ctx.vocab_masks[v].tobytes() == mask[0].tobytes(), c
             assert ctx.vocab_putils[v].hex() == putil[0].hex(), c
             both_words += int((mask != 0).sum()) == 2
             runs = slice(ctx.vocab_runs[v], ctx.vocab_runs[v + 1])
@@ -214,7 +215,7 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
             assert (full.hex(), rest.hex()) == (e.full.hex(), e.rest.hex()), c
             fit = np.flatnonzero(((windows & mask) == mask).all(axis=1))
             fit = fit[np.lexsort((fit // n, fit % n))]
-            cells = ctx.vocab_cells[ctx.cell_start[runs.start] : ctx.cell_start[runs.stop]]
+            cells = ctx.vocab_cells[ctx.entry_start[v] : ctx.entry_start[v + 1]]
             assert cells.tolist() == fit.tolist(), c
             lengths = np.diff(ctx.cell_start[runs.start : runs.stop + 1])
             assert lengths.tolist() == np.bincount(fit % n)[ctx.run_rows[runs]].tolist()
@@ -244,18 +245,53 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
 
 
 def test_the_vocabulary_keeps_no_score_rows(example_cdata):
-    """The vocabulary's columns hold masks, runs, cells and bound inputs:
+    """The vocabulary's columns hold each entry's cells and bound inputs:
     each float column has one value per entry, never a row per sequence,
-    so the vocabulary costs no n x cap memory."""
+    so the vocabulary costs no n x cap memory. It keeps no mask and no run
+    column either: a cell names its sequence, and growth derives the runs."""
     enc = encode_dataset(example_cdata)
     ctx = miner._Context(enc=enc, cfg=cfg_at(0.0, 3, 2), xi_abs=0.0)
     miner._build_vocabulary(ctx, miner.MiningStats())
     assert len(ctx.vocab) == 12
-    floats = {
-        name: value.shape for name, value in vars(ctx).items()
-        if isinstance(value, np.ndarray) and value.dtype.kind == "f"
+    arrays = {
+        name: (value.dtype.kind, value.shape) for name, value in vars(ctx).items()
+        if isinstance(value, np.ndarray)
     }
-    assert floats == {"vocab_putils": (12,), "vocab_bounds": (3, 12)}
+    cells = ctx.vocab_cells.size
+    assert arrays == {
+        "vocab_putils": ("f", (12,)),
+        "vocab_bounds": ("f", (3, 12)),
+        "entry_start": ("i", (13,)),
+        "vocab_cells": ("i", (cells,)),
+    }
+    assert ctx.entry_start[-1] == cells
+
+
+def test_growth_splits_the_cells_of_each_entry_into_runs_by_sequence():
+    """After `_layout`, an entry's runs are exactly the groups of its cells
+    by sequence, cell % n, in ascending order: each run's sequence, entry
+    and cell count come from those groups, and every cell knows its run."""
+    checked = 0
+    for ctx in itertools.chain(lean_vocabulary_contexts(8, 40), wide_vocabulary_contexts()):
+        miner._build_vocabulary(ctx, miner.MiningStats())
+        miner._layout(ctx)
+        n = ctx.enc.n_sequences
+        assert ctx.run_entry.dtype == ctx.cell_run.dtype == np.int32
+        assert ctx.run_rows.dtype == np.int64
+        assert ctx.vocab_runs[0] == 0 and ctx.vocab_runs[-1] == ctx.run_rows.size
+        assert ctx.cell_start[0] == 0 and ctx.cell_start[-1] == ctx.vocab_cells.size
+        for v in range(len(ctx.vocab)):
+            start, stop = ctx.entry_start[v], ctx.entry_start[v + 1]
+            sequence = ctx.vocab_cells[start:stop] % n
+            runs = np.arange(ctx.vocab_runs[v], ctx.vocab_runs[v + 1])
+            rows, counts = np.unique(sequence, return_counts=True)
+            assert ctx.run_rows[runs].tolist() == rows.tolist(), ctx.vocab[v]
+            assert np.diff(ctx.cell_start[runs[0] : runs[-1] + 2]).tolist() == counts.tolist()
+            assert ctx.cell_start[runs[0]] == start and ctx.cell_start[runs[-1] + 1] == stop
+            assert (ctx.run_entry[runs] == v).all()
+            assert (ctx.run_rows[ctx.cell_run[start:stop]] == sequence).all()
+            checked += runs.size
+    assert checked > 1000
 
 
 def test_promising_coincidences_above_total_utility_is_empty(example_cdata):
@@ -314,7 +350,7 @@ def test_a_root_its_bound_prunes_is_counted(monkeypatch):
         masks = appended[strategy] = set()
 
         def recording(ctx, rows, scores, candidates, masks=masks, extend=miner._extend):
-            masks.update(int(words[0]) for words in ctx.vocab_masks[candidates])
+            masks.update(int(words[0]) for words in candidate_masses(ctx, candidates)[0])
             return extend(ctx, rows, scores, candidates)
 
         with monkeypatch.context() as m:
@@ -604,7 +640,7 @@ def kernel_evaluation(ctx, rows, scores, candidates):
     enc = ctx.enc
     batch = extend_scores(
         enc.masks[rows], enc.durations[rows], enc.lengths[rows], scores, -np.inf,
-        ctx.vocab_masks[candidates], ctx.vocab_putils[candidates],
+        *candidate_masses(ctx, candidates),
     )
     return (batch, *summarize_scores(batch))
 
@@ -658,9 +694,9 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
         assert best.tobytes() == want_best.tobytes()
         n = ctx.enc.n_sequences
         for v in candidates.tolist():
-            own, column, cells = miner._entry_cells(ctx, v)
-            on_rows = np.isin(own, rows)
-            seen["fit window 0"] += bool((on_rows[column] & (cells < n)).any())
+            cells = ctx.vocab_cells[ctx.entry_start[v] : ctx.entry_start[v + 1]]
+            on_rows = np.isin(cells % n, rows)
+            seen["fit window 0"] += bool((on_rows & (cells < n)).any())
             seen["no cell in the prefix's rows"] += not on_rows.any()
         return candidate, run, best, values
 
@@ -679,7 +715,7 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
         enc = ctx.enc
         (batch,) = extend_scores(
             enc.masks, enc.durations, enc.lengths, empty_prefix_scores(enc), 0.0,
-            ctx.vocab_masks[v : v + 1], ctx.vocab_putils[v : v + 1],
+            *candidate_masses(ctx, [v]),
         )
         matched = summarize_scores(batch)[0]
         seen["roots"] += 1

@@ -20,17 +20,20 @@ Phase 2 grows patterns depth-first by appending whole vocabulary
 coincidences, starting from the empty prefix, whose children, the roots,
 phase 1 bounded. A prefix carries only the sequences it occurs in and its
 score rows on them, and a child tries only the coincidences that survived
-beside it (see `_grow`). Growth first splits each entry's cells into runs,
+beside it (see `_grow`). Growth first splits the roots' cells into runs,
 one per sequence, once (`_layout`). Every prefix, at every depth, scores its
-candidates from the vocabulary's own cells (`_extend`): a gather, an add
-and one maximum per run, whose result is sparse, one hit (candidate,
-sequence, best value) per run of a candidate that matched (SPADE's id-list
-join, Zaki 2001, carried to utilities as HUS-Span's utility chains do,
-Wang, Huang & Chen 2016). The survivors that will be grown read their score
-rows off the same evaluation's cell values, all in one batch (`_rows`),
-and a root reads its own off its cells (`_scores`). Both give the dense
-kernel's values (`kernels.extend_scores`) bit for bit; the miner never
-calls it.
+candidates from a projection of that layout, the runs of its candidates it
+can still match (`_extend`): a gather, an add and one maximum per run,
+whose result is sparse, one hit (candidate, sequence, best value) per run
+that matched (SPADE's id-list join, Zaki 2001, carried to utilities as
+HUS-Span's utility chains do, Wang, Huang & Chen 2016). The roots score
+from the layout itself. An evaluation hands its children the runs of its
+grown survivors' hits, whole (`_project`): the prefix + x + c can match
+only where the prefix + c did, as in PrefixSpan's projected database (Pei
+et al. 2001). The survivors that will be grown read their score rows off
+the same evaluation's cell values, all in one batch (`_rows`), and a root
+reads its own off its cells (`_scores`). Both give the dense kernel's
+values (`kernels.extend_scores`) bit for bit; the miner never calls it.
 
 Every bound is one formula, `_bound`, over three numbers that come with a
 candidate's scores: its umax, its weighted bound `full` (the top-K
@@ -51,6 +54,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,6 +121,23 @@ def resolve_threshold(cfg: MiningConfig, enc: EncodedDataset) -> float:
 PRUNE_SLACK = 1e-9
 
 
+class _Projection(NamedTuple):
+    """The runs of a set of candidates, as columns: run i holds the cells
+    `cells[cell_start[i]:cell_start[i + 1]]`, by window, of candidate
+    `run_candidate[i]`, a position among the candidates, in sequence
+    `run_rows[i]`. Each cell has its run and its value, its candidate's
+    putil times its window's duration. Runs are sorted by (candidate,
+    sequence) and kept whole. The growth layout is the projection of the
+    roots (`_layout`)."""
+
+    cells: np.ndarray         # int32 [cells], window-major cell ids j * n + s
+    values: np.ndarray        # float64 [cells], putil * duration
+    cell_run: np.ndarray      # int32 [cells]
+    cell_start: np.ndarray    # int64 [runs + 1]
+    run_rows: np.ndarray      # int64 [runs]
+    run_candidate: np.ndarray  # int32 [runs]
+
+
 @dataclass
 class _Context:
     """A mining run's inputs, its vocabulary as one cell list per entry, and
@@ -127,11 +148,11 @@ class _Context:
     that hold its whole mask, by sequence, then window, are
     `entry_start[v]:entry_start[v + 1]` of `vocab_cells`: a cell's sequence
     is cell % n, so no column names it. When patterns can be longer than
-    one coincidence, growth derives the entry's runs, one per sequence it
-    occurs in, ascending, with the other columns and the buffer it scores
-    from (`_layout`): entry v's runs are `vocab_runs[v]:vocab_runs[v + 1]`,
-    and run i holds the cells `cell_start[i]:cell_start[i + 1]` of sequence
-    `run_rows[i]`.
+    one coincidence, growth splits the roots' cells into runs, one per
+    sequence each occurs in, ascending: the `layout`, with the buffer it
+    scores from (`_layout`). Each growth evaluation below the roots reads
+    only a projection of that layout, the runs its candidates can still
+    match (`_project`).
     """
 
     enc: EncodedDataset
@@ -142,12 +163,7 @@ class _Context:
     vocab_bounds: np.ndarray | None = None  # float64 [3, V]: umax, full and rest
     entry_start: np.ndarray | None = None   # int64 [V + 1]
     vocab_cells: np.ndarray | None = None   # int32 [cells]
-    vocab_runs: np.ndarray | None = None    # int64 [V + 1]
-    run_rows: np.ndarray | None = None      # int64 [runs]
-    cell_start: np.ndarray | None = None    # int64 [runs + 1]
-    run_entry: np.ndarray | None = None     # int32 [runs]
-    cell_run: np.ndarray | None = None      # int32 [cells]
-    cell_value: np.ndarray | None = None    # float64 [cells], putil * duration
+    layout: _Projection | None = None
     before: np.ndarray | None = None        # float64 [cap * n], -inf between evaluations
 
 
@@ -158,11 +174,20 @@ BATCH_CELLS = 2**16
 
 
 def _heads(entry, sequence):
-    """Positions of the cells that start a run: where a cell's `entry` or
+    """The marks of the cells that start a run: where a cell's `entry` or
     its `sequence` differs from the previous cell's."""
     new = np.ones(entry.size, dtype=bool)
     new[1:] = (entry[1:] != entry[:-1]) | (sequence[1:] != sequence[:-1])
-    return np.flatnonzero(new)
+    return new
+
+
+def _run_ids(marks):
+    """int32 running count of `marks`, less one: each cell's run, given the
+    marks of the cells that start one, or each marked item's position
+    among the marked ones."""
+    ids = np.cumsum(marks, dtype=np.int32)
+    ids -= 1
+    return ids
 
 
 def _masses(ctx: _Context, candidate, sequence, best, count: int, length: int):
@@ -182,34 +207,52 @@ def _masses(ctx: _Context, candidate, sequence, best, count: int, length: int):
     return umax, *weighted_utilization(ctx.enc, candidate, sequence, count, (k, k - length))
 
 
-def _layout(ctx: _Context) -> None:
-    """Growth's columns of the vocabulary: its runs, the cells of one entry
-    in one sequence, with each run's sequence, entry and cells, each cell's
-    run and value, its entry's putil times its window's duration, and the
-    buffer `_extend` reads a prefix's scores from, all -inf."""
+def _layout(ctx: _Context, roots) -> None:
+    """Growth's layout, the runs of the root vocabulary entries `roots`,
+    ascending, root i being candidate i: the vocabulary's own cells when
+    every entry is a root. Also the buffer `_extend` reads a prefix's
+    scores from, all -inf."""
     n = ctx.enc.n_sequences
     ctx.before = np.full(ctx.enc.capacity * n, -np.inf)
-    counts = np.diff(ctx.entry_start)
-    ctx.cell_value = np.repeat(ctx.vocab_putils, counts)
-    ctx.cell_value *= by_window(ctx.enc.durations).reshape(-1)[ctx.vocab_cells]
-    entry = np.repeat(np.arange(len(ctx.vocab), dtype=np.int32), counts)
-    sequence = ctx.vocab_cells % n
-    head = _heads(entry, sequence)
-    ctx.run_rows = sequence[head].astype(np.int64)
-    ctx.run_entry = entry[head]
-    # an entry's first cell starts its first run
-    ctx.vocab_runs = np.searchsorted(head, ctx.entry_start)
-    ctx.cell_start = np.append(head, ctx.vocab_cells.size)
-    ctx.cell_run = np.repeat(np.arange(head.size, dtype=np.int32), np.diff(ctx.cell_start))
+    cells = ctx.vocab_cells
+    entry = np.repeat(np.arange(len(ctx.vocab), dtype=np.int32), np.diff(ctx.entry_start))
+    if len(roots) < len(ctx.vocab):
+        kept = np.zeros(len(ctx.vocab), dtype=bool)
+        kept[roots] = True
+        root = kept[entry]
+        cells, entry = cells[root], _run_ids(kept)[entry[root]]
+    values = ctx.vocab_putils[roots][entry]
+    values *= by_window(ctx.enc.durations).reshape(-1)[cells]
+    sequence = cells % n
+    new = _heads(entry, sequence)
+    head = np.flatnonzero(new)
+    ctx.layout = _Projection(cells, values, _run_ids(new), np.append(head, cells.size),
+                             sequence[head].astype(np.int64), entry[head])
 
 
-def _extend(ctx: _Context, rows, scores, candidates):
+def _project(source: _Projection, kept, runs):
+    """The projection of `source` on its runs `runs`, ascending, all of
+    candidates that the mask `kept` marks: those runs, whole, each one's
+    candidate renumbered among the kept ones. Returns it with the position
+    in `source` of each of its cells."""
+    start = source.cell_start
+    cell_start = np.zeros(runs.size + 1, dtype=np.int64)
+    np.cumsum(start[runs + 1] - start[runs], out=cell_start[1:])
+    new = np.zeros(cell_start[-1], dtype=bool)
+    new[cell_start[:-1]] = True
+    cell_run = _run_ids(new)
+    at = (start[runs] - cell_start[:-1])[cell_run] + np.arange(cell_start[-1])
+    candidate = _run_ids(kept)[source.run_candidate[runs]]
+    return _Projection(source.cells[at], source.values[at], cell_run, cell_start,
+                       source.run_rows[runs], candidate), at
+
+
+def _extend(ctx: _Context, projection: _Projection, rows, scores):
     """The prefix with window-major score rows `scores` on the sequences
-    `rows` extended by each vocabulary entry `candidates`, ascending,
-    scored from the vocabulary's cells: its hits, (candidate position, run,
-    best value) of each run of a candidate that matched, sorted by
-    (candidate, sequence), and every cell's value, which `_rows` reads a
-    grown child's score rows from.
+    `rows` extended by each candidate of `projection`, scored from its
+    cells: the hits, (candidate position, run, best value) of each run
+    that matched, sorted by (candidate, sequence), and every cell's value,
+    which `_rows` reads a grown child's score rows from.
 
     The prefix's score rows go one window later into the -inf buffer
     `before`, so that slot j * n + s holds the prefix's best score before
@@ -222,43 +265,36 @@ def _extend(ctx: _Context, rows, scores, candidates):
     """
     before = ctx.before.reshape(ctx.enc.capacity, ctx.enc.n_sequences)
     before[1:, rows] = by_window(scores)[:-1]
-    values = ctx.before.take(ctx.vocab_cells)
+    values = ctx.before.take(projection.cells)
     before[1:, rows] = -np.inf
-    values += ctx.cell_value
-    best = np.full(ctx.run_entry.size, -np.inf)
-    np.maximum.at(best, ctx.cell_run, values)
-    # the runs that matched, then those of candidates; -1 marks an entry
-    # that is not a candidate, and it is never used as an index
-    position = np.full(len(ctx.vocab), -1, dtype=np.int32)
-    position[candidates] = np.arange(candidates.size, dtype=np.int32)
+    values += projection.values
+    best = np.full(projection.run_rows.size, -np.inf)
+    np.maximum.at(best, projection.cell_run, values)
     run = np.flatnonzero(best > -np.inf)
-    candidate = position[ctx.run_entry[run]]
-    hit = candidate >= 0
-    run = run[hit]
-    return candidate[hit], run, best[run], values
+    return projection.run_candidate[run], run, best[run], values
 
 
-def _rows(ctx: _Context, runs, values):
-    """Window-major score rows [cap, len(runs)] of the vocabulary's runs
-    `runs`: column i holds run runs[i]'s cell `values` at their windows,
-    -inf elsewhere, then a running maximum, the kernel's bit for bit."""
-    start = ctx.cell_start
-    length = start[runs + 1] - start[runs]
-    at = np.repeat(start[runs] - (np.cumsum(length) - length), length) + np.arange(length.sum())
-    n, cap = ctx.enc.n_sequences, ctx.enc.capacity
-    scores = np.full((cap, runs.size), -np.inf)
-    scores[ctx.vocab_cells[at] // n, np.repeat(np.arange(runs.size), length)] = values[at]
-    for j in range(1, cap):
+def _rows(ctx: _Context, cells, column, values, width: int):
+    """Window-major score rows [cap, width] with the `values` of the
+    `cells` in their `column`, -inf elsewhere, then a running maximum, the
+    kernel's bit for bit."""
+    scores = np.full((ctx.enc.capacity, width), -np.inf)
+    scores[cells // ctx.enc.n_sequences, column] = values
+    for j in range(1, ctx.enc.capacity):
         np.maximum(scores[j], scores[j - 1], out=scores[j])
     return scores
 
 
-def _scores(ctx: _Context, v: int):
-    """(rows, window-major score rows) of the root vocabulary entry v, on
-    the sequences it occurs in, read off its cells: the empty prefix scores
-    0.0 before every window, which changes no value."""
-    runs = np.arange(ctx.vocab_runs[v], ctx.vocab_runs[v + 1])
-    return ctx.run_rows[runs], by_window(_rows(ctx, runs, ctx.cell_value))
+def _scores(ctx: _Context, i: int):
+    """(rows, window-major score rows) of root i, on the sequences it
+    occurs in, read off its layout runs: the empty prefix scores 0.0 before
+    every window, which changes no value."""
+    layout = ctx.layout
+    first, last = np.searchsorted(layout.run_candidate, (i, i + 1))
+    cells = slice(layout.cell_start[first], layout.cell_start[last])
+    scores = _rows(ctx, layout.cells[cells], layout.cell_run[cells] - first,
+                   layout.values[cells], last - first)
+    return layout.run_rows[first:last], by_window(scores)
 
 
 def _bound(ctx: _Context, umax, full, rest):
@@ -338,8 +374,10 @@ def _price(ctx: _Context, stats: MiningStats, putils, entry, cells):
     umax, full and rest [k, 3], cell counts and cells.
     """
     sequence = cells % ctx.enc.n_sequences
-    head = _heads(entry, sequence)
-    longest = np.maximum.reduceat(by_window(ctx.enc.durations).reshape(-1)[cells], head)
+    new = _heads(entry, sequence)
+    head = np.flatnonzero(new)
+    longest = np.full(head.size, -np.inf)
+    np.maximum.at(longest, _run_ids(new), by_window(ctx.enc.durations).reshape(-1)[cells])
     # one hit per run, sorted by (candidate, sequence)
     candidate = entry[head]
     umax, full, rest = _masses(ctx, candidate, sequence[head], putils[candidate] * longest,
@@ -402,65 +440,77 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
             bits = np.array(last, dtype=np.int64)
 
 
-def _grow(
-    ctx: _Context, prefix: list[Coincidence], children: list, out: list[Pattern], stats: MiningStats
-) -> None:
+def _grow(ctx: _Context, prefix: list[Coincidence], children: list, projection: _Projection | None,
+          out: list[Pattern], stats: MiningStats) -> None:
     """Emit and grow, depth-first, each child of the pattern `prefix`.
 
     `children` are the extensions of the prefix that survived, in
     vocabulary order: (vocabulary index, the sequences the child occurs
     in, its score rows on them, umax); rows and scores are None at the
-    length cap, and for a root, whose rows are read off its cells when it
-    is grown. A child is emitted when its umax meets the threshold. Below
-    the length cap it is then scored extended by every coincidence of
-    `children`, on its own rows only (`_children`), and the survivors are
-    grown in turn. A pattern grown from prefix+x that appends c is a
+    length cap, and for a root, whose rows are read off its layout runs
+    when it is grown. A child is emitted when its umax meets the
+    threshold. Below the length cap it is then scored extended by every
+    coincidence of
+    `children`, on its own rows only, from `projection`, their runs that
+    the prefix's evaluation hit (`_children`), and the survivors are grown
+    in turn. A pattern grown from prefix+x that appends c is a
     supersequence of prefix+c, so it occurs in no sequence prefix+c misses,
     and the weighted bound only shrinks with the set of sequences it sums
     over. Under `pdc` prefix+c's own bound covers it too: each of the at
     most K - |prefix+c| coincidences such a pattern has beyond prefix+c
     matches its own window, worth at most that window's eventset mass. So a
     coincidence pruned beside a child is never appended below it, at the
-    roots as at any depth.
+    roots as at any depth, and its runs in the sequences prefix+c missed
+    are never read.
     """
     inherited = np.array([child[0] for child in children], dtype=np.intp)
-    for index, rows, scores, umax in children:
+    for i, (index, rows, scores, umax) in enumerate(children):
         prefix.append(ctx.vocab[index])
         if umax >= ctx.xi_abs:
             out.append(Pattern(LSequence(tuple(prefix)), umax))
         if len(prefix) < ctx.cfg.max_length:
             if scores is None:
-                rows, scores = _scores(ctx, index)
-            # the survivors are bound to no local here, so a finished
-            # sibling's survivors do not stay alive below
-            _grow(ctx, prefix, _children(ctx, stats, rows, scores, inherited, len(prefix) + 1),
+                rows, scores = _scores(ctx, i)
+            # the survivors and their projection are bound to no local
+            # here, so a finished sibling's do not stay alive below
+            _grow(ctx, prefix,
+                  *_children(ctx, stats, projection, rows, scores, inherited, len(prefix) + 1),
                   out, stats)
         prefix.pop()
 
 
-def _children(ctx: _Context, stats: MiningStats, rows, scores, candidates, length: int) -> list:
+def _children(ctx: _Context, stats: MiningStats, projection: _Projection, rows, scores,
+              candidates, length: int):
     """The survivors of a prefix with score rows `scores` on the sequences
     `rows` extended by each vocabulary entry `candidates` to `length`
-    coincidences, as `_grow` takes them. Below the length cap, each comes
-    with its rows, the sequences of its hits, and its score rows there: a
-    block of columns of one `[cap, R]` batch that `_rows` builds for all
-    of them from the evaluation's cell values."""
+    coincidences, scored from `projection`, their runs, as `_grow` takes
+    them, and the projection their own children score from.
+
+    Below the length cap, each comes with its rows, the sequences of its
+    hits, and its score rows there: a block of columns of one `[cap, R]`
+    batch, read off the evaluation's cell values for all of them. The
+    projection holds the runs of those hits, whole, in the same order, so
+    its run ids are the batch's columns (`_rows`). A child of the prefix's
+    child x that appends c can only match where the prefix + c did, so no
+    run it hits is left out. At the length cap there is no projection.
+    """
     stats.candidates_generated += candidates.size
-    candidate, run, best, values = _extend(ctx, rows, scores, candidates)
-    umax, full, rest = _masses(ctx, candidate, ctx.run_rows[run], best, candidates.size, length)
+    candidate, run, best, values = _extend(ctx, projection, rows, scores)
+    umax, full, rest = _masses(ctx, candidate, projection.run_rows[run], best, candidates.size,
+                               length)
     hits = np.bincount(candidate, minlength=candidates.size)
     keep = _survivors(ctx, stats, hits > 0, umax, full, rest)
     if length == ctx.cfg.max_length:
-        return [(candidates[i], None, None, float(umax[i])) for i in keep]
+        return [(candidates[i], None, None, float(umax[i])) for i in keep], None
     grown = np.zeros(candidates.size, dtype=bool)
     grown[keep] = True
-    run = run[grown[candidate]]
-    batch = _rows(ctx, run, values)
+    child, at = _project(projection, grown, run[grown[candidate]])
+    batch = _rows(ctx, child.cells, child.cell_run, values[at], child.run_rows.size)
     ends = np.cumsum(hits[keep]).tolist()
     return [
-        (candidates[i], ctx.run_rows[run[lo:hi]], by_window(batch[:, lo:hi]), float(umax[i]))
+        (candidates[i], child.run_rows[lo:hi], by_window(batch[:, lo:hi]), float(umax[i]))
         for i, lo, hi in zip(keep, [0, *ends], ends)
-    ]
+    ], child
 
 
 def _mine_root(ctx: _Context, out: list[Pattern], stats: MiningStats) -> None:
@@ -468,16 +518,16 @@ def _mine_root(ctx: _Context, out: list[Pattern], stats: MiningStats) -> None:
 
     Its children, the roots, are the vocabulary coincidences, bounded in
     phase 1. The roots whose own bound clears the threshold are grown like
-    any other child, and each inherits only them. Phase 1 keeps no score
-    rows: a root's are read off its cells when it is grown (`_scores`).
-    Growth's columns are built first (`_layout`), once the vocabulary's
-    temporaries are gone.
+    any other child, and each inherits only them, scored from the layout,
+    the roots' runs (`_layout`), built once the vocabulary's temporaries
+    are gone. Phase 1 keeps no score rows: a root's are read off its runs
+    when it is grown (`_scores`).
     """
-    if ctx.cfg.max_length > 1:
-        _layout(ctx)
     umax, full, rest = ctx.vocab_bounds
     roots = _survivors(ctx, stats, np.ones(umax.size, dtype=bool), umax, full, rest)
-    _grow(ctx, [], [(i, None, None, float(umax[i])) for i in roots], out, stats)
+    if ctx.cfg.max_length > 1:
+        _layout(ctx, roots)
+    _grow(ctx, [], [(i, None, None, float(umax[i])) for i in roots], ctx.layout, out, stats)
 
 
 def mine(

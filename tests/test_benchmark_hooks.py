@@ -37,9 +37,9 @@ def test_traced_cli_run_counts_each_layer(tmp_path, monkeypatch):
     evaluations, price_chunks = [], []
     children, price = miner._children, miner._price
 
-    def counted(ctx, stats, rows, scores, candidates, length):
+    def counted(ctx, stats, projection, rows, scores, candidates, length):
         evaluations.append((len(candidates), length < ctx.cfg.max_length))
-        return children(ctx, stats, rows, scores, candidates, length)
+        return children(ctx, stats, projection, rows, scores, candidates, length)
 
     def counted_price(*args):
         price_chunks.append(len(args[2]))

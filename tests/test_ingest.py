@@ -151,9 +151,9 @@ def test_label_rows_of_the_running_example():
     miner._build_vocabulary(ctx, miner.MiningStats())
     assert [c.labels for c in ctx.vocab] == [(label,) for label in enc.labels]
     # growth splits each entry's cells into its runs, one per sequence
-    miner._layout(ctx)
-    assert ctx.vocab_runs.tolist() == [0, 3, 7, 11, 12, 16, 17]
-    assert ctx.run_rows.tolist() == [
+    miner._layout(ctx, range(len(ctx.vocab)))
+    assert ctx.layout.run_candidate.tolist() == [0] * 3 + [1] * 4 + [2] * 4 + [3] + [4] * 4 + [5]
+    assert ctx.layout.run_rows.tolist() == [
         0, 1, 2,  # A
         0, 1, 2, 3,  # B
         0, 1, 2, 3,  # C

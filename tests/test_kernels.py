@@ -192,12 +192,12 @@ def test_kernel_inputs_and_score_rows_are_window_major(monkeypatch, example_data
         return rows, scores
 
     def checked_children(ctx, *args):
-        grown = children(ctx, *args)
+        grown, projection = children(ctx, *args)
         for _, rows, scores, _ in grown:
             if scores is not None:
                 window_major(ctx, rows, scores)
                 grown_children.append(rows.size)
-        return grown
+        return grown, projection
 
     monkeypatch.setattr(miner, "_scores", checked)
     monkeypatch.setattr(miner, "_children", checked_children)

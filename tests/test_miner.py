@@ -1,6 +1,7 @@
 """Miner behavior: correctness against the oracle, pruning accounting,
 and the threshold/vocabulary plumbing."""
 import collections
+import dataclasses
 import itertools
 import random
 
@@ -181,6 +182,15 @@ def wide_vocabulary_contexts():
                 yield miner._Context(enc=enc, cfg=cfg, xi_abs=resolve_threshold(cfg, enc))
 
 
+def roots_of(ctx):
+    """The vocabulary entries of `ctx` whose own bound clears its
+    threshold, in order: the roots growth grows, root i being `_scores`'s
+    i."""
+    umax, full, rest = ctx.vocab_bounds
+    everything = np.ones(umax.size, dtype=bool)
+    return miner._survivors(ctx, miner.MiningStats(), everything, umax, full, rest)
+
+
 def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
     """Every entry is priced from its cells, without the kernel, yet its
     utility mass, sequences and umax equal those of its one-coincidence
@@ -199,7 +209,7 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(miner, "extend_scores", None)  # the phase runs no kernel
             miner._build_vocabulary(ctx, miner.MiningStats())
-        miner._layout(ctx)
+        miner._layout(ctx, np.arange(len(ctx.vocab)))
         enc = ctx.enc
         n = enc.n_sequences
         windows = by_window(enc.masks).reshape(-1, enc.words)
@@ -208,8 +218,8 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
             mask, putil = encode_coincidence(c, enc)
             assert ctx.vocab_putils[v].hex() == putil[0].hex(), c
             both_words += int((mask != 0).sum()) == 2
-            runs = slice(ctx.vocab_runs[v], ctx.vocab_runs[v + 1])
-            assert ctx.run_rows[runs].tolist() == np.flatnonzero(e.matched).tolist(), c
+            runs = np.flatnonzero(ctx.layout.run_candidate == v)
+            assert ctx.layout.run_rows[runs].tolist() == np.flatnonzero(e.matched).tolist(), c
             umax, full, rest = ctx.vocab_bounds[:, v]
             assert umax.hex() == e.umax.hex(), c
             assert (full.hex(), rest.hex()) == (e.full.hex(), e.rest.hex()), c
@@ -217,17 +227,16 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
             fit = fit[np.lexsort((fit // n, fit % n))]
             cells = ctx.vocab_cells[ctx.entry_start[v] : ctx.entry_start[v + 1]]
             assert cells.tolist() == fit.tolist(), c
-            lengths = np.diff(ctx.cell_start[runs.start : runs.stop + 1])
-            assert lengths.tolist() == np.bincount(fit % n)[ctx.run_rows[runs]].tolist()
+            lengths = np.diff(ctx.layout.cell_start)[runs]
+            assert lengths.tolist() == np.bincount(fit % n)[ctx.layout.run_rows[runs]].tolist()
         # a root's score rows are read off its cells, and growth runs no
         # kernel
-        roots = []
+        roots, entries = [], roots_of(ctx)
         build = miner._scores
 
-        def recording(ctx, v, *prefix):
-            rows, scores = build(ctx, v, *prefix)
-            if not prefix:  # extended from the empty prefix
-                roots.append((v, rows, scores))
+        def recording(ctx, i):
+            rows, scores = build(ctx, i)
+            roots.append((entries[i], rows, scores))
             return rows, scores
 
         with monkeypatch.context() as m:
@@ -270,28 +279,86 @@ def test_the_vocabulary_keeps_no_score_rows(example_cdata):
 def test_growth_splits_the_cells_of_each_entry_into_runs_by_sequence():
     """After `_layout`, an entry's runs are exactly the groups of its cells
     by sequence, cell % n, in ascending order: each run's sequence, entry
-    and cell count come from those groups, and every cell knows its run."""
+    and cell count come from those groups, and every cell knows its run.
+    The layout reads the vocabulary's own cells, and each cell's value is
+    its entry's putil times its window's duration."""
     checked = 0
     for ctx in itertools.chain(lean_vocabulary_contexts(8, 40), wide_vocabulary_contexts()):
         miner._build_vocabulary(ctx, miner.MiningStats())
-        miner._layout(ctx)
+        miner._layout(ctx, np.arange(len(ctx.vocab)))
+        layout = ctx.layout
         n = ctx.enc.n_sequences
-        assert ctx.run_entry.dtype == ctx.cell_run.dtype == np.int32
-        assert ctx.run_rows.dtype == np.int64
-        assert ctx.vocab_runs[0] == 0 and ctx.vocab_runs[-1] == ctx.run_rows.size
-        assert ctx.cell_start[0] == 0 and ctx.cell_start[-1] == ctx.vocab_cells.size
+        assert layout.run_candidate.dtype == layout.cell_run.dtype == np.int32
+        assert layout.run_rows.dtype == np.int64
+        assert layout.cells is ctx.vocab_cells
+        assert layout.cell_start[0] == 0 and layout.cell_start[-1] == ctx.vocab_cells.size
+        assert (np.diff(layout.run_candidate) >= 0).all()
+        durations = by_window(ctx.enc.durations).reshape(-1)
         for v in range(len(ctx.vocab)):
             start, stop = ctx.entry_start[v], ctx.entry_start[v + 1]
             sequence = ctx.vocab_cells[start:stop] % n
-            runs = np.arange(ctx.vocab_runs[v], ctx.vocab_runs[v + 1])
+            runs = np.flatnonzero(layout.run_candidate == v)
             rows, counts = np.unique(sequence, return_counts=True)
-            assert ctx.run_rows[runs].tolist() == rows.tolist(), ctx.vocab[v]
-            assert np.diff(ctx.cell_start[runs[0] : runs[-1] + 2]).tolist() == counts.tolist()
-            assert ctx.cell_start[runs[0]] == start and ctx.cell_start[runs[-1] + 1] == stop
-            assert (ctx.run_entry[runs] == v).all()
-            assert (ctx.run_rows[ctx.cell_run[start:stop]] == sequence).all()
+            assert layout.run_rows[runs].tolist() == rows.tolist(), ctx.vocab[v]
+            assert np.diff(layout.cell_start[runs[0] : runs[-1] + 2]).tolist() == counts.tolist()
+            assert layout.cell_start[runs[0]] == start and layout.cell_start[runs[-1] + 1] == stop
+            assert (layout.run_rows[layout.cell_run[start:stop]] == sequence).all()
+            value = ctx.vocab_putils[v] * durations[ctx.vocab_cells[start:stop]]
+            assert layout.values[start:stop].tobytes() == value.tobytes(), ctx.vocab[v]
             checked += runs.size
     assert checked > 1000
+
+
+def roots_projection(monkeypatch, enc, cfg):
+    """The mining context of `enc` under `cfg` and the projection its roots
+    are scored from, the one the empty prefix's `_grow` receives."""
+    seen = []
+    grow = miner._grow
+
+    def recording(ctx, prefix, children, projection, out, stats):
+        if not prefix:
+            seen.append((ctx, projection))
+        return grow(ctx, prefix, children, projection, out, stats)
+
+    with monkeypatch.context() as m:
+        m.setattr(miner, "_grow", recording)
+        mine(enc, cfg)
+    (found,) = seen
+    return found
+
+
+def test_the_roots_projection_is_the_layout_when_every_entry_is_a_root(monkeypatch):
+    """The roots are scored from the layout, which holds the roots' runs
+    alone. At xi 0 every vocabulary entry is a root, and the layout reads
+    the vocabulary's own cells, with no copy. When a root's own bound
+    prunes an entry, it holds the runs of the surviving roots alone, whole,
+    each one's candidate renumbered among them."""
+    es, table = random_dataset(
+        GeneratorParams(seed=3, num_sequences=4, max_intervals_per_seq=5, alphabet_size=4)
+    )
+    enc = encode_dataset(transform_dataset(es, table))
+    ctx, projection = roots_projection(monkeypatch, enc, cfg_at(0.0, 2, 1))
+    assert len(ctx.vocab) == 4 and projection is ctx.layout
+    assert np.shares_memory(projection.cells, ctx.vocab_cells)
+    assert projection.cells.size == ctx.vocab_cells.size
+
+    # the instance of `test_a_root_its_bound_prunes_is_counted`: <{A}> and
+    # <{D}> are entries, and pdc prunes the root <{D}>
+    ctx, projection = roots_projection(monkeypatch, enc, cfg_at(0.5, 2, 1, mode="relative"))
+    assert ctx.vocab == [Coincidence.of(["A"]), Coincidence.of(["D"])]
+    assert projection is ctx.layout
+    assert not np.shares_memory(projection.cells, ctx.vocab_cells)
+    miner._layout(ctx, [0, 1])
+    every = ctx.layout
+    runs = np.flatnonzero(every.run_candidate == 0)
+    assert 0 < projection.cells.size < every.cells.size
+    assert projection.run_candidate.tolist() == [0] * runs.size
+    assert projection.run_rows.tolist() == every.run_rows[runs].tolist()
+    assert projection.cell_start.tolist() == every.cell_start[: runs.size + 1].tolist()
+    cells = slice(ctx.entry_start[0], ctx.entry_start[1])
+    assert projection.cells.tolist() == every.cells[cells].tolist()
+    assert projection.values.tobytes() == every.values[cells].tobytes()
+    assert projection.cell_run.tolist() == every.cell_run[cells].tolist()
 
 
 def test_promising_coincidences_above_total_utility_is_empty(example_cdata):
@@ -349,12 +416,13 @@ def test_a_root_its_bound_prunes_is_counted(monkeypatch):
         # the masks of the coincidences the growth phase appends
         masks = appended[strategy] = set()
 
-        def recording(ctx, rows, scores, candidates, masks=masks, extend=miner._extend):
+        def recording(ctx, stats, projection, rows, scores, candidates, length, masks=masks,
+                      children=miner._children):
             masks.update(int(words[0]) for words in candidate_masses(ctx, candidates)[0])
-            return extend(ctx, rows, scores, candidates)
+            return children(ctx, stats, projection, rows, scores, candidates, length)
 
         with monkeypatch.context() as m:
-            m.setattr(miner, "_extend", recording)
+            m.setattr(miner, "_children", recording)
             patterns, stats = mine(enc, cfg.with_strategy(strategy))
         assert patterns == []
         counts[strategy] = stats.candidates_generated, stats.candidates_pruned
@@ -653,22 +721,38 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
     values turned into hits), its survivors, and each grown child's rows
     and score rows. A root's are checked against the kernel from the empty
     prefix on every sequence. After each evaluation the scorer's buffer is
-    -inf again. `seen` counts the evaluations below and at the length cap,
-    their candidates that fit a window 0 of the prefix's sequences and
-    those with no cell in them, and the rows built."""
+    -inf again.
+
+    Each evaluation reads a projection, and its hits equal those of the
+    same evaluation over the whole layout. The projection it hands to its
+    children holds exactly the runs of its grown survivors' hits, whole,
+    in order, and no more cells than its own. `seen` counts the evaluations
+    below and at the length cap, their candidates that fit a window 0 of
+    the prefix's sequences and those with no cell in them, the rows built,
+    and the projections smaller than their parent's."""
     extend, build, masses, children = miner._extend, miner._scores, miner._masses, miner._children
     pending = {"evaluation": None}
 
-    def checked_children(ctx, stats, rows, scores, candidates, length):
+    def whole_vocabulary(ctx):
+        # a copy of the mining context whose layout holds every vocabulary
+        # entry's runs, entry v being candidate v, with its own buffer
+        if pending.get("whole") is None or pending["whole"][0] is not ctx:
+            every = dataclasses.replace(ctx)
+            miner._layout(every, np.arange(len(ctx.vocab)))
+            pending["whole"] = ctx, every
+        return pending["whole"][1]
+
+    def checked_children(ctx, stats, projection, rows, scores, candidates, length):
         batch, matched, best = kernel_evaluation(ctx, rows, scores, candidates)
         candidate, position = np.nonzero(matched)
         hits = candidate, rows[position], best[matched]
         pending["evaluation"] = hits
-        grown = children(ctx, stats, rows, scores, candidates, length)
+        pending["candidates"] = candidates
+        grown, child = children(ctx, stats, projection, rows, scores, candidates, length)
         assert pending["evaluation"] is None  # its masses were checked
         expected = masses(ctx, *hits, len(candidates), length)
         keep = miner._survivors(ctx, miner.MiningStats(), matched.any(axis=1), *expected)
-        assert [child[0] for child in grown] == candidates[keep].tolist()
+        assert [c[0] for c in grown] == candidates[keep].tolist()
         grow = length < ctx.cfg.max_length
         seen["interior evaluations" if grow else "leaf evaluations"] += 1
         for (v, got_rows, got, umax), i in zip(grown, keep):
@@ -680,24 +764,55 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
                 seen["children"] += 1
             else:
                 assert got_rows is None and got is None
-        return grown
-
-    def checked_extend(ctx, rows, scores, candidates):
-        candidate, run, best, values = extend(ctx, rows, scores, candidates)
-        assert np.isneginf(ctx.before).all()
-        want_candidate, want_sequence, want_best = pending["evaluation"]
-        sequence = ctx.run_rows[run]
-        key = candidate.astype(np.int64) * ctx.enc.n_sequences + sequence
-        assert (np.diff(key) > 0).all()  # sorted by (candidate, sequence)
-        assert candidate.tolist() == want_candidate.tolist()
-        assert sequence.tolist() == want_sequence.tolist()
-        assert best.tobytes() == want_best.tobytes()
+        if grow:
+            check_projection(ctx, projection, child, candidates[keep], matched[keep], rows)
+        else:
+            assert child is None
         n = ctx.enc.n_sequences
         for v in candidates.tolist():
             cells = ctx.vocab_cells[ctx.entry_start[v] : ctx.entry_start[v + 1]]
             on_rows = np.isin(cells % n, rows)
             seen["fit window 0"] += bool((on_rows & (cells < n)).any())
             seen["no cell in the prefix's rows"] += not on_rows.any()
+        return grown, child
+
+    def check_projection(ctx, parent, child, survivors, matched, rows):
+        # the runs of the survivors' hits, (survivor, sequence), in order
+        survivor, position = np.nonzero(matched)
+        assert child.run_candidate.tolist() == survivor.tolist()
+        assert child.run_rows.tolist() == rows[position].tolist()
+        assert child.cells.size <= parent.cells.size
+        seen["smaller projections"] += child.cells.size < parent.cells.size
+        layout, n = whole_vocabulary(ctx).layout, ctx.enc.n_sequences
+        for i in range(child.run_rows.size):
+            v, s = survivors[child.run_candidate[i]], child.run_rows[i]
+            lo, hi = child.cell_start[i], child.cell_start[i + 1]
+            assert (child.cell_run[lo:hi] == i).all()
+            # the run is kept whole: every cell of entry v in sequence s
+            cells = slice(ctx.entry_start[v], ctx.entry_start[v + 1])
+            whole = ctx.vocab_cells[cells] % n == s
+            assert child.cells[lo:hi].tolist() == ctx.vocab_cells[cells][whole].tolist()
+            assert child.values[lo:hi].tobytes() == layout.values[cells][whole].tobytes()
+
+    def checked_extend(ctx, projection, rows, scores):
+        candidate, run, best, values = extend(ctx, projection, rows, scores)
+        assert np.isneginf(ctx.before).all()
+        want_candidate, want_sequence, want_best = pending["evaluation"]
+        sequence = projection.run_rows[run]
+        key = candidate.astype(np.int64) * ctx.enc.n_sequences + sequence
+        assert (np.diff(key) > 0).all()  # sorted by (candidate, sequence)
+        assert candidate.tolist() == want_candidate.tolist()
+        assert sequence.tolist() == want_sequence.tolist()
+        assert best.tobytes() == want_best.tobytes()
+        # the same evaluation over every vocabulary entry's runs hits the
+        # same runs
+        every = whole_vocabulary(ctx)
+        entry, whole, whole_best, _ = extend(every, every.layout, rows, scores)
+        candidates = pending["candidates"]
+        among = np.isin(entry, candidates)
+        assert np.searchsorted(candidates, entry[among]).tolist() == candidate.tolist()
+        assert every.layout.run_rows[whole[among]].tolist() == sequence.tolist()
+        assert whole_best[among].tobytes() == best.tobytes()
         return candidate, run, best, values
 
     def checked_masses(ctx, candidate, sequence, best, count, length):
@@ -710,8 +825,9 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
             ]
         return values
 
-    def checked_scores(ctx, v):
-        got_rows, got = build(ctx, v)
+    def checked_scores(ctx, i):
+        got_rows, got = build(ctx, i)
+        v = roots_of(ctx)[i]
         enc = ctx.enc
         (batch,) = extend_scores(
             enc.masks, enc.durations, enc.lengths, empty_prefix_scores(enc), 0.0,
@@ -737,9 +853,11 @@ def test_every_growth_evaluation_scores_as_the_kernel_scores_it(monkeypatch):
     """Every evaluation, below and at the length cap, and every row builder,
     for the roots and for each grown child, give the dense kernel's values
     bit for bit, and the pattern sets equal the oracle's, under every
-    strategy. Candidates that fit window 0, where a non-empty prefix has no
-    score before, and candidates with no cell in the prefix's sequences
-    are among them, and so is an empty vocabulary."""
+    strategy, though each evaluation reads only the projection its parent
+    handed down, which is often smaller than its parent's. Candidates that
+    fit window 0, where a non-empty prefix has no score before, and
+    candidates with no cell in the prefix's sequences are among them, and
+    so is an empty vocabulary."""
     seen = collections.Counter()
     empty = 0
     for d, cfg in growth_instances(16, 60):
@@ -754,22 +872,24 @@ def test_every_growth_evaluation_scores_as_the_kernel_scores_it(monkeypatch):
     assert seen["fit window 0"] > 0
     assert seen["no cell in the prefix's rows"] > 0
     assert seen["roots"] > 0 and seen["children"] > 0
+    assert seen["smaller projections"] > 0
     assert empty > 0
 
 
 def test_an_empty_vocabulary_has_an_empty_leaf_layout(example_cdata):
-    """Above the total utility no coincidence survives: growth's columns
-    hold no cell and no run, and an evaluation of no candidates on any rows
-    has no hits and leaves its buffer -inf."""
+    """Above the total utility no coincidence survives: growth's layout
+    holds no cell and no run, and an evaluation of no candidates on any
+    rows has no hits and leaves its buffer -inf."""
     enc = encode_dataset(example_cdata)
     ctx = miner._Context(enc=enc, cfg=cfg_at(135.0, 3, 2), xi_abs=135.0)
     miner._build_vocabulary(ctx, miner.MiningStats())
     assert ctx.vocab == []
-    miner._layout(ctx)
-    assert ctx.cell_value.size == ctx.cell_run.size == ctx.run_entry.size == 0
+    miner._layout(ctx, [])
+    layout = ctx.layout
+    assert layout.values.size == layout.cell_run.size == layout.run_candidate.size == 0
     rows = np.arange(enc.n_sequences)
     scores = np.zeros((enc.n_sequences, enc.capacity))
-    candidate, run, best, values = miner._extend(ctx, rows, scores, np.zeros(0, dtype=np.intp))
+    candidate, run, best, values = miner._extend(ctx, layout, rows, scores)
     assert candidate.size == run.size == best.size == values.size == 0
     assert np.isneginf(ctx.before).all()
     assert miner._masses(ctx, candidate, run, best, 0, 2)[0].shape == (0,)

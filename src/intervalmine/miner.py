@@ -11,24 +11,25 @@ can only shrink the set of sequences a coincidence occurs in, and the
 weighted bound sums over that set, so every superset of a dropped label
 fails both tests too (the Apriori property). A candidate's cells, the
 windows that hold its whole mask, are a label's own cells from the encoder
-or its parent's cells that hold the new label, and its best match in a
-sequence is read from them (`_price`). The vocabulary is one cell list per
-entry, with its mass and bound inputs: a cell id `j * n + s` names its
-sequence s, so no entry keeps masks, sequence columns or score rows.
+or its parent's cells that hold the new label. `_price` splits them into
+runs, one per sequence, and reads its best match there off each run. The
+vocabulary keeps those runs, split once, as a `_Projection` whose
+candidate v is entry v, with no masks or score rows.
 
 Phase 2 grows patterns depth-first by appending whole vocabulary
 coincidences, starting from the empty prefix, whose children, the roots,
 phase 1 bounded. A prefix carries only the sequences it occurs in and its
 score rows on them, and a child tries only the coincidences that survived
-beside it (see `_grow`). Growth first splits the roots' cells into runs,
-one per sequence, once (`_layout`). Every prefix, at every depth, scores its
-candidates from a projection of that layout, the runs of its candidates it
-can still match (`_extend`): a gather, an add and one maximum per run,
-whose result is sparse, one hit (candidate, sequence, best value) per run
-that matched (SPADE's id-list join, Zaki 2001, carried to utilities as
-HUS-Span's utility chains do, Wang, Huang & Chen 2016). The roots score
-from the layout itself. An evaluation hands its children the runs of its
-grown survivors' hits, whole (`_project`): the prefix + x + c can match
+beside it (see `_grow`). The roots' runs are the vocabulary's, or their
+projection when a root's own bound prunes an entry (`_layout`). Every
+prefix, at every depth, scores its candidates from a projection of them,
+the runs of its candidates it can still match (`_extend`): a gather, an
+add and one maximum per run, whose result is sparse, one hit (candidate,
+sequence, best value) per run that matched (SPADE's id-list join, Zaki
+2001, carried to utilities as HUS-Span's utility chains do, Wang, Huang &
+Chen 2016). The roots score from the roots' runs themselves. An
+evaluation hands its children the runs of its grown survivors' hits,
+whole (`_project`): the prefix + x + c can match
 only where the prefix + c did, as in PrefixSpan's projected database (Pei
 et al. 2001). The survivors that will be grown read their score rows off
 the same evaluation's cell values, all in one batch (`_rows`), and a root
@@ -127,8 +128,8 @@ class _Projection(NamedTuple):
     `run_candidate[i]`, a position among the candidates, in sequence
     `run_rows[i]`. Each cell has its run and its value, its candidate's
     putil times its window's duration. Runs are sorted by (candidate,
-    sequence) and kept whole. The growth layout is the projection of the
-    roots (`_layout`)."""
+    sequence) and kept whole. The vocabulary is one, entry v being
+    candidate v (`_price`), and growth scores from projections of it."""
 
     cells: np.ndarray         # int32 [cells], window-major cell ids j * n + s
     values: np.ndarray        # float64 [cells], putil * duration
@@ -140,19 +141,17 @@ class _Projection(NamedTuple):
 
 @dataclass
 class _Context:
-    """A mining run's inputs, its vocabulary as one cell list per entry, and
-    the columns growth scores from.
+    """A mining run's inputs, its vocabulary, and the runs growth scores
+    from.
 
     Entry v of the vocabulary, in mining order, is the coincidence
-    `vocab[v]`. Its cells, the window-major ids `j * n + s` of the windows
-    that hold its whole mask, by sequence, then window, are
-    `entry_start[v]:entry_start[v + 1]` of `vocab_cells`: a cell's sequence
-    is cell % n, so no column names it. When patterns can be longer than
-    one coincidence, growth splits the roots' cells into runs, one per
-    sequence each occurs in, ascending: the `layout`, with the buffer it
-    scores from (`_layout`). Each growth evaluation below the roots reads
-    only a projection of that layout, the runs its candidates can still
-    match (`_project`).
+    `vocab[v]`, and candidate v of `runs`: its cells are the window-major
+    ids `j * n + s` of the windows that hold its whole mask, one run per
+    sequence it occurs in, ascending (`_price`). When patterns can be
+    longer than one coincidence, growth keeps only the roots' runs there,
+    root i being candidate i, with the buffer it scores from (`_layout`).
+    Each growth evaluation below the roots reads only a projection of
+    them, the runs its candidates can still match (`_project`).
     """
 
     enc: EncodedDataset
@@ -161,9 +160,7 @@ class _Context:
     vocab: list[Coincidence] = field(default_factory=list)
     vocab_putils: np.ndarray | None = None  # float64 [V]
     vocab_bounds: np.ndarray | None = None  # float64 [3, V]: umax, full and rest
-    entry_start: np.ndarray | None = None   # int64 [V + 1]
-    vocab_cells: np.ndarray | None = None   # int32 [cells]
-    layout: _Projection | None = None
+    runs: _Projection | None = None         # the vocabulary's, then the roots'
     before: np.ndarray | None = None        # float64 [cap * n], -inf between evaluations
 
 
@@ -173,14 +170,6 @@ class _Context:
 BATCH_CELLS = 2**16
 
 
-def _heads(entry, sequence):
-    """The marks of the cells that start a run: where a cell's `entry` or
-    its `sequence` differs from the previous cell's."""
-    new = np.ones(entry.size, dtype=bool)
-    new[1:] = (entry[1:] != entry[:-1]) | (sequence[1:] != sequence[:-1])
-    return new
-
-
 def _run_ids(marks):
     """int32 running count of `marks`, less one: each cell's run, given the
     marks of the cells that start one, or each marked item's position
@@ -188,6 +177,23 @@ def _run_ids(marks):
     ids = np.cumsum(marks, dtype=np.int32)
     ids -= 1
     return ids
+
+
+def _offsets(lengths):
+    """(cell_run, cell_start) of runs of `lengths` cells each, laid end to
+    end: each cell's int32 run and int64 offsets [runs + 1]."""
+    cell_start = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=cell_start[1:])
+    new = np.zeros(cell_start[-1], dtype=bool)
+    new[cell_start[:-1]] = True
+    return _run_ids(new), cell_start
+
+
+def _span(projection: _Projection, i: int):
+    """(runs, cells), the slices of candidate i's runs and of their cells
+    in `projection`."""
+    first, last = np.searchsorted(projection.run_candidate, (i, i + 1))
+    return slice(first, last), slice(projection.cell_start[first], projection.cell_start[last])
 
 
 def _masses(ctx: _Context, candidate, sequence, best, count: int, length: int):
@@ -208,26 +214,15 @@ def _masses(ctx: _Context, candidate, sequence, best, count: int, length: int):
 
 
 def _layout(ctx: _Context, roots) -> None:
-    """Growth's layout, the runs of the root vocabulary entries `roots`,
-    ascending, root i being candidate i: the vocabulary's own cells when
+    """Keep in `ctx.runs` only the runs of the root vocabulary entries
+    `roots`, ascending, root i being candidate i: the vocabulary's own when
     every entry is a root. Also the buffer `_extend` reads a prefix's
     scores from, all -inf."""
-    n = ctx.enc.n_sequences
-    ctx.before = np.full(ctx.enc.capacity * n, -np.inf)
-    cells = ctx.vocab_cells
-    entry = np.repeat(np.arange(len(ctx.vocab), dtype=np.int32), np.diff(ctx.entry_start))
+    ctx.before = np.full(ctx.enc.capacity * ctx.enc.n_sequences, -np.inf)
     if len(roots) < len(ctx.vocab):
         kept = np.zeros(len(ctx.vocab), dtype=bool)
         kept[roots] = True
-        root = kept[entry]
-        cells, entry = cells[root], _run_ids(kept)[entry[root]]
-    values = ctx.vocab_putils[roots][entry]
-    values *= by_window(ctx.enc.durations).reshape(-1)[cells]
-    sequence = cells % n
-    new = _heads(entry, sequence)
-    head = np.flatnonzero(new)
-    ctx.layout = _Projection(cells, values, _run_ids(new), np.append(head, cells.size),
-                             sequence[head].astype(np.int64), entry[head])
+        ctx.runs = _project(ctx.runs, kept, np.flatnonzero(kept[ctx.runs.run_candidate]))[0]
 
 
 def _project(source: _Projection, kept, runs):
@@ -236,11 +231,7 @@ def _project(source: _Projection, kept, runs):
     candidate renumbered among the kept ones. Returns it with the position
     in `source` of each of its cells."""
     start = source.cell_start
-    cell_start = np.zeros(runs.size + 1, dtype=np.int64)
-    np.cumsum(start[runs + 1] - start[runs], out=cell_start[1:])
-    new = np.zeros(cell_start[-1], dtype=bool)
-    new[cell_start[:-1]] = True
-    cell_run = _run_ids(new)
+    cell_run, cell_start = _offsets(start[runs + 1] - start[runs])
     at = (start[runs] - cell_start[:-1])[cell_run] + np.arange(cell_start[-1])
     candidate = _run_ids(kept)[source.run_candidate[runs]]
     return _Projection(source.cells[at], source.values[at], cell_run, cell_start,
@@ -287,14 +278,13 @@ def _rows(ctx: _Context, cells, column, values, width: int):
 
 def _scores(ctx: _Context, i: int):
     """(rows, window-major score rows) of root i, on the sequences it
-    occurs in, read off its layout runs: the empty prefix scores 0.0 before
-    every window, which changes no value."""
-    layout = ctx.layout
-    first, last = np.searchsorted(layout.run_candidate, (i, i + 1))
-    cells = slice(layout.cell_start[first], layout.cell_start[last])
-    scores = _rows(ctx, layout.cells[cells], layout.cell_run[cells] - first,
-                   layout.values[cells], last - first)
-    return layout.run_rows[first:last], by_window(scores)
+    occurs in, read off its runs: the empty prefix scores 0.0 before every
+    window, which changes no value."""
+    roots = ctx.runs
+    runs, cells = _span(roots, i)
+    scores = _rows(ctx, roots.cells[cells], roots.cell_run[cells] - runs.start,
+                   roots.values[cells], runs.stop - runs.start)
+    return roots.run_rows[runs], by_window(scores)
 
 
 def _bound(ctx: _Context, umax, full, rest):
@@ -356,7 +346,7 @@ def _candidate_cells(ctx: _Context, parent: int, joins):
             entry = np.repeat(np.arange(hi - lo), np.diff(start[lo : hi + 1]))
             yield lo, hi, entry, enc.label_cells[start[lo] : start[hi]]
         return
-    cells = ctx.vocab_cells[ctx.entry_start[parent] : ctx.entry_start[parent + 1]]
+    cells = ctx.runs.cells[_span(ctx.runs, parent)[1]]
     held = by_window(enc.masks).reshape(-1, enc.words)[cells].T  # [words, cells]
     bit = np.left_shift(np.uint64(1), (joins & 63).astype(np.uint64))
     for lo, hi in _chunks(np.full(joins.size, cells.size)):
@@ -366,29 +356,35 @@ def _candidate_cells(ctx: _Context, parent: int, joins):
 
 def _price(ctx: _Context, stats: MiningStats, putils, entry, cells):
     """The survivors of a chunk of vocabulary candidates, priced from their
-    cells: candidate i fits `cells[entry == i]`, by sequence, then window,
-    and a cell's sequence is cell % n. Its best match in a sequence is its
-    mass `putils[i]` times its longest window there, the kernel's running
-    maximum from the empty prefix bit for bit, as rounding is monotone for
-    a nonnegative mass. Returns the survivors' positions and their columns:
-    umax, full and rest [k, 3], cell counts and cells.
+    runs: candidate i fits `cells[entry == i]`, by sequence, then window,
+    and its cells in one sequence, cell % n, are one run. A cell's value is
+    the mass `putils[i]` times its window's duration, and a run's best
+    match its largest value: the kernel's product and running maximum from
+    the empty prefix, bit for bit. Returns the survivors' positions and
+    their columns: umax, full and rest [k, 3], cells, cell values, their
+    runs' cell counts and sequences, and each survivor's count of runs.
     """
     sequence = cells % ctx.enc.n_sequences
-    new = _heads(entry, sequence)
+    new = np.ones(entry.size, dtype=bool)
+    new[1:] = (entry[1:] != entry[:-1]) | (sequence[1:] != sequence[:-1])
     head = np.flatnonzero(new)
-    longest = np.full(head.size, -np.inf)
-    np.maximum.at(longest, _run_ids(new), by_window(ctx.enc.durations).reshape(-1)[cells])
+    values = by_window(ctx.enc.durations).reshape(-1)[cells]
+    values *= putils[entry]
+    run = _run_ids(new)
+    best = np.full(head.size, -np.inf)
+    np.maximum.at(best, run, values)
     # one hit per run, sorted by (candidate, sequence)
-    candidate = entry[head]
-    umax, full, rest = _masses(ctx, candidate, sequence[head], putils[candidate] * longest,
-                               len(putils), 1)
-    counts = np.bincount(entry, minlength=len(putils))
+    candidate, rows = entry[head], sequence[head].astype(np.int64)
+    umax, full, rest = _masses(ctx, candidate, rows, best, len(putils), 1)
+    runs = np.bincount(candidate, minlength=len(putils))
     # a coincidence that can still gain labels has no match value to
     # project from, so only the weighted part holds
-    keep = _survivors(ctx, stats, counts > 0, math.inf, full, rest)
+    keep = _survivors(ctx, stats, runs > 0, math.inf, full, rest)
     alive = np.zeros(len(putils), dtype=bool)
     alive[keep] = True
-    return keep, (np.stack((umax, full, rest), axis=1)[keep], counts[keep], cells[alive[entry]])
+    at, kept = alive[entry], alive[candidate]
+    return keep, (np.stack((umax, full, rest), axis=1)[keep], cells[at], values[at],
+                  np.bincount(run)[kept], rows[kept], runs[keep])
 
 
 def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
@@ -398,16 +394,18 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
     level's survivors in order, starting from the empty coincidence, so the
     vocabulary comes out ordered by size, then by labels. Every candidate
     is priced from its cells (`_candidate_cells`, `_price`), so the phase
-    runs no kernel. Candidates that never occur in a single window are dead
+    runs no kernel, and each level ends with the vocabulary's runs so far
+    in `ctx.runs`. Candidates that never occur in a single window are dead
     ends for every strategy and are dropped too.
     """
     enc = ctx.enc
     # a label's bit is its index in enc.labels
     bits = np.arange(len(enc.labels))
-    # the columns so far, then the chunks priced since: putils, bounds, cell
-    # counts and cells
-    parts = [(enc.label_utility[:0], np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
-              enc.label_cells[:0])]
+    # the columns so far, then the chunks priced since: putils, bounds,
+    # cells, cell values, run cell counts and sequences, and run counts
+    none = np.zeros(0, dtype=np.int64)
+    parts = [(enc.label_utility[:0], np.zeros((0, 3)), enc.label_cells[:0], np.zeros(0), none,
+              none, none)]
     last: list[int] = []  # each entry's last label
     # level 0 is the empty coincidence, which occurs everywhere
     level, size = [-1], 0
@@ -431,9 +429,10 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
                 last.extend(joins[keep].tolist())
                 parts.append((putils[keep], *columns))
         parts = [tuple(np.concatenate(column) for column in zip(*parts))]
-        ctx.vocab_putils, bounds, counts, ctx.vocab_cells = parts[0]
+        ctx.vocab_putils, bounds, cells, values, lengths, run_rows, runs = parts[0]
         ctx.vocab_bounds = bounds.T
-        ctx.entry_start = np.concatenate(([0], np.cumsum(counts)))
+        entry = np.repeat(np.arange(len(ctx.vocab), dtype=np.int32), runs)
+        ctx.runs = _Projection(cells, values, *_offsets(lengths), run_rows, entry)
         level = range(first, len(ctx.vocab))
         # only labels that survived alone can be part of a survivor
         if size == 1:
@@ -447,10 +446,9 @@ def _grow(ctx: _Context, prefix: list[Coincidence], children: list, projection: 
     `children` are the extensions of the prefix that survived, in
     vocabulary order: (vocabulary index, the sequences the child occurs
     in, its score rows on them, umax); rows and scores are None at the
-    length cap, and for a root, whose rows are read off its layout runs
-    when it is grown. A child is emitted when its umax meets the
-    threshold. Below the length cap it is then scored extended by every
-    coincidence of
+    length cap, and for a root, whose rows are read off its runs when it
+    is grown. A child is emitted when its umax meets the threshold. Below
+    the length cap it is then scored extended by every coincidence of
     `children`, on its own rows only, from `projection`, their runs that
     the prefix's evaluation hit (`_children`), and the survivors are grown
     in turn. A pattern grown from prefix+x that appends c is a
@@ -518,16 +516,15 @@ def _mine_root(ctx: _Context, out: list[Pattern], stats: MiningStats) -> None:
 
     Its children, the roots, are the vocabulary coincidences, bounded in
     phase 1. The roots whose own bound clears the threshold are grown like
-    any other child, and each inherits only them, scored from the layout,
-    the roots' runs (`_layout`), built once the vocabulary's temporaries
-    are gone. Phase 1 keeps no score rows: a root's are read off its runs
-    when it is grown (`_scores`).
+    any other child, and each inherits only them, scored from the roots'
+    runs (`_layout`). Phase 1 keeps no score rows: a root's are read off
+    its runs when it is grown (`_scores`).
     """
     umax, full, rest = ctx.vocab_bounds
     roots = _survivors(ctx, stats, np.ones(umax.size, dtype=bool), umax, full, rest)
     if ctx.cfg.max_length > 1:
         _layout(ctx, roots)
-    _grow(ctx, [], [(i, None, None, float(umax[i])) for i in roots], ctx.layout, out, stats)
+    _grow(ctx, [], [(i, None, None, float(umax[i])) for i in roots], ctx.runs, out, stats)
 
 
 def mine(

@@ -150,10 +150,9 @@ def test_label_rows_of_the_running_example():
     ctx = miner._Context(enc=enc, cfg=cfg, xi_abs=0.0)
     miner._build_vocabulary(ctx, miner.MiningStats())
     assert [c.labels for c in ctx.vocab] == [(label,) for label in enc.labels]
-    # growth splits each entry's cells into its runs, one per sequence
-    miner._layout(ctx, range(len(ctx.vocab)))
-    assert ctx.layout.run_candidate.tolist() == [0] * 3 + [1] * 4 + [2] * 4 + [3] + [4] * 4 + [5]
-    assert ctx.layout.run_rows.tolist() == [
+    # the vocabulary keeps each entry's cells as its runs, one per sequence
+    assert ctx.runs.run_candidate.tolist() == [0] * 3 + [1] * 4 + [2] * 4 + [3] + [4] * 4 + [5]
+    assert ctx.runs.run_rows.tolist() == [
         0, 1, 2,  # A
         0, 1, 2, 3,  # B
         0, 1, 2, 3,  # C

@@ -182,6 +182,13 @@ def wide_vocabulary_contexts():
                 yield miner._Context(enc=enc, cfg=cfg, xi_abs=resolve_threshold(cfg, enc))
 
 
+def entry_cells(runs, v):
+    """The cells of candidate v of the projection `runs`: those of its
+    runs, which lie together."""
+    at = np.flatnonzero(runs.run_candidate == v)
+    return runs.cells[runs.cell_start[at[0]] : runs.cell_start[at[-1] + 1]]
+
+
 def roots_of(ctx):
     """The vocabulary entries of `ctx` whose own bound clears its
     threshold, in order: the roots growth grows, root i being `_scores`'s
@@ -200,16 +207,16 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
     kernel. Every entry's full and rest are bit-identical too:
     a join's sum only its parent's rows, but left to right, so the
     unmatched rows it skips add nothing. An entry's cells are exactly the
-    windows that hold its whole mask, by sequence, then window, and growth
-    splits them into one run per sequence. Alphabets of two mask words are
-    among the instances, as a join tests each label's own word.
+    windows that hold its whole mask, by sequence, then window, and the
+    vocabulary keeps them as one run per sequence. Alphabets of two mask
+    words are among the instances, as a join tests each label's own word.
     """
     checked = both_words = 0
     for ctx in itertools.chain(lean_vocabulary_contexts(5, 120), wide_vocabulary_contexts()):
         with monkeypatch.context() as m:
             m.setattr(miner, "extend_scores", None)  # the phase runs no kernel
             miner._build_vocabulary(ctx, miner.MiningStats())
-        miner._layout(ctx, np.arange(len(ctx.vocab)))
+        vocabulary = ctx.runs
         enc = ctx.enc
         n = enc.n_sequences
         windows = by_window(enc.masks).reshape(-1, enc.words)
@@ -218,17 +225,17 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
             mask, putil = encode_coincidence(c, enc)
             assert ctx.vocab_putils[v].hex() == putil[0].hex(), c
             both_words += int((mask != 0).sum()) == 2
-            runs = np.flatnonzero(ctx.layout.run_candidate == v)
-            assert ctx.layout.run_rows[runs].tolist() == np.flatnonzero(e.matched).tolist(), c
+            runs = np.flatnonzero(vocabulary.run_candidate == v)
+            assert vocabulary.run_rows[runs].tolist() == np.flatnonzero(e.matched).tolist(), c
             umax, full, rest = ctx.vocab_bounds[:, v]
             assert umax.hex() == e.umax.hex(), c
             assert (full.hex(), rest.hex()) == (e.full.hex(), e.rest.hex()), c
             fit = np.flatnonzero(((windows & mask) == mask).all(axis=1))
             fit = fit[np.lexsort((fit // n, fit % n))]
-            cells = ctx.vocab_cells[ctx.entry_start[v] : ctx.entry_start[v + 1]]
+            cells = entry_cells(vocabulary, v)
             assert cells.tolist() == fit.tolist(), c
-            lengths = np.diff(ctx.layout.cell_start)[runs]
-            assert lengths.tolist() == np.bincount(fit % n)[ctx.layout.run_rows[runs]].tolist()
+            lengths = np.diff(vocabulary.cell_start)[runs]
+            assert lengths.tolist() == np.bincount(fit % n)[vocabulary.run_rows[runs]].tolist()
         # a root's score rows are read off its cells, and growth runs no
         # kernel
         roots, entries = [], roots_of(ctx)
@@ -254,10 +261,10 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
 
 
 def test_the_vocabulary_keeps_no_score_rows(example_cdata):
-    """The vocabulary's columns hold each entry's cells and bound inputs:
+    """The vocabulary's columns hold each entry's runs and bound inputs:
     each float column has one value per entry, never a row per sequence,
-    so the vocabulary costs no n x cap memory. It keeps no mask and no run
-    column either: a cell names its sequence, and growth derives the runs."""
+    so the vocabulary costs no n x cap memory. It keeps no mask either, and
+    its runs hold one value per cell or per run."""
     enc = encode_dataset(example_cdata)
     ctx = miner._Context(enc=enc, cfg=cfg_at(0.0, 3, 2), xi_abs=0.0)
     miner._build_vocabulary(ctx, miner.MiningStats())
@@ -266,54 +273,114 @@ def test_the_vocabulary_keeps_no_score_rows(example_cdata):
         name: (value.dtype.kind, value.shape) for name, value in vars(ctx).items()
         if isinstance(value, np.ndarray)
     }
-    cells = ctx.vocab_cells.size
     assert arrays == {
         "vocab_putils": ("f", (12,)),
         "vocab_bounds": ("f", (3, 12)),
-        "entry_start": ("i", (13,)),
-        "vocab_cells": ("i", (cells,)),
     }
-    assert ctx.entry_start[-1] == cells
+    cells, runs = ctx.runs.cells.size, ctx.runs.run_rows.size
+    columns = ctx.runs._asdict().items()
+    assert {name: (value.dtype.kind, value.shape) for name, value in columns} == {
+        "cells": ("i", (cells,)),
+        "values": ("f", (cells,)),
+        "cell_run": ("i", (cells,)),
+        "cell_start": ("i", (runs + 1,)),
+        "run_rows": ("i", (runs,)),
+        "run_candidate": ("i", (runs,)),
+    }
+    assert ctx.runs.cell_start[-1] == cells
 
 
-def test_growth_splits_the_cells_of_each_entry_into_runs_by_sequence():
-    """After `_layout`, an entry's runs are exactly the groups of its cells
-    by sequence, cell % n, in ascending order: each run's sequence, entry
-    and cell count come from those groups, and every cell knows its run.
-    The layout reads the vocabulary's own cells, and each cell's value is
-    its entry's putil times its window's duration."""
+def test_the_vocabulary_splits_the_cells_of_each_entry_into_runs_by_sequence():
+    """After `_build_vocabulary`, an entry's runs are exactly the groups of
+    its cells by sequence, cell % n, in ascending order: each run's
+    sequence, entry and cell count come from those groups, and every cell
+    knows its run. Entries lie in order, and each cell's value is its
+    entry's putil times its window's duration. Growth reads the
+    vocabulary's own runs when every entry is a root, with no copy."""
     checked = 0
     for ctx in itertools.chain(lean_vocabulary_contexts(8, 40), wide_vocabulary_contexts()):
         miner._build_vocabulary(ctx, miner.MiningStats())
-        miner._layout(ctx, np.arange(len(ctx.vocab)))
-        layout = ctx.layout
+        layout = ctx.runs
         n = ctx.enc.n_sequences
         assert layout.run_candidate.dtype == layout.cell_run.dtype == np.int32
         assert layout.run_rows.dtype == np.int64
-        assert layout.cells is ctx.vocab_cells
-        assert layout.cell_start[0] == 0 and layout.cell_start[-1] == ctx.vocab_cells.size
+        assert layout.cell_start[0] == 0 and layout.cell_start[-1] == layout.cells.size
+        assert layout.values.size == layout.cell_run.size == layout.cells.size
         assert (np.diff(layout.run_candidate) >= 0).all()
+        # each entry's cells, counted by the candidate of each cell's run
+        entry = layout.run_candidate[layout.cell_run]
+        entry_start = np.append(0, np.cumsum(np.bincount(entry, minlength=len(ctx.vocab))))
         durations = by_window(ctx.enc.durations).reshape(-1)
         for v in range(len(ctx.vocab)):
-            start, stop = ctx.entry_start[v], ctx.entry_start[v + 1]
-            sequence = ctx.vocab_cells[start:stop] % n
+            start, stop = entry_start[v], entry_start[v + 1]
+            sequence = layout.cells[start:stop] % n
             runs = np.flatnonzero(layout.run_candidate == v)
             rows, counts = np.unique(sequence, return_counts=True)
             assert layout.run_rows[runs].tolist() == rows.tolist(), ctx.vocab[v]
             assert np.diff(layout.cell_start[runs[0] : runs[-1] + 2]).tolist() == counts.tolist()
             assert layout.cell_start[runs[0]] == start and layout.cell_start[runs[-1] + 1] == stop
             assert (layout.run_rows[layout.cell_run[start:stop]] == sequence).all()
-            value = ctx.vocab_putils[v] * durations[ctx.vocab_cells[start:stop]]
+            value = ctx.vocab_putils[v] * durations[layout.cells[start:stop]]
             assert layout.values[start:stop].tobytes() == value.tobytes(), ctx.vocab[v]
             checked += runs.size
+        miner._layout(ctx, np.arange(len(ctx.vocab)))
+        assert ctx.runs is layout
     assert checked > 1000
 
 
+@pytest.mark.parametrize("cells", [1, miner.BATCH_CELLS])
+def test_phase_1_leaves_each_entrys_fitting_windows_as_its_runs(monkeypatch, example_cdata, cells):
+    """Right after `_build_vocabulary`, with no `_layout` call, the
+    vocabulary's runs are each entry's fitting windows, the windows that
+    hold its whole mask, grouped by sequence: one run per sequence it
+    occurs in, ascending, by window, entries in order, and each cell's
+    value is the entry's utility mass times its window's duration, bit for
+    bit. On the running example and on an alphabet of two mask words, with
+    one candidate per chunk or many."""
+    instances = ((example_cdata, cfg_at(0.0, 3, 2)),
+                 (wide_dataset(4, 70), cfg_at(0.01, 2, 2, mode="relative")))
+    both_words = 0
+    for d, cfg in instances:
+        enc = encode_dataset(d)
+        ctx = miner._Context(enc=enc, cfg=cfg, xi_abs=resolve_threshold(cfg, enc))
+        with monkeypatch.context() as m:
+            m.setattr(miner, "BATCH_CELLS", cells)
+            m.setattr(miner, "_layout", None)
+            miner._build_vocabulary(ctx, miner.MiningStats())
+        n, words = enc.n_sequences, enc.words
+        windows = by_window(enc.masks).reshape(-1, words)
+        durations = by_window(enc.durations).reshape(-1)
+        fits, values, runs = [], [], []
+        for v, c in enumerate(ctx.vocab):
+            mask, putil = encode_coincidence(c, enc)
+            both_words += int((mask != 0).sum()) == 2
+            fit = np.flatnonzero(((windows & mask) == mask).all(axis=1))
+            fit = fit[np.lexsort((fit // n, fit % n))]
+            fits.append(fit)
+            values.append(putil[0] * durations[fit])
+            rows, counts = np.unique(fit % n, return_counts=True)
+            runs.extend((v, s, count) for s, count in zip(rows.tolist(), counts.tolist()))
+        got = ctx.runs
+        assert len(ctx.vocab) > 10
+        assert got.cells.tolist() == np.concatenate(fits).tolist()
+        assert got.values.tobytes() == np.concatenate(values).tobytes()
+        assert list(zip(got.run_candidate.tolist(), got.run_rows.tolist(),
+                        np.diff(got.cell_start).tolist())) == runs
+        lengths = [count for _, _, count in runs]
+        assert got.cell_run.tolist() == np.repeat(np.arange(len(runs)), lengths).tolist()
+    assert both_words > 0
+
+
 def roots_projection(monkeypatch, enc, cfg):
-    """The mining context of `enc` under `cfg` and the projection its roots
-    are scored from, the one the empty prefix's `_grow` receives."""
-    seen = []
-    grow = miner._grow
+    """The mining context of `enc` under `cfg`, its vocabulary's runs, and
+    the projection its roots are scored from, the one the empty prefix's
+    `_grow` receives."""
+    seen, vocabulary = [], []
+    grow, build = miner._grow, miner._build_vocabulary
+
+    def built(ctx, stats):
+        build(ctx, stats)
+        vocabulary.append(ctx.runs)
 
     def recording(ctx, prefix, children, projection, out, stats):
         if not prefix:
@@ -322,40 +389,40 @@ def roots_projection(monkeypatch, enc, cfg):
 
     with monkeypatch.context() as m:
         m.setattr(miner, "_grow", recording)
+        m.setattr(miner, "_build_vocabulary", built)
         mine(enc, cfg)
-    (found,) = seen
-    return found
+    ((ctx, projection),), (runs,) = seen, vocabulary
+    return ctx, runs, projection
 
 
 def test_the_roots_projection_is_the_layout_when_every_entry_is_a_root(monkeypatch):
     """The roots are scored from the layout, which holds the roots' runs
-    alone. At xi 0 every vocabulary entry is a root, and the layout reads
-    the vocabulary's own cells, with no copy. When a root's own bound
-    prunes an entry, it holds the runs of the surviving roots alone, whole,
-    each one's candidate renumbered among them."""
+    alone. At xi 0 every vocabulary entry is a root, and the layout is the
+    vocabulary's own runs, with no copy. When a root's own bound prunes an
+    entry, it holds the runs of the surviving roots alone, whole, each
+    one's candidate renumbered among them."""
     es, table = random_dataset(
         GeneratorParams(seed=3, num_sequences=4, max_intervals_per_seq=5, alphabet_size=4)
     )
     enc = encode_dataset(transform_dataset(es, table))
-    ctx, projection = roots_projection(monkeypatch, enc, cfg_at(0.0, 2, 1))
-    assert len(ctx.vocab) == 4 and projection is ctx.layout
-    assert np.shares_memory(projection.cells, ctx.vocab_cells)
-    assert projection.cells.size == ctx.vocab_cells.size
+    ctx, every, projection = roots_projection(monkeypatch, enc, cfg_at(0.0, 2, 1))
+    assert len(ctx.vocab) == 4 and projection is ctx.runs
+    assert projection is every
+    assert np.shares_memory(projection.cells, every.cells)
 
     # the instance of `test_a_root_its_bound_prunes_is_counted`: <{A}> and
     # <{D}> are entries, and pdc prunes the root <{D}>
-    ctx, projection = roots_projection(monkeypatch, enc, cfg_at(0.5, 2, 1, mode="relative"))
+    ctx, every, projection = roots_projection(monkeypatch, enc,
+                                              cfg_at(0.5, 2, 1, mode="relative"))
     assert ctx.vocab == [Coincidence.of(["A"]), Coincidence.of(["D"])]
-    assert projection is ctx.layout
-    assert not np.shares_memory(projection.cells, ctx.vocab_cells)
-    miner._layout(ctx, [0, 1])
-    every = ctx.layout
+    assert projection is ctx.runs
+    assert not np.shares_memory(projection.cells, every.cells)
     runs = np.flatnonzero(every.run_candidate == 0)
     assert 0 < projection.cells.size < every.cells.size
     assert projection.run_candidate.tolist() == [0] * runs.size
     assert projection.run_rows.tolist() == every.run_rows[runs].tolist()
     assert projection.cell_start.tolist() == every.cell_start[: runs.size + 1].tolist()
-    cells = slice(ctx.entry_start[0], ctx.entry_start[1])
+    cells = slice(0, entry_cells(every, 0).size)
     assert projection.cells.tolist() == every.cells[cells].tolist()
     assert projection.values.tobytes() == every.values[cells].tobytes()
     assert projection.cell_run.tolist() == every.cell_run[cells].tolist()
@@ -731,13 +798,18 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
     the prefix's sequences and those with no cell in them, the rows built,
     and the projections smaller than their parent's."""
     extend, build, masses, children = miner._extend, miner._scores, miner._masses, miner._children
+    vocabulary = miner._build_vocabulary
     pending = {"evaluation": None}
 
+    def built(ctx, stats):
+        vocabulary(ctx, stats)
+        pending["vocabulary"] = ctx.runs
+
     def whole_vocabulary(ctx):
-        # a copy of the mining context whose layout holds every vocabulary
-        # entry's runs, entry v being candidate v, with its own buffer
+        # a copy of the mining context whose runs are every vocabulary
+        # entry's, entry v being candidate v, with its own buffer
         if pending.get("whole") is None or pending["whole"][0] is not ctx:
-            every = dataclasses.replace(ctx)
+            every = dataclasses.replace(ctx, runs=pending["vocabulary"])
             miner._layout(every, np.arange(len(ctx.vocab)))
             pending["whole"] = ctx, every
         return pending["whole"][1]
@@ -770,7 +842,7 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
             assert child is None
         n = ctx.enc.n_sequences
         for v in candidates.tolist():
-            cells = ctx.vocab_cells[ctx.entry_start[v] : ctx.entry_start[v + 1]]
+            cells = entry_cells(pending["vocabulary"], v)
             on_rows = np.isin(cells % n, rows)
             seen["fit window 0"] += bool((on_rows & (cells < n)).any())
             seen["no cell in the prefix's rows"] += not on_rows.any()
@@ -783,15 +855,16 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
         assert child.run_rows.tolist() == rows[position].tolist()
         assert child.cells.size <= parent.cells.size
         seen["smaller projections"] += child.cells.size < parent.cells.size
-        layout, n = whole_vocabulary(ctx).layout, ctx.enc.n_sequences
+        layout, n = whole_vocabulary(ctx).runs, ctx.enc.n_sequences
         for i in range(child.run_rows.size):
             v, s = survivors[child.run_candidate[i]], child.run_rows[i]
             lo, hi = child.cell_start[i], child.cell_start[i + 1]
             assert (child.cell_run[lo:hi] == i).all()
             # the run is kept whole: every cell of entry v in sequence s
-            cells = slice(ctx.entry_start[v], ctx.entry_start[v + 1])
-            whole = ctx.vocab_cells[cells] % n == s
-            assert child.cells[lo:hi].tolist() == ctx.vocab_cells[cells][whole].tolist()
+            at = np.flatnonzero(layout.run_candidate == v)
+            cells = slice(layout.cell_start[at[0]], layout.cell_start[at[-1] + 1])
+            whole = layout.cells[cells] % n == s
+            assert child.cells[lo:hi].tolist() == layout.cells[cells][whole].tolist()
             assert child.values[lo:hi].tobytes() == layout.values[cells][whole].tobytes()
 
     def checked_extend(ctx, projection, rows, scores):
@@ -807,11 +880,11 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
         # the same evaluation over every vocabulary entry's runs hits the
         # same runs
         every = whole_vocabulary(ctx)
-        entry, whole, whole_best, _ = extend(every, every.layout, rows, scores)
+        entry, whole, whole_best, _ = extend(every, every.runs, rows, scores)
         candidates = pending["candidates"]
         among = np.isin(entry, candidates)
         assert np.searchsorted(candidates, entry[among]).tolist() == candidate.tolist()
-        assert every.layout.run_rows[whole[among]].tolist() == sequence.tolist()
+        assert every.runs.run_rows[whole[among]].tolist() == sequence.tolist()
         assert whole_best[among].tobytes() == best.tobytes()
         return candidate, run, best, values
 
@@ -844,6 +917,7 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
         m.setattr(miner, "_extend", checked_extend)
         m.setattr(miner, "_masses", checked_masses)
         m.setattr(miner, "_scores", checked_scores)
+        m.setattr(miner, "_build_vocabulary", built)
         m.setattr(miner, "extend_scores", None)
         patterns, _ = mine(enc, cfg)
     return pattern_set(patterns)
@@ -885,7 +959,7 @@ def test_an_empty_vocabulary_has_an_empty_leaf_layout(example_cdata):
     miner._build_vocabulary(ctx, miner.MiningStats())
     assert ctx.vocab == []
     miner._layout(ctx, [])
-    layout = ctx.layout
+    layout = ctx.runs
     assert layout.values.size == layout.cell_run.size == layout.run_candidate.size == 0
     rows = np.arange(enc.n_sequences)
     scores = np.zeros((enc.n_sequences, enc.capacity))

@@ -11,10 +11,11 @@ can only shrink the set of sequences a coincidence occurs in, and the
 weighted bound sums over that set, so every superset of a dropped label
 fails both tests too (the Apriori property). A candidate's cells, the
 windows that hold its whole mask, are a label's own cells from the encoder
-or its parent's cells that hold the new label. `_price` splits them into
-runs, one per sequence, and reads its best match there off each run. The
-vocabulary keeps those runs, split once, as a `_Projection` whose
-candidate v is entry v, with no masks or score rows.
+or its parent's cells that hold the new label. A level's candidates are
+priced in chunks that can span many parents (`_candidate_cells`): `_price`
+splits their cells into runs, one per sequence, and reads its best match
+there off each run. The vocabulary keeps those runs, split once, as a
+`_Projection` whose candidate v is entry v, with no masks or score rows.
 
 Phase 2 grows patterns depth-first by appending whole vocabulary
 coincidences, starting from the empty prefix, whose children, the roots,
@@ -32,9 +33,10 @@ evaluation hands its children the runs of its grown survivors' hits,
 whole (`_project`): the prefix + x + c can match
 only where the prefix + c did, as in PrefixSpan's projected database (Pei
 et al. 2001). The survivors that will be grown read their score rows off
-the same evaluation's cell values, all in one batch (`_rows`), and a root
-reads its own off its cells (`_scores`). Both give the dense kernel's
-values (`kernels.extend_scores`) bit for bit; the miner never calls it.
+the same evaluation's cell values, all in one batch (`_rows`), and the
+roots read theirs off their cells, one batch per chunk of roots
+(`_mine_root`). Both give the dense kernel's values
+(`kernels.extend_scores`) bit for bit; the miner never calls it.
 
 Every bound is one formula, `_bound`, over three numbers that come with a
 candidate's scores: its umax, its weighted bound `full` (the top-K
@@ -52,6 +54,7 @@ emission compares a pattern's utility with the threshold exactly.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -164,9 +167,10 @@ class _Context:
     before: np.ndarray | None = None        # float64 [cap * n], -inf between evaluations
 
 
-# Largest count of cells that one chunk of vocabulary candidates tests: its
-# float64 temporaries stay at 0.5 MB each. A candidate with more cells than
-# that is priced alone.
+# Largest count of cells that one chunk of vocabulary candidates tests, and
+# of score slots in one batch of the roots' score rows: their float64
+# temporaries stay at 0.5 MB each. A candidate or a root over that is
+# priced or batched alone.
 BATCH_CELLS = 2**16
 
 
@@ -187,13 +191,6 @@ def _offsets(lengths):
     new = np.zeros(cell_start[-1], dtype=bool)
     new[cell_start[:-1]] = True
     return _run_ids(new), cell_start
-
-
-def _span(projection: _Projection, i: int):
-    """(runs, cells), the slices of candidate i's runs and of their cells
-    in `projection`."""
-    first, last = np.searchsorted(projection.run_candidate, (i, i + 1))
-    return slice(first, last), slice(projection.cell_start[first], projection.cell_start[last])
 
 
 def _masses(ctx: _Context, candidate, sequence, best, count: int, length: int):
@@ -276,17 +273,6 @@ def _rows(ctx: _Context, cells, column, values, width: int):
     return scores
 
 
-def _scores(ctx: _Context, i: int):
-    """(rows, window-major score rows) of root i, on the sequences it
-    occurs in, read off its runs: the empty prefix scores 0.0 before every
-    window, which changes no value."""
-    roots = ctx.runs
-    runs, cells = _span(roots, i)
-    scores = _rows(ctx, roots.cells[cells], roots.cell_run[cells] - runs.start,
-                   roots.values[cells], runs.stop - runs.start)
-    return roots.run_rows[runs], by_window(scores)
-
-
 def _bound(ctx: _Context, umax, full, rest):
     """Upper bound on a pattern and on every pattern grown from it by
     appending coincidences, given its `_masses` values; element-wise on
@@ -328,30 +314,55 @@ def _chunks(costs):
         lo = hi
 
 
-def _candidate_cells(ctx: _Context, parent: int, joins):
-    """(lo, hi, entry, cells) for `_price`, per chunk lo:hi of the labels
-    `joins` added to the vocabulary entry `parent`, or to the empty
-    coincidence, -1.
+def _candidate_cells(ctx: _Context, parent, label):
+    """(lo, hi, entry, cells) for `_price`, per chunk lo:hi of a level's
+    candidates, candidate i adding the label `label[i]` to the vocabulary
+    entry `parent[i]`, ascending, or on level 1 to the empty coincidence,
+    -1.
 
     A label's cells are its label cells, on every sequence. A join's cells
     are its parent's cells whose window also holds the new label, one bit
     test on that label's mask word, since a larger label set fits no window
-    the smaller one misses (SPADE's id-list join, Zaki 2001). A chunk tests
-    at most `BATCH_CELLS` cells.
+    the smaller one misses (SPADE's id-list join, Zaki 2001). A candidate
+    costs the cells it tests, its label's or its parent's, and a chunk
+    tests at most `BATCH_CELLS` cells, or one candidate alone, so it can
+    span many parents. A level's parents are consecutive entries, so a
+    chunk's cells to test are one slice, and their mask words one gather.
     """
     enc = ctx.enc
-    if parent < 0:
-        start = enc.label_cell_start
-        for lo, hi in _chunks(np.diff(start)):
-            entry = np.repeat(np.arange(hi - lo), np.diff(start[lo : hi + 1]))
-            yield lo, hi, entry, enc.label_cells[start[lo] : start[hi]]
-        return
-    cells = ctx.runs.cells[_span(ctx.runs, parent)[1]]
-    held = by_window(enc.masks).reshape(-1, enc.words)[cells].T  # [words, cells]
-    bit = np.left_shift(np.uint64(1), (joins & 63).astype(np.uint64))
-    for lo, hi in _chunks(np.full(joins.size, cells.size)):
-        entry, k = np.nonzero(held[joins[lo:hi] >> 6] & bit[lo:hi, None])
-        yield lo, hi, entry, cells[k]
+    level_1 = (parent < 0).all()
+    if level_1:
+        # every label, in order, so their cells lie in order too
+        source, bounds = enc.label_cells, enc.label_cell_start[np.stack((label, label + 1))]
+    else:
+        # an entry's runs lie together, entries in order
+        source = ctx.runs.cells
+        bounds = ctx.runs.cell_start[np.searchsorted(ctx.runs.run_candidate, (parent, parent + 1))]
+    start, stop = bounds
+    costs = stop - start
+    windows = by_window(enc.masks).reshape(-1, enc.words)
+    word, bit = label >> 6, np.left_shift(np.uint64(1), (label & 63).astype(np.uint64))
+    heads = np.flatnonzero(np.diff(parent, prepend=-2)).tolist()  # each parent's first join
+    end = 0  # `held` holds the mask words of the cells source[begin:end]
+    for lo, hi in _chunks(costs):
+        if level_1:
+            entry = np.repeat(np.arange(hi - lo), costs[lo:hi])
+            yield lo, hi, entry, source[start[lo] : stop[hi - 1]]
+            continue
+        # a parent whose joins fill many chunks is gathered once
+        if stop[hi - 1] > end:
+            begin, end = start[lo], stop[hi - 1]
+            held = windows[source[begin:end]].T  # [words, cells]
+        cuts = [lo, *heads[bisect.bisect_right(heads, lo) : bisect.bisect_left(heads, hi)], hi]
+        entries, at = [], []
+        for a, b in zip(cuts, cuts[1:]):
+            # joins a:b share their parent, whose cells sit at `first` in
+            # the gathered ones
+            first = start[a] - begin
+            entry, k = np.nonzero(held[word[a:b], first : first + costs[a]] & bit[a:b, None])
+            entries.append(entry + (a - lo))
+            at.append(k + first)
+        yield lo, hi, np.concatenate(entries), source[begin:end][np.concatenate(at)]
 
 
 def _price(ctx: _Context, stats: MiningStats, putils, entry, cells):
@@ -392,11 +403,13 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
 
     Each level adds one label, taken above the last one, to the previous
     level's survivors in order, starting from the empty coincidence, so the
-    vocabulary comes out ordered by size, then by labels. Every candidate
-    is priced from its cells (`_candidate_cells`, `_price`), so the phase
-    runs no kernel, and each level ends with the vocabulary's runs so far
-    in `ctx.runs`. Candidates that never occur in a single window are dead
-    ends for every strategy and are dropped too.
+    vocabulary comes out ordered by size, then by labels. A level's
+    candidates are laid out as columns, parent entry, added label and
+    utility mass, and priced from their cells in chunks that can span
+    parents (`_candidate_cells`, `_price`), so the phase runs no kernel,
+    and each level ends with the vocabulary's runs so far in `ctx.runs`.
+    Candidates that never occur in a single window are dead ends for every
+    strategy and are dropped too.
     """
     enc = ctx.enc
     # a label's bit is its index in enc.labels
@@ -407,68 +420,67 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
     parts = [(enc.label_utility[:0], np.zeros((0, 3)), enc.label_cells[:0], np.zeros(0), none,
               none, none)]
     last: list[int] = []  # each entry's last label
-    # level 0 is the empty coincidence, which occurs everywhere
-    level, size = [-1], 0
+    # level 0 is the empty coincidence, entry -1, which occurs everywhere
+    # and whose labels end below every label
+    level, tops, size = [-1], [-1], 0
     while level and size < ctx.cfg.max_size:
         size += 1
         first = len(ctx.vocab)
-        for v in level:
-            if v < 0:
-                coincidence, putil, joins = Coincidence(), 0.0, bits
-            else:
-                coincidence, putil = ctx.vocab[v], ctx.vocab_putils[v]
-                joins = bits[bits > last[v]]
-            stats.candidates_generated += joins.size
-            # a child's utility mass adds its label utilities in ascending
-            # label order
-            putils = putil + enc.label_utility[joins]
-            for lo, hi, *cells in _candidate_cells(ctx, v, joins):
-                keep, columns = _price(ctx, stats, putils[lo:hi], *cells)
-                keep = [lo + i for i in keep]
-                ctx.vocab.extend(coincidence.union(enc.labels[joins[i]]) for i in keep)
-                last.extend(joins[keep].tolist())
-                parts.append((putils[keep], *columns))
+        # each entry of the level joins the labels above its last one
+        cut = np.searchsorted(bits, tops, "right")
+        parent = np.repeat(level, bits.size - cut)
+        label = np.concatenate([bits[i:] for i in cut.tolist()])
+        stats.candidates_generated += label.size
+        # a child's utility mass adds its label utilities in ascending
+        # label order
+        putils = (ctx.vocab_putils[parent] if size > 1 else 0.0) + enc.label_utility[label]
+        for lo, hi, *cells in _candidate_cells(ctx, parent, label):
+            keep, columns = _price(ctx, stats, putils[lo:hi], *cells)
+            keep = [lo + i for i in keep]
+            ctx.vocab.extend(
+                (ctx.vocab[v] if v >= 0 else Coincidence()).union(enc.labels[b])
+                for v, b in zip(parent[keep].tolist(), label[keep].tolist())
+            )
+            last.extend(label[keep].tolist())
+            parts.append((putils[keep], *columns))
         parts = [tuple(np.concatenate(column) for column in zip(*parts))]
         ctx.vocab_putils, bounds, cells, values, lengths, run_rows, runs = parts[0]
         ctx.vocab_bounds = bounds.T
         entry = np.repeat(np.arange(len(ctx.vocab), dtype=np.int32), runs)
         ctx.runs = _Projection(cells, values, *_offsets(lengths), run_rows, entry)
-        level = range(first, len(ctx.vocab))
+        level, tops = range(first, len(ctx.vocab)), last[first:]
         # only labels that survived alone can be part of a survivor
         if size == 1:
             bits = np.array(last, dtype=np.int64)
 
 
-def _grow(ctx: _Context, prefix: list[Coincidence], children: list, projection: _Projection | None,
-          out: list[Pattern], stats: MiningStats) -> None:
+def _grow(ctx: _Context, prefix: list[Coincidence], children: list, inherited,
+          projection: _Projection | None, out: list[Pattern], stats: MiningStats) -> None:
     """Emit and grow, depth-first, each child of the pattern `prefix`.
 
-    `children` are the extensions of the prefix that survived, in
-    vocabulary order: (vocabulary index, the sequences the child occurs
-    in, its score rows on them, umax); rows and scores are None at the
-    length cap, and for a root, whose rows are read off its runs when it
-    is grown. A child is emitted when its umax meets the threshold. Below
-    the length cap it is then scored extended by every coincidence of
-    `children`, on its own rows only, from `projection`, their runs that
-    the prefix's evaluation hit (`_children`), and the survivors are grown
-    in turn. A pattern grown from prefix+x that appends c is a
-    supersequence of prefix+c, so it occurs in no sequence prefix+c misses,
-    and the weighted bound only shrinks with the set of sequences it sums
-    over. Under `pdc` prefix+c's own bound covers it too: each of the at
-    most K - |prefix+c| coincidences such a pattern has beyond prefix+c
-    matches its own window, worth at most that window's eventset mass. So a
-    coincidence pruned beside a child is never appended below it, at the
-    roots as at any depth, and its runs in the sequences prefix+c missed
-    are never read.
+    `children` are extensions of the prefix that survived, in vocabulary
+    order: (vocabulary index, the sequences the child occurs in, its score
+    rows on them, umax); rows and scores are None at the length cap.
+    `inherited` are the vocabulary indices of all of the prefix's surviving
+    extensions, of which `children` may be a chunk (`_mine_root`). A child
+    is emitted when its umax meets the threshold. Below the length cap it
+    is then scored extended by every coincidence of `inherited`, on its own
+    rows only, from `projection`, their runs that the prefix's evaluation
+    hit (`_children`), and the survivors are grown in turn. A pattern grown
+    from prefix+x that appends c is a supersequence of prefix+c, so it
+    occurs in no sequence prefix+c misses, and the weighted bound only
+    shrinks with the set of sequences it sums over. Under `pdc` prefix+c's
+    own bound covers it too: each of the at most K - |prefix+c|
+    coincidences such a pattern has beyond prefix+c matches its own window,
+    worth at most that window's eventset mass. So a coincidence pruned
+    beside a child is never appended below it, at the roots as at any
+    depth, and its runs in the sequences prefix+c missed are never read.
     """
-    inherited = np.array([child[0] for child in children], dtype=np.intp)
-    for i, (index, rows, scores, umax) in enumerate(children):
+    for index, rows, scores, umax in children:
         prefix.append(ctx.vocab[index])
         if umax >= ctx.xi_abs:
             out.append(Pattern(LSequence(tuple(prefix)), umax))
         if len(prefix) < ctx.cfg.max_length:
-            if scores is None:
-                rows, scores = _scores(ctx, i)
             # the survivors and their projection are bound to no local
             # here, so a finished sibling's do not stay alive below
             _grow(ctx, prefix,
@@ -482,7 +494,8 @@ def _children(ctx: _Context, stats: MiningStats, projection: _Projection, rows, 
     """The survivors of a prefix with score rows `scores` on the sequences
     `rows` extended by each vocabulary entry `candidates` to `length`
     coincidences, scored from `projection`, their runs, as `_grow` takes
-    them, and the projection their own children score from.
+    them: the children, their vocabulary indices, and the projection their
+    own children score from.
 
     Below the length cap, each comes with its rows, the sequences of its
     hits, and its score rows there: a block of columns of one `[cap, R]`
@@ -499,7 +512,7 @@ def _children(ctx: _Context, stats: MiningStats, projection: _Projection, rows, 
     hits = np.bincount(candidate, minlength=candidates.size)
     keep = _survivors(ctx, stats, hits > 0, umax, full, rest)
     if length == ctx.cfg.max_length:
-        return [(candidates[i], None, None, float(umax[i])) for i in keep], None
+        return [(candidates[i], None, None, float(umax[i])) for i in keep], None, None
     grown = np.zeros(candidates.size, dtype=bool)
     grown[keep] = True
     child, at = _project(projection, grown, run[grown[candidate]])
@@ -508,7 +521,7 @@ def _children(ctx: _Context, stats: MiningStats, projection: _Projection, rows, 
     return [
         (candidates[i], child.run_rows[lo:hi], by_window(batch[:, lo:hi]), float(umax[i]))
         for i, lo, hi in zip(keep, [0, *ends], ends)
-    ], child
+    ], candidates[grown], child
 
 
 def _mine_root(ctx: _Context, out: list[Pattern], stats: MiningStats) -> None:
@@ -517,14 +530,34 @@ def _mine_root(ctx: _Context, out: list[Pattern], stats: MiningStats) -> None:
     Its children, the roots, are the vocabulary coincidences, bounded in
     phase 1. The roots whose own bound clears the threshold are grown like
     any other child, and each inherits only them, scored from the roots'
-    runs (`_layout`). Phase 1 keeps no score rows: a root's are read off
-    its runs when it is grown (`_scores`).
+    runs (`_layout`). Phase 1 keeps no score rows: the roots' are read off
+    their runs, the empty prefix scoring 0.0 before every window, which
+    changes no value. One `[cap, R]` batch (`_rows`) holds the rows of a
+    chunk of consecutive roots that fits `BATCH_CELLS` score slots, or of
+    one root alone, and each root takes its block of columns, as a grown
+    child does; a chunk's batch lives while its roots grow.
     """
     umax, full, rest = ctx.vocab_bounds
     roots = _survivors(ctx, stats, np.ones(umax.size, dtype=bool), umax, full, rest)
-    if ctx.cfg.max_length > 1:
-        _layout(ctx, roots)
-    _grow(ctx, [], [(i, None, None, float(umax[i])) for i in roots], ctx.runs, out, stats)
+    if ctx.cfg.max_length == 1:
+        _grow(ctx, [], [(i, None, None, float(umax[i])) for i in roots], None, None, out, stats)
+        return
+    _layout(ctx, roots)
+    runs = ctx.runs
+    # root i's runs are ends[i]:ends[i + 1], and its columns in a batch
+    ends = np.searchsorted(runs.run_candidate, np.arange(len(roots) + 1)).tolist()
+    inherited = np.array(roots, dtype=np.intp)
+    for lo, hi in _chunks(ctx.enc.capacity * np.diff(ends)):
+        first, last = ends[lo], ends[hi]
+        cells = slice(runs.cell_start[first], runs.cell_start[last])
+        batch = _rows(ctx, runs.cells[cells], runs.cell_run[cells] - first, runs.values[cells],
+                      last - first)
+        children = [
+            (roots[i], runs.run_rows[a:b], by_window(batch[:, a - first : b - first]),
+             float(umax[roots[i]]))
+            for i, a, b in zip(range(lo, hi), ends[lo:hi], ends[lo + 1 : hi + 1])
+        ]
+        _grow(ctx, [], children, inherited, runs, out, stats)
 
 
 def mine(

@@ -75,9 +75,10 @@ def test_traced_cli_run_counts_each_layer(tmp_path, monkeypatch):
     # their cells: no kernel counter is recorded
     assert not [name for name in counts if name.startswith("kernels.")]
     # the bound inputs of a whole evaluation come from one weighted sum,
-    # never one per candidate: one per pricing chunk or growth evaluation
-    assert len(price_chunks) == 4
-    assert 0 < counts["encoding.wu_calls"] <= len(price_chunks) + len(evaluations) == 29
+    # never one per candidate: one per pricing chunk or growth evaluation.
+    # A chunk spans parents, so each of the two levels is one chunk
+    assert len(price_chunks) == 2
+    assert 0 < counts["encoding.wu_calls"] <= len(price_chunks) + len(evaluations) == 27
 
 
 def test_traced_check_run_opens_the_object_path_spans(capsys):

@@ -174,8 +174,8 @@ def test_kernel_inputs_and_score_rows_are_window_major(monkeypatch, example_data
     root's and each grown child's, is a window-major view of a C-contiguous
     `[cap, R]` buffer: each window of the child's sequences is one block of
     memory. Growth never calls the dense kernel."""
-    handed, grown_children = [], []
-    build, children = miner._scores, miner._children
+    handed, grown_roots, grown_children = [], [], []
+    grow, children = miner._grow, miner._children
 
     def window_major(ctx, rows, scores):
         windows = by_window(scores)
@@ -186,20 +186,21 @@ def test_kernel_inputs_and_score_rows_are_window_major(monkeypatch, example_data
             and windows.base.shape[0] == ctx.enc.capacity
         )
 
-    def checked(ctx, v):
-        rows, scores = build(ctx, v)
-        window_major(ctx, rows, scores)
-        return rows, scores
+    def checked_grow(ctx, prefix, roots, *args):
+        for _, rows, scores, _ in roots if not prefix else ():
+            window_major(ctx, rows, scores)
+            grown_roots.append(rows.size)
+        return grow(ctx, prefix, roots, *args)
 
     def checked_children(ctx, *args):
-        grown, projection = children(ctx, *args)
+        grown, inherited, projection = children(ctx, *args)
         for _, rows, scores, _ in grown:
             if scores is not None:
                 window_major(ctx, rows, scores)
                 grown_children.append(rows.size)
-        return grown, projection
+        return grown, inherited, projection
 
-    monkeypatch.setattr(miner, "_scores", checked)
+    monkeypatch.setattr(miner, "_grow", checked_grow)
     monkeypatch.setattr(miner, "_children", checked_children)
     monkeypatch.setattr(miner, "extend_scores", None)
     rng = random.Random(15)
@@ -225,7 +226,7 @@ def test_kernel_inputs_and_score_rows_are_window_major(monkeypatch, example_data
             mine(enc, cfg.with_strategy(strategy))
             assert handed, (strategy, es.sequences[0].id)
             assert all(handed), (strategy, handed)
-    assert grown_children
+    assert grown_roots and grown_children
 
 
 # --- the batched kernel against one candidate at a time ------------------------

@@ -191,19 +191,40 @@ def entry_cells(runs, v):
 
 def roots_of(ctx):
     """The vocabulary entries of `ctx` whose own bound clears its
-    threshold, in order: the roots growth grows, root i being `_scores`'s
-    i."""
+    threshold, in order: the roots growth grows."""
     umax, full, rest = ctx.vocab_bounds
     everything = np.ones(umax.size, dtype=bool)
     return miner._survivors(ctx, miner.MiningStats(), everything, umax, full, rest)
+
+
+def roots_recorder(roots):
+    """A stand-in for `miner._grow` that appends to `roots` the children of
+    the empty prefix, the roots, as each chunk of them is grown."""
+    grow = miner._grow
+
+    def recording(ctx, prefix, children, *args):
+        if not prefix:
+            roots.extend(children)
+        return grow(ctx, prefix, children, *args)
+
+    return recording
+
+
+def window_major(ctx, scores):
+    """Whether score rows [rows, cap] are a window-major view of a
+    C-contiguous `[cap, R]` batch: each window of their sequences is one
+    block of memory."""
+    windows = by_window(scores)
+    return (windows.strides[1] == windows.itemsize and windows.base.flags.c_contiguous
+            and windows.base.shape[0] == ctx.enc.capacity)
 
 
 def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
     """Every entry is priced from its cells, without the kernel, yet its
     utility mass, sequences and umax equal those of its one-coincidence
     pattern scored by the kernel from the empty prefix on every sequence,
-    bit for bit, and so do the score rows of each root, read off its cells
-    only when growth reaches it, window-major; growth never runs the
+    bit for bit, and so do the score rows of each root, read off its cells,
+    window-major, and handed to growth in order; growth never runs the
     kernel. Every entry's full and rest are bit-identical too:
     a join's sum only its parent's rows, but left to right, so the
     unmatched rows it skips add nothing. An entry's cells are exactly the
@@ -236,24 +257,18 @@ def test_every_vocabulary_entry_is_priced_as_the_kernel_prices_it(monkeypatch):
             assert cells.tolist() == fit.tolist(), c
             lengths = np.diff(vocabulary.cell_start)[runs]
             assert lengths.tolist() == np.bincount(fit % n)[vocabulary.run_rows[runs]].tolist()
-        # a root's score rows are read off its cells, and growth runs no
-        # kernel
-        roots, entries = [], roots_of(ctx)
-        build = miner._scores
-
-        def recording(ctx, i):
-            rows, scores = build(ctx, i)
-            roots.append((entries[i], rows, scores))
-            return rows, scores
-
+        # the roots' score rows are read off their cells, and growth runs
+        # no kernel
+        roots = []
         with monkeypatch.context() as m:
-            m.setattr(miner, "_scores", recording)
+            m.setattr(miner, "_grow", roots_recorder(roots))
             m.setattr(miner, "extend_scores", None)
             miner._mine_root(ctx, [], miner.MiningStats())
-        for index, rows, scores in roots:
+        assert [index for index, _, _, _ in roots] == roots_of(ctx)
+        for index, rows, scores, _ in roots:
             e = expected[index]
             assert rows.tolist() == np.flatnonzero(e.matched).tolist(), ctx.vocab[index]
-            assert by_window(scores).flags.c_contiguous, ctx.vocab[index]
+            assert window_major(ctx, scores), ctx.vocab[index]
             assert scores.tobytes() == e.scores[e.matched].tobytes(), ctx.vocab[index]
         checked += len(roots)
     assert checked > 500
@@ -371,6 +386,67 @@ def test_phase_1_leaves_each_entrys_fitting_windows_as_its_runs(monkeypatch, exa
     assert both_words > 0
 
 
+def test_each_level_is_priced_in_chunks_that_span_parents(monkeypatch):
+    """On an alphabet of 70 labels, at the default budget, each level's
+    candidates are priced in the chunks `_chunks` cuts from the cells each
+    one tests: on level 1 a label's own cells, on level 2 its parent's, a
+    single-label entry joined with each surviving label above its own. One
+    `_price` call per chunk, and some chunk holds joins of two parents."""
+    enc = encode_dataset(wide_dataset(70, 70))
+    cfg = cfg_at(0.01, 2, 2, mode="relative")
+    ctx = miner._Context(enc=enc, cfg=cfg, xi_abs=resolve_threshold(cfg, enc))
+    priced = []
+    price = miner._price
+
+    def recording(ctx, stats, putils, *cells):
+        priced.append(len(putils))
+        return price(ctx, stats, putils, *cells)
+
+    with monkeypatch.context() as m:
+        m.setattr(miner, "_price", recording)
+        miner._build_vocabulary(ctx, miner.MiningStats())
+    level_1 = list(miner._chunks(np.diff(enc.label_cell_start)))
+    singles = [v for v, c in enumerate(ctx.vocab) if len(c) == 1]
+    bits = [enc.label_bit[ctx.vocab[v].labels[0]] for v in singles]
+    parents = [v for v, b in zip(singles, bits) for x in bits if x > b]
+    costs = np.array([entry_cells(ctx.runs, v).size for v in parents])
+    level_2 = list(miner._chunks(costs))
+    assert priced == [hi - lo for lo, hi in level_1 + level_2]
+    assert len(ctx.vocab) > len(singles) > 10
+    assert any(len(set(parents[lo:hi])) > 1 for lo, hi in level_2)
+
+
+@pytest.mark.parametrize("cells", [1, miner.BATCH_CELLS])
+def test_the_roots_rows_come_in_batches_within_the_budget(monkeypatch, cells):
+    """Each root's score rows are a block of columns of a `[cap, R]` batch
+    that the blocks of consecutive roots fill, in order. A batch holds at
+    most `BATCH_CELLS` score slots unless it holds a single root: at a
+    budget of one slot each root has its own batch, and at the default
+    some batch holds several."""
+    roots = []
+    instances = [(wide_dataset(70, 70), cfg_at(0.01, 2, 2, mode="relative"))]
+    instances += list(itertools.islice(fractional_depth_four_instances(3, 6), 6))
+    with monkeypatch.context() as m:
+        m.setattr(miner, "BATCH_CELLS", cells)
+        m.setattr(miner, "_grow", roots_recorder(roots))
+        for d, cfg in instances:
+            mine(encode_dataset(d), cfg)
+    batches = {}  # the roots of each batch, by the batch's id
+    for root in roots:
+        batches.setdefault(id(by_window(root[2]).base), []).append(root)
+    sizes = []
+    for members in batches.values():
+        batch = by_window(members[0][2]).base
+        blocks = [by_window(scores) for _, _, scores, _ in members]
+        assert all(block.base is batch for block in blocks)
+        assert np.concatenate(blocks, axis=1).tobytes() == batch.tobytes()
+        assert [v for v, _, _, _ in members] == sorted(v for v, _, _, _ in members)
+        assert batch.size <= cells or len(members) == 1
+        sizes.append(len(members))
+    assert len(roots) > 20
+    assert max(sizes) == 1 if cells == 1 else max(sizes) > 1
+
+
 def roots_projection(monkeypatch, enc, cfg):
     """The mining context of `enc` under `cfg`, its vocabulary's runs, and
     the projection its roots are scored from, the one the empty prefix's
@@ -382,16 +458,18 @@ def roots_projection(monkeypatch, enc, cfg):
         build(ctx, stats)
         vocabulary.append(ctx.runs)
 
-    def recording(ctx, prefix, children, projection, out, stats):
+    def recording(ctx, prefix, children, inherited, projection, out, stats):
         if not prefix:
             seen.append((ctx, projection))
-        return grow(ctx, prefix, children, projection, out, stats)
+        return grow(ctx, prefix, children, inherited, projection, out, stats)
 
     with monkeypatch.context() as m:
         m.setattr(miner, "_grow", recording)
         m.setattr(miner, "_build_vocabulary", built)
         mine(enc, cfg)
-    ((ctx, projection),), (runs,) = seen, vocabulary
+    (ctx, projection), (runs,) = seen[0], vocabulary
+    # every chunk of roots is scored from the same projection
+    assert all(c is ctx and p is projection for c, p in seen)
     return ctx, runs, projection
 
 
@@ -797,7 +875,7 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
     below and at the length cap, their candidates that fit a window 0 of
     the prefix's sequences and those with no cell in them, the rows built,
     and the projections smaller than their parent's."""
-    extend, build, masses, children = miner._extend, miner._scores, miner._masses, miner._children
+    extend, masses, children, growth = miner._extend, miner._masses, miner._children, miner._grow
     vocabulary = miner._build_vocabulary
     pending = {"evaluation": None}
 
@@ -820,12 +898,15 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
         hits = candidate, rows[position], best[matched]
         pending["evaluation"] = hits
         pending["candidates"] = candidates
-        grown, child = children(ctx, stats, projection, rows, scores, candidates, length)
+        grown, inherited, child = children(ctx, stats, projection, rows, scores, candidates,
+                                           length)
         assert pending["evaluation"] is None  # its masses were checked
         expected = masses(ctx, *hits, len(candidates), length)
         keep = miner._survivors(ctx, miner.MiningStats(), matched.any(axis=1), *expected)
         assert [c[0] for c in grown] == candidates[keep].tolist()
         grow = length < ctx.cfg.max_length
+        # what the children inherit: every survivor, below the length cap
+        assert inherited.tolist() == candidates[keep].tolist() if grow else inherited is None
         seen["interior evaluations" if grow else "leaf evaluations"] += 1
         for (v, got_rows, got, umax), i in zip(grown, keep):
             assert umax.hex() == float(expected[0][i]).hex(), v
@@ -846,7 +927,7 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
             on_rows = np.isin(cells % n, rows)
             seen["fit window 0"] += bool((on_rows & (cells < n)).any())
             seen["no cell in the prefix's rows"] += not on_rows.any()
-        return grown, child
+        return grown, inherited, child
 
     def check_projection(ctx, parent, child, survivors, matched, rows):
         # the runs of the survivors' hits, (survivor, sequence), in order
@@ -898,25 +979,25 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
             ]
         return values
 
-    def checked_scores(ctx, i):
-        got_rows, got = build(ctx, i)
-        v = roots_of(ctx)[i]
+    def checked_grow(ctx, prefix, grown, *args):
         enc = ctx.enc
-        (batch,) = extend_scores(
-            enc.masks, enc.durations, enc.lengths, empty_prefix_scores(enc), 0.0,
-            *candidate_masses(ctx, [v]),
-        )
-        matched = summarize_scores(batch)[0]
-        seen["roots"] += 1
-        assert got_rows.tobytes() == np.flatnonzero(matched).tobytes(), v
-        assert got.shape == batch[matched].shape and got.tobytes() == batch[matched].tobytes(), v
-        return got_rows, got
+        for v, got_rows, got, _ in grown if not prefix else ():  # the roots
+            (batch,) = extend_scores(
+                enc.masks, enc.durations, enc.lengths, empty_prefix_scores(enc), 0.0,
+                *candidate_masses(ctx, [v]),
+            )
+            matched = summarize_scores(batch)[0]
+            seen["roots"] += 1
+            assert got_rows.tobytes() == np.flatnonzero(matched).tobytes(), v
+            assert got.shape == batch[matched].shape, v
+            assert got.tobytes() == batch[matched].tobytes(), v
+        return growth(ctx, prefix, grown, *args)
 
     with monkeypatch.context() as m:
         m.setattr(miner, "_children", checked_children)
         m.setattr(miner, "_extend", checked_extend)
         m.setattr(miner, "_masses", checked_masses)
-        m.setattr(miner, "_scores", checked_scores)
+        m.setattr(miner, "_grow", checked_grow)
         m.setattr(miner, "_build_vocabulary", built)
         m.setattr(miner, "extend_scores", None)
         patterns, _ = mine(enc, cfg)

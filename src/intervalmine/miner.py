@@ -28,13 +28,16 @@ the runs of its candidates it can still match (`_extend`): a gather, an
 add and one maximum per run, whose result is sparse, one hit (candidate,
 sequence, best value) per run that matched (SPADE's id-list join, Zaki
 2001, carried to utilities as HUS-Span's utility chains do, Wang, Huang &
-Chen 2016). The roots score from the roots' runs themselves. An
-evaluation hands its children the runs of its grown survivors' hits,
-whole (`_project`): the prefix + x + c can match
-only where the prefix + c did, as in PrefixSpan's projected database (Pei
-et al. 2001). The survivors that will be grown read their score rows off
-the same evaluation's cell values, all in one batch (`_rows`), and the
-roots read theirs off their cells, one batch per chunk of roots
+Chen 2016). Siblings share their projection and their candidates, so a
+chunk of consecutive siblings is scored together: each pays only its own
+gather, add and maximum, and the chunk one hit scan, one bound and one
+survivor test (`_children`). The roots score from the roots' runs
+themselves. A sibling hands its children the runs of its grown
+survivors' hits, whole (`_project`): the prefix + x + c can match only
+where the prefix + c did, as in PrefixSpan's projected database (Pei et
+al. 2001). The survivors that will be grown read their score rows off
+the chunk's cell values, one batch per run of siblings (`_rows`), and
+the roots read theirs off their cells, one batch per chunk of roots
 (`_mine_root`). Both give the dense kernel's values
 (`kernels.extend_scores`) bit for bit; the miner never calls it.
 
@@ -42,8 +45,8 @@ Every bound is one formula, `_bound`, over three numbers that come with a
 candidate's scores: its umax, its weighted bound `full` (the top-K
 eventset mass of the sequences it occurs in) and `rest` (their top-(K -
 length) mass). Each is a `np.bincount` sum over the hits (`_masses`),
-with one `weighted_utilization` call for both masses of a whole
-evaluation, so neither phase keeps a dense [candidates, sequences] array.
+with one `weighted_utilization` call for both masses of a whole chunk,
+so neither phase keeps a dense [candidates, sequences] array.
 One test, `_survivors`, keeps the candidates that occurred and whose bound
 clears the threshold, at every level. The projected bound
 never exceeds the weighted one, and a prefix's bound covers every pattern
@@ -167,10 +170,11 @@ class _Context:
     before: np.ndarray | None = None        # float64 [cap * n], -inf between evaluations
 
 
-# Largest count of cells that one chunk of vocabulary candidates tests, and
-# of score slots in one batch of the roots' score rows: their float64
-# temporaries stay at 0.5 MB each. A candidate or a root over that is
-# priced or batched alone.
+# Largest count of cells that one chunk of vocabulary candidates tests, of
+# cell values that one chunk of sibling prefixes scores, and of score slots
+# in one batch of score rows: their float64 temporaries stay at 0.5 MB each.
+# A candidate, a sibling or a root over that is priced, scored or batched
+# alone.
 BATCH_CELLS = 2**16
 
 
@@ -219,47 +223,53 @@ def _layout(ctx: _Context, roots) -> None:
     if len(roots) < len(ctx.vocab):
         kept = np.zeros(len(ctx.vocab), dtype=bool)
         kept[roots] = True
-        ctx.runs = _project(ctx.runs, kept, np.flatnonzero(kept[ctx.runs.run_candidate]))[0]
+        runs = np.flatnonzero(kept[ctx.runs.run_candidate])
+        ctx.runs = _project(ctx.runs, runs, _run_ids(kept)[ctx.runs.run_candidate[runs]])[0]
 
 
-def _project(source: _Projection, kept, runs):
-    """The projection of `source` on its runs `runs`, ascending, all of
-    candidates that the mask `kept` marks: those runs, whole, each one's
-    candidate renumbered among the kept ones. Returns it with the position
-    in `source` of each of its cells."""
+def _project(source: _Projection, runs, candidate):
+    """The projection of `source` on its runs `runs`, whole, run i now of
+    candidate `candidate[i]`. Returns it with the position in `source` of
+    each of its cells."""
     start = source.cell_start
     cell_run, cell_start = _offsets(start[runs + 1] - start[runs])
     at = (start[runs] - cell_start[:-1])[cell_run] + np.arange(cell_start[-1])
-    candidate = _run_ids(kept)[source.run_candidate[runs]]
     return _Projection(source.cells[at], source.values[at], cell_run, cell_start,
                        source.run_rows[runs], candidate), at
 
 
-def _extend(ctx: _Context, projection: _Projection, rows, scores):
-    """The prefix with window-major score rows `scores` on the sequences
-    `rows` extended by each candidate of `projection`, scored from its
-    cells: the hits, (candidate position, run, best value) of each run
-    that matched, sorted by (candidate, sequence), and every cell's value,
-    which `_rows` reads a grown child's score rows from.
+def _extend(ctx: _Context, projection: _Projection, chunk, keep_values: bool):
+    """The sibling prefixes `chunk`, each (vocabulary index, the sequences
+    `rows` it occurs in, its window-major score rows `scores` there, umax),
+    each extended by every candidate of `projection`, scored from its
+    cells: the hits, the slot k * runs + run and best value of each run
+    that sibling k matched, in that order, and, if `keep_values`, every
+    cell's value for each sibling, [siblings, cells], which `_rows` reads
+    a grown child's score rows from.
 
-    The prefix's score rows go one window later into the -inf buffer
-    `before`, so that slot j * n + s holds the prefix's best score before
-    window j of sequence s: -inf at window 0, where no non-empty prefix has
-    matched, and outside `rows`. Once read, its rows are -inf again, so
-    neither step costs more than the prefix's rows. A cell's value is its
-    putil * duration plus its own slot, the kernel's product and sum. The
-    maximum over a run is the kernel's running maximum at its last window,
-    so the hits are `summarize_scores` of the kernel's rows bit for bit.
+    A sibling's score rows go one window later into the -inf buffer
+    `before`, so that slot j * n + s holds its best score before window j
+    of sequence s: -inf at window 0, where no non-empty prefix has matched,
+    and outside `rows`. Once read, its rows are -inf again, so neither step
+    costs more than its rows. A cell's value is its putil * duration plus
+    its own slot, the kernel's product and sum. The maximum over a run is
+    the kernel's running maximum at its last window, so each sibling's hits
+    are `summarize_scores` of the kernel's rows bit for bit.
     """
     before = ctx.before.reshape(ctx.enc.capacity, ctx.enc.n_sequences)
-    before[1:, rows] = by_window(scores)[:-1]
-    values = ctx.before.take(projection.cells)
-    before[1:, rows] = -np.inf
-    values += projection.values
-    best = np.full(projection.run_rows.size, -np.inf)
-    np.maximum.at(best, projection.cell_run, values)
-    run = np.flatnonzero(best > -np.inf)
-    return projection.run_candidate[run], run, best[run], values
+    best = np.full((len(chunk), projection.run_rows.size), -np.inf)
+    # one row of cell values per sibling, or one row all of them reuse
+    values = np.empty((len(chunk) if keep_values else 1, projection.cells.size))
+    for k, (_, rows, scores, _) in enumerate(chunk):
+        before[1:, rows] = by_window(scores)[:-1]
+        # every cell is in range; "clip" writes `out` without a buffer
+        value = ctx.before.take(projection.cells, out=values[k if keep_values else 0],
+                                mode="clip")
+        before[1:, rows] = -np.inf
+        value += projection.values
+        np.maximum.at(best[k], projection.cell_run, value)
+    hit = np.flatnonzero(best > -np.inf)
+    return hit, best.reshape(-1)[hit], values if keep_values else None
 
 
 def _rows(ctx: _Context, cells, column, values, width: int):
@@ -456,7 +466,7 @@ def _build_vocabulary(ctx: _Context, stats: MiningStats) -> None:
 
 def _grow(ctx: _Context, prefix: list[Coincidence], children: list, inherited,
           projection: _Projection | None, out: list[Pattern], stats: MiningStats) -> None:
-    """Emit and grow, depth-first, each child of the pattern `prefix`.
+    """Emit each child of the pattern `prefix`, then grow them, depth-first.
 
     `children` are extensions of the prefix that survived, in vocabulary
     order: (vocabulary index, the sequences the child occurs in, its score
@@ -466,7 +476,9 @@ def _grow(ctx: _Context, prefix: list[Coincidence], children: list, inherited,
     is emitted when its umax meets the threshold. Below the length cap it
     is then scored extended by every coincidence of `inherited`, on its own
     rows only, from `projection`, their runs that the prefix's evaluation
-    hit (`_children`), and the survivors are grown in turn. A pattern grown
+    hit, and its survivors are grown in turn (`_children`). Consecutive
+    children are scored together, as many as keep their count times the
+    projection's cells within `BATCH_CELLS`, or one alone. A pattern grown
     from prefix+x that appends c is a supersequence of prefix+c, so it
     occurs in no sequence prefix+c misses, and the weighted bound only
     shrinks with the set of sequences it sums over. Under `pdc` prefix+c's
@@ -476,52 +488,108 @@ def _grow(ctx: _Context, prefix: list[Coincidence], children: list, inherited,
     beside a child is never appended below it, at the roots as at any
     depth, and its runs in the sequences prefix+c missed are never read.
     """
-    for index, rows, scores, umax in children:
-        prefix.append(ctx.vocab[index])
+    for index, _, _, umax in children:
         if umax >= ctx.xi_abs:
-            out.append(Pattern(LSequence(tuple(prefix)), umax))
-        if len(prefix) < ctx.cfg.max_length:
-            # the survivors and their projection are bound to no local
-            # here, so a finished sibling's do not stay alive below
-            _grow(ctx, prefix,
-                  *_children(ctx, stats, projection, rows, scores, inherited, len(prefix) + 1),
-                  out, stats)
-        prefix.pop()
+            out.append(Pattern(LSequence((*prefix, ctx.vocab[index])), umax))
+    length = len(prefix) + 2  # of the children's extensions
+    if length > ctx.cfg.max_length:
+        return
+    step = max(1, BATCH_CELLS // max(1, projection.cells.size))
+    for lo in range(0, len(children), step):
+        for index, *grown in _children(ctx, stats, projection, children[lo : lo + step],
+                                       inherited, length):
+            prefix.append(ctx.vocab[index])
+            _grow(ctx, prefix, *grown, out, stats)
+            prefix.pop()
 
 
-def _children(ctx: _Context, stats: MiningStats, projection: _Projection, rows, scores,
-              candidates, length: int):
-    """The survivors of a prefix with score rows `scores` on the sequences
-    `rows` extended by each vocabulary entry `candidates` to `length`
-    coincidences, scored from `projection`, their runs, as `_grow` takes
-    them: the children, their vocabulary indices, and the projection their
-    own children score from.
+def _children(ctx: _Context, stats: MiningStats, projection: _Projection, chunk, candidates,
+              length: int):
+    """The survivors of each sibling prefix of `chunk`, as `_grow` takes
+    them, extended by each vocabulary entry `candidates` to `length`
+    coincidences, scored from `projection`, their runs: for each sibling
+    with a survivor, in order, its vocabulary index, its children, their
+    vocabulary indices and the projection their own children score from.
 
-    Below the length cap, each comes with its rows, the sequences of its
-    hits, and its score rows there: a block of columns of one `[cap, R]`
-    batch, read off the evaluation's cell values for all of them. The
-    projection holds the runs of those hits, whole, in the same order, so
-    its run ids are the batch's columns (`_rows`). A child of the prefix's
-    child x that appends c can only match where the prefix + c did, so no
-    run it hits is left out. At the length cap there is no projection.
+    One `_extend` scores the whole chunk, and slot k * G + c is sibling k
+    extended by candidate c of the G: its hits come sorted by slot, then
+    sequence, so one `_masses` and one `_survivors` call bound them all,
+    and each slot's sums add its values in the order a lone sibling's do.
+    Below the length cap, the runs of all grown survivors' hits are
+    projected once for the chunk, whole, in order, and each sibling takes
+    its slice, renumbered: its children's projection, whose run ids are
+    the columns of their block (`_rows`). Each child comes with its rows,
+    the sequences of its hits, and its score rows there: a block of
+    columns of a `[cap, R]` batch, read off the chunk's cell values for
+    the siblings whose batch fits `BATCH_CELLS` score slots, or one alone,
+    as `_mine_root` batches the roots. A child of the sibling x that
+    appends c can only match where x + c did, so no run it hits is left
+    out. At the length cap there is no projection.
     """
-    stats.candidates_generated += candidates.size
-    candidate, run, best, values = _extend(ctx, projection, rows, scores)
-    umax, full, rest = _masses(ctx, candidate, projection.run_rows[run], best, candidates.size,
-                               length)
-    hits = np.bincount(candidate, minlength=candidates.size)
+    count, runs = candidates.size, projection.run_rows.size
+    grow = length < ctx.cfg.max_length
+    run, best, values = _extend(ctx, projection, chunk, grow)
+    slots = len(chunk) * count
+    stats.candidates_generated += slots
+    if len(chunk) > 1:  # hit k * runs + run is sibling k's
+        slot = run // runs
+        run -= slot * runs
+        slot *= count
+        slot += projection.run_candidate[run]
+    else:
+        slot = projection.run_candidate[run]
+    umax, full, rest = _masses(ctx, slot, projection.run_rows[run], best, slots, length)
+    # this generator's locals stay alive while its siblings grow: the
+    # large ones are dropped once read for the last time
+    del best
+    hits = np.bincount(slot, minlength=slots)
     keep = _survivors(ctx, stats, hits > 0, umax, full, rest)
-    if length == ctx.cfg.max_length:
-        return [(candidates[i], None, None, float(umax[i])) for i in keep], None, None
-    grown = np.zeros(candidates.size, dtype=bool)
+    if not keep:
+        return
+    # sibling k's survivors are keep[first[k]:first[k + 1]]
+    first = np.searchsorted(keep, np.arange(len(chunk) + 1) * count).tolist()
+    kept = candidates[np.array(keep) % count].tolist()
+    umax = umax[keep].tolist()
+    if not grow:
+        for k, (index, *_) in enumerate(chunk):
+            if first[k] < first[k + 1]:
+                yield index, [(kept[j], None, None, umax[j])
+                              for j in range(first[k], first[k + 1])], None, None
+        return
+    grown = np.zeros(slots, dtype=bool)
     grown[keep] = True
-    child, at = _project(projection, grown, run[grown[candidate]])
-    batch = _rows(ctx, child.cells, child.cell_run, values[at], child.run_rows.size)
-    ends = np.cumsum(hits[keep]).tolist()
-    return [
-        (candidates[i], child.run_rows[lo:hi], by_window(batch[:, lo:hi]), float(umax[i]))
-        for i, lo, hi in zip(keep, [0, *ends], ends)
-    ], candidates[grown], child
+    taken = grown[slot]
+    run, slot = run[taken], slot[taken]
+    # the runs of every grown survivor's hits, whole, in order: survivor
+    # j's are ends[j]:ends[j + 1], and sibling k's start[k]:start[k + 1]
+    child, at = _project(projection, run, _run_ids(grown)[slot])
+    if len(chunk) > 1:  # sibling k's cell values are row k of `values`
+        at += (slot // count * projection.cells.size)[child.cell_run]
+    values = values.reshape(-1)[at]
+    del run, slot, taken, at
+    ends = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(hits[keep], out=ends[1:])
+    start = ends[first].tolist()
+    ends = ends.tolist()
+    for a, b in _chunks(ctx.enc.capacity * np.diff(start)):
+        lo, hi = start[a], start[b]
+        x0, x1 = child.cell_start[lo], child.cell_start[hi]
+        batch = _rows(ctx, child.cells[x0:x1], child.cell_run[x0:x1] - lo, values[x0:x1], hi - lo)
+        for k in range(a, b):
+            if first[k] == first[k + 1]:
+                continue
+            r0, r1 = start[k], start[k + 1]
+            own = child
+            if r1 - r0 < child.run_rows.size:  # its runs, renumbered from 0
+                x0, x1 = child.cell_start[r0], child.cell_start[r1]
+                own = _Projection(child.cells[x0:x1], child.values[x0:x1],
+                                  child.cell_run[x0:x1] - r0, child.cell_start[r0 : r1 + 1] - x0,
+                                  child.run_rows[r0:r1], child.run_candidate[r0:r1] - first[k])
+            yield chunk[k][0], [
+                (kept[j], child.run_rows[ends[j] : ends[j + 1]],
+                 by_window(batch[:, ends[j] - lo : ends[j + 1] - lo]), umax[j])
+                for j in range(first[k], first[k + 1])
+            ], np.array(kept[first[k] : first[k + 1]], dtype=np.intp), own
 
 
 def _mine_root(ctx: _Context, out: list[Pattern], stats: MiningStats) -> None:

@@ -34,12 +34,13 @@ def test_traced_cli_run_counts_each_layer(tmp_path, monkeypatch):
     tracing = load_tracing()
     # the tracer hooks neither growth's evaluations nor the vocabulary's
     # pricing, so their evaluations and chunks are counted here
-    evaluations, price_chunks = [], []
+    evaluations, chunks, price_chunks = [], [], []
     children, price = miner._children, miner._price
 
-    def counted(ctx, stats, projection, rows, scores, candidates, length):
-        evaluations.append((len(candidates), length < ctx.cfg.max_length))
-        return children(ctx, stats, projection, rows, scores, candidates, length)
+    def counted(ctx, stats, projection, chunk, candidates, length):
+        chunks.append(len(chunk))
+        evaluations.extend([(len(candidates), length < ctx.cfg.max_length)] * len(chunk))
+        return children(ctx, stats, projection, chunk, candidates, length)
 
     def counted_price(*args):
         price_chunks.append(len(args[2]))
@@ -71,14 +72,17 @@ def test_traced_cli_run_counts_each_layer(tmp_path, monkeypatch):
     assert [grow for _, grow in evaluations].count(True) == 6
     leaves = [size for size, grow in evaluations if not grow]
     assert len(leaves) == 19 and sum(leaves) == 79
+    # siblings are evaluated in chunks: the 6 roots in one, and the
+    # children of each root in one
+    assert chunks == [6, 6, 4, 3, 1, 4, 1]
     # growth runs no kernel, and the vocabulary prices its entries from
     # their cells: no kernel counter is recorded
     assert not [name for name in counts if name.startswith("kernels.")]
-    # the bound inputs of a whole evaluation come from one weighted sum,
-    # never one per candidate: one per pricing chunk or growth evaluation.
-    # A chunk spans parents, so each of the two levels is one chunk
+    # the bound inputs of a whole chunk come from one weighted sum, never
+    # one per candidate or per sibling: one per pricing chunk or growth
+    # chunk. A pricing chunk spans parents, so each of the two levels is one
     assert len(price_chunks) == 2
-    assert 0 < counts["encoding.wu_calls"] <= len(price_chunks) + len(evaluations) == 27
+    assert 0 < counts["encoding.wu_calls"] <= len(price_chunks) + len(chunks) == 9
 
 
 def test_traced_check_run_opens_the_object_path_spans(capsys):

@@ -193,12 +193,12 @@ def test_kernel_inputs_and_score_rows_are_window_major(monkeypatch, example_data
         return grow(ctx, prefix, roots, *args)
 
     def checked_children(ctx, *args):
-        grown, inherited, projection = children(ctx, *args)
-        for _, rows, scores, _ in grown:
-            if scores is not None:
-                window_major(ctx, rows, scores)
-                grown_children.append(rows.size)
-        return grown, inherited, projection
+        for index, grown, inherited, projection in children(ctx, *args):
+            for _, rows, scores, _ in grown:
+                if scores is not None:
+                    window_major(ctx, rows, scores)
+                    grown_children.append(rows.size)
+            yield index, grown, inherited, projection
 
     monkeypatch.setattr(miner, "_grow", checked_grow)
     monkeypatch.setattr(miner, "_children", checked_children)

@@ -561,10 +561,10 @@ def test_a_root_its_bound_prunes_is_counted(monkeypatch):
         # the masks of the coincidences the growth phase appends
         masks = appended[strategy] = set()
 
-        def recording(ctx, stats, projection, rows, scores, candidates, length, masks=masks,
+        def recording(ctx, stats, projection, chunk, candidates, length, masks=masks,
                       children=miner._children):
             masks.update(int(words[0]) for words in candidate_masses(ctx, candidates)[0])
-            return children(ctx, stats, projection, rows, scores, candidates, length)
+            return children(ctx, stats, projection, chunk, candidates, length)
 
         with monkeypatch.context() as m:
             m.setattr(miner, "_children", recording)
@@ -796,15 +796,19 @@ def mined(enc, cfg):
 
 @pytest.mark.parametrize("cells", [1, 2**30])
 def test_the_batch_budget_changes_nothing(monkeypatch, cells):
-    """One candidate per kernel call and per vocabulary chunk, or every
-    candidate of a prefix in one call: the same patterns, bit for bit, and
-    the same counters."""
-    chunks = []
-    price = miner._price
+    """One candidate per vocabulary chunk and one sibling per growth chunk,
+    or every candidate of a level and every sibling of a prefix in one:
+    the same patterns, bit for bit, and the same counters."""
+    chunks, siblings = [], []
+    price, extend = miner._price, miner._extend
 
     def recording(ctx, stats, putils, *cells):
         chunks.append(len(putils))
         return price(ctx, stats, putils, *cells)
+
+    def recording_siblings(ctx, projection, chunk, keep_values):
+        siblings.append(len(chunk))
+        return extend(ctx, projection, chunk, keep_values)
 
     for d, cfg in fractional_depth_four_instances(12, 25):
         enc = encode_dataset(d)
@@ -812,11 +816,73 @@ def test_the_batch_budget_changes_nothing(monkeypatch, cells):
         with monkeypatch.context() as m:
             m.setattr(miner, "BATCH_CELLS", cells)
             m.setattr(miner, "_price", recording)
+            m.setattr(miner, "_extend", recording_siblings)
             for s in UpperBound:
                 assert mined(enc, cfg.with_strategy(s)) == expected[s], (cells, s)
-    assert chunks
+    assert chunks and siblings
     if cells == 1:
-        assert max(chunks) == 1
+        assert max(chunks) == 1 and max(siblings) == 1
+    else:
+        assert max(siblings) > 1
+
+
+@pytest.mark.parametrize("cells", [2**10, miner.BATCH_CELLS])
+def test_sibling_chunks_and_their_row_batches_stay_within_the_budget(monkeypatch, cells):
+    """A chunk of sibling prefixes scored together holds at most
+    `BATCH_CELLS` cell values, siblings times the projection's cells,
+    unless it holds one sibling; and the `[cap, R]` batch its grown
+    children's score rows are read off holds at most `BATCH_CELLS` score
+    slots unless they all belong to one sibling. Each sibling's children
+    are one block of consecutive columns of their batch, and some chunk
+    and some batch serve several siblings. At a budget of 1024 some lone
+    sibling exceeds it, in its chunk and in its batch."""
+    chunks, batches = [], {}
+    extend, children = miner._extend, miner._children
+
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    def recording(ctx, projection, chunk, keep_values):
+        chunks.append((len(chunk), projection.cells.size))
+        return extend(ctx, projection, chunk, keep_values)
+
+    def recording_children(ctx, stats, projection, chunk, candidates, length):
+        for index, grown, inherited, child in children(ctx, stats, projection, chunk, candidates,
+                                                       length):
+            if child is not None:
+                batch = by_window(grown[0][2]).base
+                assert all(by_window(scores).base is batch for _, _, scores, _ in grown)
+                # the column the sibling's block starts at
+                first = address(by_window(grown[0][2])) - address(batch)
+                blocks = batches.setdefault(id(batch), (batch, []))[1]
+                blocks.append((first // batch.itemsize, sum(rows.size for _, rows, _, _ in grown)))
+            yield index, grown, inherited, child
+
+    grown_k4 = [(transform_dataset(*random_dataset(GeneratorParams(
+        seed=seed, num_sequences=150, max_intervals_per_seq=10, alphabet_size=8, max_time=30,
+        max_duration=4, max_external_utility=5))), cfg_at(0.05, 4, 2, mode="relative"))
+        for seed in range(2)]
+    with monkeypatch.context() as m:
+        m.setattr(miner, "BATCH_CELLS", cells)
+        m.setattr(miner, "_extend", recording)
+        m.setattr(miner, "_children", recording_children)
+        for d, cfg in grown_k4 + [(wide_dataset(70, 70), cfg_at(0.01, 3, 2, mode="relative"))]:
+            mine(encode_dataset(d), cfg)
+    assert all(size * count <= cells or size == 1 for size, count in chunks)
+    assert max(size for size, _ in chunks) > 1
+    several = over = 0
+    for batch, blocks in batches.values():
+        # the siblings' blocks fill the batch's columns in order
+        assert [first for first, _ in blocks] == [
+            sum(width for _, width in blocks[:i]) for i in range(len(blocks))
+        ]
+        assert sum(width for _, width in blocks) == batch.shape[1]
+        assert batch.size <= cells or len(blocks) == 1
+        several += len(blocks) > 1
+        over += batch.size > cells
+    assert several > 0
+    if cells < miner.BATCH_CELLS:
+        assert over > 0 and any(count > cells for _, count in chunks)
 
 
 def growth_instances(seed, count):
@@ -861,20 +927,22 @@ def kernel_evaluation(ctx, rows, scores, candidates):
 def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
     """The pattern set of mining `enc`, with every growth evaluation and
     every row builder checked against the dense kernel on the same prefix
-    rows, bit for bit: an evaluation's hits, sorted by (candidate,
-    sequence), its umax, full and rest (`_masses` of the kernel's flags and
-    values turned into hits), its survivors, and each grown child's rows
-    and score rows. A root's are checked against the kernel from the empty
-    prefix on every sequence. After each evaluation the scorer's buffer is
-    -inf again.
+    rows, bit for bit. Siblings are evaluated in chunks, and each one's
+    part of its chunk is checked as if it were evaluated alone: its hits,
+    sorted by (candidate, sequence), its umax, full and rest (`_masses` of
+    the kernel's flags and values turned into hits), its survivors, and
+    each grown child's rows and score rows. A root's are checked against
+    the kernel from the empty prefix on every sequence. After each chunk
+    the scorer's buffer is -inf again.
 
     Each evaluation reads a projection, and its hits equal those of the
-    same evaluation over the whole layout. The projection it hands to its
-    children holds exactly the runs of its grown survivors' hits, whole,
-    in order, and no more cells than its own. `seen` counts the evaluations
-    below and at the length cap, their candidates that fit a window 0 of
-    the prefix's sequences and those with no cell in them, the rows built,
-    and the projections smaller than their parent's."""
+    same evaluation over the whole layout. The projection a sibling hands
+    to its children holds exactly the runs of its grown survivors' hits,
+    whole, in order, and no more cells than its own. `seen` counts the
+    evaluations below and at the length cap, the chunks of several
+    siblings, their candidates that fit a window 0 of the prefix's
+    sequences and those with no cell in them, the rows built, and the
+    projections smaller than their parent's."""
     extend, masses, children, growth = miner._extend, miner._masses, miner._children, miner._grow
     vocabulary = miner._build_vocabulary
     pending = {"evaluation": None}
@@ -892,48 +960,69 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
             pending["whole"] = ctx, every
         return pending["whole"][1]
 
-    def checked_children(ctx, stats, projection, rows, scores, candidates, length):
-        batch, matched, best = kernel_evaluation(ctx, rows, scores, candidates)
-        candidate, position = np.nonzero(matched)
-        hits = candidate, rows[position], best[matched]
-        pending["evaluation"] = hits
+    def checked_children(ctx, stats, projection, chunk, candidates, length):
+        count = candidates.size
+        # each sibling on its own: the kernel's score rows, flags and best
+        # values, its hits, their masses and its survivors
+        siblings = []
+        for k, (_, rows, scores, _) in enumerate(chunk):
+            batch, matched, best = kernel_evaluation(ctx, rows, scores, candidates)
+            candidate, position = np.nonzero(matched)
+            hits = candidate, rows[position], best[matched]
+            alone = masses(ctx, *hits, count, length)
+            keep = miner._survivors(ctx, miner.MiningStats(), matched.any(axis=1), *alone)
+            siblings.append((rows, batch, matched, hits, alone, keep))
+        # the chunk's hits, slot k * count + candidate for sibling k, and
+        # its masses, each sibling's laid end to end
+        pending["evaluation"] = tuple(np.concatenate(column) for column in zip(*(
+            (hits[0] + k * count, hits[1], hits[2])
+            for k, (_, _, _, hits, _, _) in enumerate(siblings)
+        )))
+        pending["masses"] = [np.concatenate(column) for column in zip(*(s[4] for s in siblings))]
         pending["candidates"] = candidates
-        grown, inherited, child = children(ctx, stats, projection, rows, scores, candidates,
-                                           length)
-        assert pending["evaluation"] is None  # its masses were checked
-        expected = masses(ctx, *hits, len(candidates), length)
-        keep = miner._survivors(ctx, miner.MiningStats(), matched.any(axis=1), *expected)
-        assert [c[0] for c in grown] == candidates[keep].tolist()
         grow = length < ctx.cfg.max_length
-        # what the children inherit: every survivor, below the length cap
-        assert inherited.tolist() == candidates[keep].tolist() if grow else inherited is None
-        seen["interior evaluations" if grow else "leaf evaluations"] += 1
-        for (v, got_rows, got, umax), i in zip(grown, keep):
-            assert umax.hex() == float(expected[0][i]).hex(), v
+        seen["interior evaluations" if grow else "leaf evaluations"] += len(chunk)
+        seen["chunks of several siblings"] += len(chunk) > 1
+        # only the siblings with a survivor are handed on, in order
+        handed = [k for k, s in enumerate(siblings) if s[5]]
+        for index, grown, inherited, child in children(ctx, stats, projection, chunk, candidates,
+                                                       length):
+            assert pending["evaluation"] is None  # its masses were checked
+            k = handed.pop(0)
+            rows, batch, matched, _, alone, keep = siblings[k]
+            assert index == chunk[k][0]
+            assert [c[0] for c in grown] == candidates[keep].tolist()
+            # what the children inherit: every survivor, below the length cap
+            assert inherited.tolist() == candidates[keep].tolist() if grow else inherited is None
+            for (v, got_rows, got, umax), i in zip(grown, keep):
+                assert umax.hex() == float(alone[0][i]).hex(), v
+                if grow:
+                    assert got_rows.tobytes() == rows[matched[i]].tobytes(), v
+                    want = batch[i][matched[i]]
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), v
+                    seen["children"] += 1
+                else:
+                    assert got_rows is None and got is None
             if grow:
-                assert got_rows.tobytes() == rows[matched[i]].tobytes(), v
-                want = batch[i][matched[i]]
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), v
-                seen["children"] += 1
+                check_projection(ctx, projection, child, candidates[keep], matched[keep], rows)
             else:
-                assert got_rows is None and got is None
-        if grow:
-            check_projection(ctx, projection, child, candidates[keep], matched[keep], rows)
-        else:
-            assert child is None
+                assert child is None
+            yield index, grown, inherited, child
+        assert pending["evaluation"] is None and handed == []
         n = ctx.enc.n_sequences
-        for v in candidates.tolist():
-            cells = entry_cells(pending["vocabulary"], v)
-            on_rows = np.isin(cells % n, rows)
-            seen["fit window 0"] += bool((on_rows & (cells < n)).any())
-            seen["no cell in the prefix's rows"] += not on_rows.any()
-        return grown, inherited, child
+        for rows, *_ in siblings:
+            for v in candidates.tolist():
+                cells = entry_cells(pending["vocabulary"], v)
+                on_rows = np.isin(cells % n, rows)
+                seen["fit window 0"] += bool((on_rows & (cells < n)).any())
+                seen["no cell in the prefix's rows"] += not on_rows.any()
 
     def check_projection(ctx, parent, child, survivors, matched, rows):
         # the runs of the survivors' hits, (survivor, sequence), in order
         survivor, position = np.nonzero(matched)
         assert child.run_candidate.tolist() == survivor.tolist()
         assert child.run_rows.tolist() == rows[position].tolist()
+        assert child.cell_start[0] == 0 and child.cell_start[-1] == child.cells.size
         assert child.cells.size <= parent.cells.size
         seen["smaller projections"] += child.cells.size < parent.cells.size
         layout, n = whole_vocabulary(ctx).runs, ctx.enc.n_sequences
@@ -948,34 +1037,44 @@ def mined_against_the_kernel(monkeypatch, enc, cfg, seen):
             assert child.cells[lo:hi].tolist() == layout.cells[cells][whole].tolist()
             assert child.values[lo:hi].tobytes() == layout.values[cells][whole].tobytes()
 
-    def checked_extend(ctx, projection, rows, scores):
-        candidate, run, best, values = extend(ctx, projection, rows, scores)
+    def checked_extend(ctx, projection, chunk, keep_values):
+        hit, best, values = extend(ctx, projection, chunk, keep_values)
         assert np.isneginf(ctx.before).all()
-        want_candidate, want_sequence, want_best = pending["evaluation"]
+        candidates = pending["candidates"]
+        sibling, run = np.divmod(hit, projection.run_rows.size)
+        slot = sibling * candidates.size + projection.run_candidate[run]
         sequence = projection.run_rows[run]
-        key = candidate.astype(np.int64) * ctx.enc.n_sequences + sequence
-        assert (np.diff(key) > 0).all()  # sorted by (candidate, sequence)
-        assert candidate.tolist() == want_candidate.tolist()
+        key = slot * ctx.enc.n_sequences + sequence
+        assert (np.diff(key) > 0).all()  # sorted by (slot, sequence)
+        want_slot, want_sequence, want_best = pending["evaluation"]
+        assert slot.tolist() == want_slot.tolist()
         assert sequence.tolist() == want_sequence.tolist()
         assert best.tobytes() == want_best.tobytes()
+        if keep_values:
+            assert values.shape == (len(chunk), projection.cells.size)
+        else:
+            assert values is None
         # the same evaluation over every vocabulary entry's runs hits the
         # same runs
         every = whole_vocabulary(ctx)
-        entry, whole, whole_best, _ = extend(every, every.runs, rows, scores)
-        candidates = pending["candidates"]
+        whole_hit, whole_best, _ = extend(every, every.runs, chunk, False)
+        whole_sibling, whole = np.divmod(whole_hit, every.runs.run_rows.size)
+        entry = every.runs.run_candidate[whole]
         among = np.isin(entry, candidates)
-        assert np.searchsorted(candidates, entry[among]).tolist() == candidate.tolist()
+        among_slot = whole_sibling[among] * candidates.size + np.searchsorted(candidates,
+                                                                              entry[among])
+        assert among_slot.tolist() == slot.tolist()
         assert every.runs.run_rows[whole[among]].tolist() == sequence.tolist()
         assert whole_best[among].tobytes() == best.tobytes()
-        return candidate, run, best, values
+        return hit, best, values
 
     def checked_masses(ctx, candidate, sequence, best, count, length):
         values = masses(ctx, candidate, sequence, best, count, length)
-        if pending["evaluation"] is not None:  # a growth evaluation's
-            expected = masses(ctx, *pending["evaluation"], count, length)
+        if pending["evaluation"] is not None:  # a growth chunk's
             pending["evaluation"] = None
+            # each slot's sums are bit for bit its sibling's on its own
             assert [float(x).hex() for x in np.concatenate(values)] == [
-                float(x).hex() for x in np.concatenate(expected)
+                float(x).hex() for x in np.concatenate(pending["masses"])
             ]
         return values
 
@@ -1008,8 +1107,9 @@ def test_every_growth_evaluation_scores_as_the_kernel_scores_it(monkeypatch):
     """Every evaluation, below and at the length cap, and every row builder,
     for the roots and for each grown child, give the dense kernel's values
     bit for bit, and the pattern sets equal the oracle's, under every
-    strategy, though each evaluation reads only the projection its parent
-    handed down, which is often smaller than its parent's. Candidates that
+    strategy, though siblings are evaluated in chunks and each evaluation
+    reads only the projection its parent handed down, which is often
+    smaller than its parent's. Chunks of several siblings, candidates that
     fit window 0, where a non-empty prefix has no score before, and
     candidates with no cell in the prefix's sequences are among them, and
     so is an empty vocabulary."""
@@ -1024,6 +1124,7 @@ def test_every_growth_evaluation_scores_as_the_kernel_scores_it(monkeypatch):
             assert mined_against_the_kernel(monkeypatch, enc, c, seen) == expected, c
     assert seen["interior evaluations"] > 500
     assert seen["leaf evaluations"] > 500
+    assert seen["chunks of several siblings"] > 0
     assert seen["fit window 0"] > 0
     assert seen["no cell in the prefix's rows"] > 0
     assert seen["roots"] > 0 and seen["children"] > 0
@@ -1034,7 +1135,7 @@ def test_every_growth_evaluation_scores_as_the_kernel_scores_it(monkeypatch):
 def test_an_empty_vocabulary_has_an_empty_leaf_layout(example_cdata):
     """Above the total utility no coincidence survives: growth's layout
     holds no cell and no run, and an evaluation of no candidates on any
-    rows has no hits and leaves its buffer -inf."""
+    rows has no hits, no cell values and leaves its buffer -inf."""
     enc = encode_dataset(example_cdata)
     ctx = miner._Context(enc=enc, cfg=cfg_at(135.0, 3, 2), xi_abs=135.0)
     miner._build_vocabulary(ctx, miner.MiningStats())
@@ -1044,10 +1145,10 @@ def test_an_empty_vocabulary_has_an_empty_leaf_layout(example_cdata):
     assert layout.values.size == layout.cell_run.size == layout.run_candidate.size == 0
     rows = np.arange(enc.n_sequences)
     scores = np.zeros((enc.n_sequences, enc.capacity))
-    candidate, run, best, values = miner._extend(ctx, layout, rows, scores)
-    assert candidate.size == run.size == best.size == values.size == 0
+    hit, best, values = miner._extend(ctx, layout, [(0, rows, scores, 0.0)], True)
+    assert hit.size == best.size == values.size == 0 and values.shape == (1, 0)
     assert np.isneginf(ctx.before).all()
-    assert miner._masses(ctx, candidate, run, best, 0, 2)[0].shape == (0,)
+    assert miner._masses(ctx, hit, hit, best, 0, 2)[0].shape == (0,)
     assert mine(enc, ctx.cfg)[0] == []
 
 
